@@ -385,9 +385,8 @@ func TestTimingOffAllocParity(t *testing.T) {
 // bottleneck the CSR builder and Record dedup exist to fix, so the
 // benchmark must see them. Alg1 runs the full Theorem-1 budget; Alg2 (whose
 // full-set broadcasts dominate) runs to completion, at several k so the
-// delta-delivery A/B pairs bracket the crossover where skipping unions
-// starts to pay (see BENCH_PR5.json).
-func benchHiNet10k(b *testing.B, k int, alg2, noDelta bool) {
+// payload width's cost shows (see BENCH_PR5.json).
+func benchHiNet10k(b *testing.B, k int, alg2 bool) {
 	const (
 		n     = 10000
 		alpha = 2
@@ -409,12 +408,10 @@ func benchHiNet10k(b *testing.B, k int, alg2, noDelta bool) {
 		if alg2 {
 			met = sim.MustRunProtocol(tr, core.Alg2{}, assign, sim.Options{
 				MaxRounds: 400, StopWhenComplete: true, SizeFn: wire.Size,
-				NoDeltaDelivery: noDelta,
 			})
 		} else {
 			met = sim.MustRunProtocol(tr, core.Alg1{T: T}, assign, sim.Options{
 				MaxRounds: rounds, SizeFn: wire.Size,
-				NoDeltaDelivery: noDelta,
 			})
 		}
 		if !met.Complete {
@@ -425,31 +422,19 @@ func benchHiNet10k(b *testing.B, k int, alg2, noDelta bool) {
 
 // BenchmarkHiNet10k is the scaling headline: Algorithm 1 at 10× the 1k
 // instance. BENCH_PR5.json tracks it against the pre-CSR engine.
-func BenchmarkHiNet10k(b *testing.B) { benchHiNet10k(b, 16, false, false) }
+func BenchmarkHiNet10k(b *testing.B) { benchHiNet10k(b, 16, false) }
 
 // BenchmarkHiNet10kAlg2 runs Algorithm 2 to completion on the same
-// instance: the full-set-broadcast workload where delta-aware delivery
-// pays.
-func BenchmarkHiNet10kAlg2(b *testing.B) { benchHiNet10k(b, 16, true, false) }
+// instance: the full-set-broadcast workload.
+func BenchmarkHiNet10kAlg2(b *testing.B) { benchHiNet10k(b, 16, true) }
 
 // BenchmarkHiNet10kAlg2K256 is the k-scaling variant (k=256 tokens, 4
 // bitset words per payload) of the Alg2 workload.
-func BenchmarkHiNet10kAlg2K256(b *testing.B) { benchHiNet10k(b, 256, true, false) }
+func BenchmarkHiNet10kAlg2K256(b *testing.B) { benchHiNet10k(b, 256, true) }
 
-// BenchmarkHiNet10kAlg2NoDelta is the A/B switch: identical to
-// BenchmarkHiNet10kAlg2 but with delta-aware delivery disabled
-// (Options.NoDeltaDelivery, `hinetbench -nodelta`). Results are identical
-// by TestDeltaDeliveryEquivalence; the ns/op gap is what the version stamps
-// buy — or cost: at k=16 a payload union is one word, cheaper than the
-// per-sender map lookup, so the naive path WINS here. The k=4096 pair below
-// shows the other side of the crossover.
-func BenchmarkHiNet10kAlg2NoDelta(b *testing.B) { benchHiNet10k(b, 16, true, true) }
-
-// BenchmarkHiNet10kAlg2K4096 / NoDelta are the wide-payload A/B pair: at
-// k=4096 every elided union saves a 64-word scan, which outweighs the skip
-// bookkeeping.
-func BenchmarkHiNet10kAlg2K4096(b *testing.B)        { benchHiNet10k(b, 4096, true, false) }
-func BenchmarkHiNet10kAlg2K4096NoDelta(b *testing.B) { benchHiNet10k(b, 4096, true, true) }
+// BenchmarkHiNet10kAlg2K4096 is the wide-payload variant: every union is a
+// 64-word scan.
+func BenchmarkHiNet10kAlg2K4096(b *testing.B) { benchHiNet10k(b, 4096, true) }
 
 // benchHiNetStream runs the delta-streamed pipeline end to end at scale:
 // the engine pulls rounds straight from a ForwardOnly HiNet adversary, so

@@ -13,8 +13,6 @@
 //	hinetbench -csv                # CSV instead of aligned text
 //	hinetbench -seeds 8            # Monte-Carlo replications per row
 //	hinetbench -table 3 -metrics d # per-seed round-series JSONL into d/
-//	hinetbench -table 3 -nocache   # A/B check: identical results, uncached engine
-//	hinetbench -table 3 -nodelta   # A/B check: identical results, naive delivery
 //	hinetbench -table 3 -timing d  # per-seed engine stage spans into d/, plus a
 //	                               # per-stage breakdown table over all Table 3 runs
 //	hinetbench -pprof :6060        # expose net/http/pprof while running
@@ -68,9 +66,6 @@ func main() {
 		claims   = flag.Bool("claims", false, "print the reproduction ledger")
 		outDir   = flag.String("out", "", "directory to additionally write each table as CSV")
 		metrics  = flag.String("metrics", "", "directory for per-seed round-series JSONL (Table 3 rows)")
-		noCache  = flag.Bool("nocache", false, "disable the engine's stability-window cache (A/B timing check; results are identical)")
-		noDelta  = flag.Bool("nodelta", false, "disable delta-aware delivery (A/B timing check; results are identical)")
-		deltas   = flag.Bool("deltas", false, "record each replication's dynamic as an O(changes) delta trace before running (A/B storage check; results are identical)")
 		timing   = flag.String("timing", "", "directory for per-seed engine stage-span JSONL (Table 3 rows); prints a per-stage breakdown")
 		selfstab = flag.Bool("selfstab", false, "Table 3: replace the oracle hierarchies with the self-stabilizing clustering protocol in every replication")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -204,9 +199,6 @@ func main() {
 	if *all || *table == 3 {
 		cfg := experiment.Table3Config(*seeds)
 		cfg.MetricsDir = *metrics
-		cfg.NoCache = *noCache
-		cfg.NoDelta = *noDelta
-		cfg.UseDeltaTraces = *deltas
 		cfg.TimingDir = *timing
 		cfg.HealthRules = *healthS
 		cfg.DumpDir = *dumpDir

@@ -113,7 +113,6 @@ func main() {
 		tsample  = flag.Int("timing-sample", 0, "rounds between timing resource samples (0 = default 32)")
 		tnorm    = flag.Bool("timing-normalize", false, "zero durations/resources in the timing JSONL, keeping structure (determinism checks)")
 		workers  = flag.Int("workers", 0, "within-round parallelism (0 or 1 = serial)")
-		deltas   = flag.Bool("deltas", false, "record the scenario's dynamic as an O(changes) delta trace before running (hinet/onel; A/B storage check, results are identical)")
 
 		drop         = flag.Float64("drop", 0, "i.i.d. per-delivery message loss probability")
 		burst        = flag.String("burst", "", "Gilbert–Elliott bursty loss as pGoodBad,pBadGood,dropBad")
@@ -163,7 +162,7 @@ func main() {
 	mi := &instr{
 		path: *metrics, provDir: *prov, faults: plan, stall: *stallWindow,
 		timingPath: *timing, tsample: *tsample, tnorm: *tnorm, workers: *workers,
-		arr: arr, selfstab: *selfstab, deltas: *deltas,
+		arr: arr, selfstab: *selfstab,
 		record: *record, healthSpec: *healthSpc, dumpDir: *dumpDir,
 		scenario: *scenario, alpha: *alpha,
 		fing: map[string]string{
@@ -175,7 +174,6 @@ func main() {
 			"drop":    strconv.FormatFloat(*drop, 'g', -1, 64),
 			"burst":   *burst, "crash_heads": *crashHeads,
 			"selfstab": strconv.FormatBool(*selfstab),
-			"deltas":   strconv.FormatBool(*deltas),
 			"arrival":  strconv.FormatFloat(*arrival, 'g', -1, 64),
 		},
 	}
@@ -330,11 +328,6 @@ type instr struct {
 	// same faulty links, with the convergence watchdog armed at one phase
 	// length (8 rounds for per-round protocols).
 	selfstab bool
-	// deltas records the hinet/onel scenario dynamic into a ctvg.DeltaTrace
-	// before the run — the O(changes) storage path; results are identical
-	// to the live adversary (the -deltas/-nodeltas A/B pair keeps the
-	// snapshot oracle reachable from the CLI).
-	deltas bool
 	// arr is the -arrival traffic process; attach copies it into each
 	// scenario's options and stretches short round budgets to cover the
 	// arrival window plus a drain allowance.
@@ -703,14 +696,7 @@ func runHiNet(n, k, theta, alpha, l, reaffil, churn int, seed uint64, mi *instr)
 	if err != nil {
 		return err
 	}
-	var d ctvg.Dynamic = adv
-	if mi.deltas {
-		d = ctvg.RecordDeltas(adversary.NewHiNet(adversary.HiNetConfig{
-			N: n, Theta: theta, L: l, T: T,
-			Reaffiliations: reaffil, ChurnEdges: churn,
-		}, xrand.New(seed)), phases*T)
-	}
-	met, err := sim.RunProtocol(d, mi.alg1(T), assign, opts)
+	met, err := sim.RunProtocol(adv, mi.alg1(T), assign, opts)
 	if err != nil {
 		return err
 	}
@@ -732,11 +718,7 @@ func runOneL(n, k, theta, l, reaffil, churn int, seed uint64, mi *instr) error {
 	if err != nil {
 		return err
 	}
-	var d ctvg.Dynamic = adv
-	if mi.deltas {
-		d = ctvg.RecordDeltas(adv, core.Theorem2Rounds(n))
-	}
-	met, err := sim.RunProtocol(d, mi.alg2(), assign, opts)
+	met, err := sim.RunProtocol(adv, mi.alg2(), assign, opts)
 	if err != nil {
 		return err
 	}

@@ -36,7 +36,7 @@ func (Flood) Name() string { return "klo-flood" }
 func (Flood) Nodes(assign *token.Assignment) []sim.Node {
 	nodes := make([]sim.Node, assign.N())
 	for v := range nodes {
-		nodes[v] = &floodNode{ta: assign.Initial[v].Clone(), ver: 1}
+		nodes[v] = &floodNode{ta: assign.Initial[v].Clone()}
 	}
 	return nodes
 }
@@ -46,13 +46,6 @@ func FloodRounds(n int) int { return n - 1 }
 
 type floodNode struct {
 	ta *bitset.Set
-	// ver / seen are the delta-delivery stamps (see sim.Message.Version):
-	// flooding re-broadcasts the full set every round, so almost every
-	// heard payload repeats a (sender, version) the receiver has already
-	// absorbed and skips its union. ver starts at 1 so stamps are never
-	// the unversioned 0.
-	ver  uint32
-	seen map[int]uint32
 }
 
 func (n *floodNode) Send(v sim.View) *sim.Message {
@@ -62,42 +55,21 @@ func (n *floodNode) Send(v sim.View) *sim.Message {
 	m.To = sim.NoAddr
 	m.Kind = sim.KindBroadcast
 	m.Tokens = payload
-	m.Version = n.ver
 	return m
 }
 
 func (n *floodNode) Deliver(v sim.View, msgs []*sim.Message) {
-	delta := v.DeltaEnabled()
 	for _, m := range msgs {
-		if delta && m.Version != 0 {
-			if n.seen == nil {
-				n.seen = make(map[int]uint32)
-			}
-			if n.seen[m.From] >= m.Version {
-				continue
-			}
-			n.seen[m.From] = m.Version
-		}
-		if n.ta.UnionChanged(m.Tokens) {
-			n.ver++
-		}
+		n.ta.UnionWith(m.Tokens)
 	}
 }
 
 func (n *floodNode) Tokens() *bitset.Set { return n.ta }
 
-// Inject implements sim.Injector: an arriving token is a gain, so the
-// content stamp advances and the next broadcast carries it.
-func (n *floodNode) Inject(r, tok int) {
-	if !n.ta.Contains(tok) {
-		n.ta.Add(tok)
-		n.ver++
-	}
-}
+// Inject implements sim.Injector: the next broadcast carries the arrival.
+func (n *floodNode) Inject(r, tok int) { n.ta.Add(tok) }
 
-// Collect implements sim.Collectible. No version bump: the engine removes
-// gc from every node at the same barrier, so receivers' absorbed-version
-// claims shrink in lockstep with the payloads they stand for.
+// Collect implements sim.Collectible.
 func (n *floodNode) Collect(gc *bitset.Set) {
 	n.ta.DifferenceWith(gc)
 }

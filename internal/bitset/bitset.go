@@ -145,9 +145,9 @@ func (s *Set) UnionWith(o *Set) {
 }
 
 // UnionChanged adds every element of o to s (s ∪= o) and reports whether s
-// gained any element. It is the delta-delivery primitive: a receiver that
-// unions an incoming token set can tell in the same word-level pass whether
-// the message taught it anything, without a separate Len or Equal sweep.
+// gained any element: a receiver that unions an incoming token set can tell
+// in the same word-level pass whether the message taught it anything,
+// without a separate Len or Equal sweep.
 func (s *Set) UnionChanged(o *Set) bool {
 	if o == nil {
 		return false

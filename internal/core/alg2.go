@@ -47,7 +47,6 @@ func (p Alg2) Nodes(assign *token.Assignment) []sim.Node {
 			lastHead: ctvg.NoCluster,
 			needSend: true,
 			uploadTo: ctvg.NoCluster,
-			ver:      1,
 		}
 	}
 	return nodes
@@ -83,41 +82,6 @@ type alg2Node struct {
 	acting        bool
 	lastUpload    int
 	uploadTo      int
-
-	// ver / seen implement delta-aware delivery exactly as in alg1Node:
-	// ver is the monotone content version of ta, stamped onto every
-	// full-TA payload (relay broadcasts and member uploads alike — both
-	// snapshot ta, so one counter versions both); seen records per sender
-	// the highest stamp absorbed. Both survive OnRecover, like ta itself.
-	// Algorithm 2 broadcasts whole sets every round, so this is where the
-	// PR 4 redundancy account showed most unions teach nothing.
-	ver  uint32
-	seen map[int]uint32
-}
-
-// absorb unions a payload into TA, keeping the content version in step.
-func (n *alg2Node) absorb(t *bitset.Set) {
-	if n.ta.UnionChanged(t) {
-		n.ver++
-	}
-}
-
-// skipDelta is alg1Node.skipDelta's contract verbatim: true means the
-// versioned payload is provably already contained in TA, and only the
-// union may be elided — NACK subset checks and silence bookkeeping run
-// regardless.
-func (n *alg2Node) skipDelta(v sim.View, m *sim.Message) bool {
-	if m.Version == 0 || !v.DeltaEnabled() {
-		return false
-	}
-	if n.seen == nil {
-		n.seen = make(map[int]uint32)
-	}
-	if n.seen[m.From] >= m.Version {
-		return true
-	}
-	n.seen[m.From] = m.Version
-	return false
 }
 
 // Send implements sim.Node.
@@ -173,7 +137,6 @@ func (n *alg2Node) Send(v sim.View) *sim.Message {
 	m.To = to
 	m.Kind = sim.KindUpload
 	m.Tokens = payload
-	m.Version = n.ver
 	return m
 }
 
@@ -188,7 +151,6 @@ func (n *alg2Node) relayBroadcast(v sim.View) *sim.Message {
 	m.To = sim.NoAddr
 	m.Kind = sim.KindRelay
 	m.Tokens = payload
-	m.Version = n.ver
 	return m
 }
 
@@ -204,18 +166,12 @@ func (n *alg2Node) Deliver(v sim.View, msgs []*sim.Message) {
 	for _, m := range msgs {
 		switch {
 		case m.Kind == sim.KindRelay:
-			if !n.skipDelta(v, m) {
-				n.absorb(m.Tokens)
-			}
+			n.ta.UnionWith(m.Tokens)
 		case relay && m.Kind == sim.KindUpload && m.To == n.id:
-			if !n.skipDelta(v, m) {
-				n.absorb(m.Tokens)
-			}
+			n.ta.UnionWith(m.Tokens)
 		case m.Kind == sim.KindUpload && n.acting:
 			// An acting head adopts uploads stranded on the dead head.
-			if !n.skipDelta(v, m) {
-				n.absorb(m.Tokens)
-			}
+			n.ta.UnionWith(m.Tokens)
 		}
 		if n.fo == nil || m.Kind != sim.KindRelay {
 			continue
@@ -259,7 +215,6 @@ func (n *alg2Node) Tokens() *bitset.Set { return n.ta }
 func (n *alg2Node) Inject(r, tok int) {
 	if !n.ta.Contains(tok) {
 		n.ta.Add(tok)
-		n.ver++
 		n.needSend = true
 	}
 }

@@ -36,24 +36,6 @@ func TestRunGridMatchesRunPoint(t *testing.T) {
 	}
 }
 
-// UseDeltaTraces must be a pure storage change: every aggregate of a point
-// run over recorded delta traces must equal the live-adversary run.
-func TestUseDeltaTracesMatchesLive(t *testing.T) {
-	cfg := Table3Config(2)
-	live, err := RunPoint(cfg)
-	if err != nil {
-		t.Fatalf("live: %v", err)
-	}
-	cfg.UseDeltaTraces = true
-	delta, err := RunPoint(cfg)
-	if err != nil {
-		t.Fatalf("delta: %v", err)
-	}
-	if !reflect.DeepEqual(delta, live) {
-		t.Fatalf("delta-trace run diverges from live run:\n got  %+v\n want %+v", delta, live)
-	}
-}
-
 // Per-seed artifact files must land in the same places with the same names
 // under RunGrid as under RunPoint.
 func TestRunGridWritesPerSeedFiles(t *testing.T) {

@@ -96,9 +96,9 @@ func (a *Arrivals) validate(n int) error {
 // arriving tokens: Inject hands node state one token (by slot) that arrived
 // at the node in round r, before the round's Send. The node must add it to
 // its collected set and treat it like any other token it originated — in
-// particular, versioned senders must bump their content stamp, and upload
-// protocols must (re-)schedule the token for upload. Arrival-mode runs
-// require every node to implement Injector and Collectible.
+// particular, upload protocols must (re-)schedule the token for upload.
+// Arrival-mode runs require every node to implement Injector and
+// Collectible.
 type Injector interface {
 	Inject(r, tok int)
 }
@@ -110,12 +110,6 @@ type Injector interface {
 // slate. The engine calls it at the round barrier, on every node including
 // crashed ones (GC is an engine-level accounting operation on stable
 // storage, not a protocol step), with the same gc set for all nodes.
-//
-// Delta-aware senders need not bump their content stamp here: the engine
-// removes gc from every node and every in-flight payload died at the same
-// barrier, so a receiver's absorbed-(sender, version) claims stay sound —
-// both sides shrank by exactly gc. (A later re-arrival on a reused slot is
-// safe too: the injection itself bumps the version.)
 type Collectible interface {
 	Collect(gc *bitset.Set)
 }

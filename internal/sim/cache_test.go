@@ -1,11 +1,12 @@
 package sim_test
 
 // The stability-window cache must be a pure optimisation: under any mix of
-// reaffiliations, head churn and mid-window crashes, a cached run and a
-// NoStabilityCache run — serial or parallel — must produce identical Metrics
-// and byte-identical JSONL observer streams. This file is the adversarial
-// check behind that promise (it lives in sim_test because the obs collector
-// imports sim).
+// reaffiliations, head churn and mid-window crashes, a cached run and an
+// uncached run — serial or parallel — must produce identical Metrics and
+// byte-identical JSONL observer streams. The engine caches exactly when the
+// dynamic implements ctvg.Stability, so the uncached runs wrap the dynamic
+// in hiddenStability. This file is the adversarial check behind that
+// promise (it lives in sim_test because the obs collector imports sim).
 
 import (
 	"bytes"
@@ -22,20 +23,23 @@ import (
 	"repro/internal/xrand"
 )
 
+// hiddenStability forwards a dynamic's rounds but not its StableUntil, so
+// the engine refreshes graph, hierarchy and views every round.
+type hiddenStability struct{ ctvg.Dynamic }
+
 // runCollected executes Algorithm 1 on d with a JSONL collector attached and
 // returns the metrics plus the raw event stream.
-func runCollected(t *testing.T, d ctvg.Dynamic, assign *token.Assignment, T, rounds, workers int, noCache bool, crashAt map[int]int) (*sim.Metrics, []byte) {
+func runCollected(t *testing.T, d ctvg.Dynamic, assign *token.Assignment, T, rounds, workers int, crashAt map[int]int) (*sim.Metrics, []byte) {
 	t.Helper()
 	var sink bytes.Buffer
 	col := obs.NewCollector(obs.Config{
 		N: d.N(), K: assign.K, PhaseLen: T, Sink: &sink, SizeFn: wire.Size,
 	})
 	opts := sim.Options{
-		MaxRounds:        rounds,
-		Observer:         col.Observer(),
-		SizeFn:           wire.Size,
-		Workers:          workers,
-		NoStabilityCache: noCache,
+		MaxRounds: rounds,
+		Observer:  col.Observer(),
+		SizeFn:    wire.Size,
+		Workers:   workers,
 	}
 	if crashAt != nil {
 		opts.Faults = &sim.Faults{CrashAt: crashAt}
@@ -76,20 +80,24 @@ func TestStabilityCacheEquivalence(t *testing.T) {
 	}
 	for _, dyn := range dynamics {
 		t.Run(dyn.name, func(t *testing.T) {
-			refMet, refJSON := runCollected(t, dyn.d, assign, T, rounds, 1, false, crashAt)
+			refMet, refJSON := runCollected(t, dyn.d, assign, T, rounds, 1, crashAt)
 			if len(refJSON) == 0 {
 				t.Fatal("reference run produced no events")
 			}
 			for _, tc := range []struct {
-				name    string
-				workers int
-				noCache bool
+				name     string
+				workers  int
+				uncached bool
 			}{
 				{"serial-uncached", 1, true},
 				{"parallel-cached", 4, false},
 				{"parallel-uncached", 4, true},
 			} {
-				met, jsonl := runCollected(t, dyn.d, assign, T, rounds, tc.workers, tc.noCache, crashAt)
+				d := dyn.d
+				if tc.uncached {
+					d = hiddenStability{d}
+				}
+				met, jsonl := runCollected(t, d, assign, T, rounds, tc.workers, crashAt)
 				if !reflect.DeepEqual(met, refMet) {
 					t.Errorf("%s: metrics diverge:\n  got  %+v\n  want %+v", tc.name, met, refMet)
 				}

@@ -17,10 +17,42 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/ctvg"
+	"repro/internal/obs"
+	"repro/internal/provenance"
 	"repro/internal/sim"
 	"repro/internal/token"
+	"repro/internal/wire"
 	"repro/internal/xrand"
 )
+
+// runStreams executes proto on d with both a JSONL collector and a
+// provenance tracer attached, and returns the metrics plus both raw streams.
+func runStreams(t *testing.T, d ctvg.Dynamic, proto sim.Protocol, assign *token.Assignment, phaseLen, rounds, workers int, crashAt map[int]int) (*sim.Metrics, []byte, []byte) {
+	t.Helper()
+	var obsSink, provSink bytes.Buffer
+	col := obs.NewCollector(obs.Config{
+		N: d.N(), K: assign.K, PhaseLen: phaseLen, Sink: &obsSink, SizeFn: wire.Size,
+	})
+	tr := provenance.New(provenance.Config{Sink: &provSink})
+	opts := sim.Options{
+		MaxRounds: rounds,
+		Observer:  col.Observer(),
+		Tracer:    tr,
+		SizeFn:    wire.Size,
+		Workers:   workers,
+	}
+	if crashAt != nil {
+		opts.Faults = &sim.Faults{CrashAt: crashAt}
+	}
+	met := sim.MustRunProtocol(d, proto, assign, opts)
+	if err := col.Flush(); err != nil {
+		t.Fatalf("collector: %v", err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatalf("tracer: %v", err)
+	}
+	return met, obsSink.Bytes(), provSink.Bytes()
+}
 
 func TestDeltaTraceMatchesSnapshots(t *testing.T) {
 	const n, k, alpha, L = 80, 8, 2, 2
@@ -52,7 +84,7 @@ func TestDeltaTraceMatchesSnapshots(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			refMet, refObs, refProv := runDelta(t, snapTrace, sc.proto, assign, T, rounds, 1, false, sc.crashAt)
+			refMet, refObs, refProv := runStreams(t, snapTrace, sc.proto, assign, T, rounds, 1, sc.crashAt)
 			if len(refObs) == 0 || len(refProv) == 0 {
 				t.Fatal("snapshot oracle run produced empty streams")
 			}
@@ -63,7 +95,7 @@ func TestDeltaTraceMatchesSnapshots(t *testing.T) {
 				{"delta-serial", 1},
 				{"delta-parallel", 4},
 			} {
-				met, obsJSON, provJSON := runDelta(t, deltaTrace, sc.proto, assign, T, rounds, tc.workers, false, sc.crashAt)
+				met, obsJSON, provJSON := runStreams(t, deltaTrace, sc.proto, assign, T, rounds, tc.workers, sc.crashAt)
 				if !reflect.DeepEqual(met, refMet) {
 					t.Errorf("%s: metrics diverge:\n  got  %+v\n  want %+v", tc.name, met, refMet)
 				}

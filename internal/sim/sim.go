@@ -81,21 +81,10 @@ func (k MsgKind) String() string {
 
 // Message is one transmission. From is filled in by the engine.
 type Message struct {
-	From int
-	To   int // NoAddr for broadcast; otherwise the intended recipient
-	Kind MsgKind
-	// Version, when non-zero, is the sender's monotone content stamp for
-	// the payload: the sender guarantees that within one run its Tokens
-	// sets are non-decreasing in Version (equal Version ⇒ identical set,
-	// higher Version ⇒ superset). A receiver that has already absorbed
-	// (From, Version) may therefore skip the payload union — delta-aware
-	// delivery; see View.DeltaEnabled. 0 means unversioned: never skipped.
-	// The stamp is engine metadata, contributing to neither Cost nor the
-	// wire encoding, so versioned and naive runs account identically. (It
-	// sits next to Kind to fit that word's padding: pooled messages are
-	// zeroed on every reuse, so struct size is hot-path cost.)
-	Version uint32
-	Tokens  *bitset.Set
+	From   int
+	To     int // NoAddr for broadcast; otherwise the intended recipient
+	Kind   MsgKind
+	Tokens *bitset.Set
 	// Units, when positive, overrides the cost accounting: the message is
 	// charged Units token-equivalents instead of the payload cardinality.
 	// Network-coded packets use it (one token-sized payload regardless of
@@ -152,11 +141,7 @@ func (k NoteKind) String() string {
 type View struct {
 	Round int
 	Role  ctvg.Role
-	// noDelta mirrors Options.NoDeltaDelivery into every view (see
-	// DeltaEnabled). It shares Role's padding: views live in one n-sized
-	// slice per run, so View growth is charged n-fold.
-	noDelta bool
-	Head    int // current cluster head node ID, or ctvg.NoCluster
+	Head  int // current cluster head node ID, or ctvg.NoCluster
 	// Neighbors is the node's current neighbour list, ascending. It
 	// aliases engine storage and must not be modified or retained.
 	Neighbors []int
@@ -170,13 +155,6 @@ type View struct {
 	// (Note is then a no-op).
 	notes *[]note
 }
-
-// DeltaEnabled reports whether receivers may honour Message.Version and
-// skip payload unions they have provably already absorbed. False only when
-// the run sets Options.NoDeltaDelivery (the naive A/B reference path);
-// senders stamp versions either way, so the transmitted messages — and all
-// accounting derived from them — are identical in both modes.
-func (v View) DeltaEnabled() bool { return !v.noDelta }
 
 // NewMessage returns a zeroed Message for this round's transmission. Inside
 // a run it comes from the shard's arena and is recycled at the round
@@ -531,14 +509,6 @@ type Options struct {
 	// the run terminates with a StallReport in Metrics.Stall instead of
 	// spinning to MaxRounds. 0 disables the watchdog.
 	StallWindow int
-	// NoDeltaDelivery disables delta-aware delivery: receivers then union
-	// every payload they hear, even ones whose (sender, version) stamp
-	// proves they were already absorbed. Senders stamp versions either
-	// way, so both paths transmit identical messages and produce identical
-	// Metrics, observer streams and provenance; the switch exists for A/B
-	// measurement of the skip's value (mirrored as PointConfig.NoDelta and
-	// hinetbench -nodelta).
-	NoDeltaDelivery bool
 	// Timing, if non-nil, turns on engine self-profiling: every round
 	// stage (crash bookkeeping, snapshot/thaw, hierarchy refresh, collect
 	// fan-out, observer emit, delivery fan-out, barrier merges, tracer
@@ -566,13 +536,6 @@ type Options struct {
 	// has been collected. The disabled (nil) path costs one pointer
 	// comparison per round and allocates nothing.
 	Arrivals *Arrivals
-	// NoStabilityCache disables the stability-window fast path: the engine
-	// then calls At/HierarchyAt and refreshes every node's view each round
-	// even when the dynamic advertises frozen windows via ctvg.Stability.
-	// The cached and uncached paths produce identical Metrics and observer
-	// streams; the switch exists for A/B measurement and as an escape
-	// hatch.
-	NoStabilityCache bool
 	// Stop, if set, is polled once per round at the round barrier (after
 	// Barrier/Stalled events): when it returns true the run ends cleanly
 	// at that round, with Metrics and every observer/tracer/timing stream
@@ -695,9 +658,6 @@ func Run(d ctvg.Dynamic, nodes []Node, assign *token.Assignment, opts Options) (
 			views[v].notes = &shards[s].notes
 		}
 	}
-	for v := range views {
-		views[v].noDelta = opts.NoDeltaDelivery
-	}
 	if arr != nil {
 		// Unbounded runs must not let one burst round pin the arenas'
 		// high-water capacity forever; batch runs keep the plain ratchet.
@@ -748,7 +708,7 @@ func Run(d ctvg.Dynamic, nodes []Node, assign *token.Assignment, opts Options) (
 	// all O(n) view rebuilding. Self-stabilizing runs bypass the cache:
 	// the emergent hierarchy may change every round.
 	stab, hasStab := d.(ctvg.Stability)
-	if opts.NoStabilityCache || stb != nil {
+	if stb != nil {
 		hasStab = false
 	}
 	cachedUntil := -1
