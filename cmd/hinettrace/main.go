@@ -168,7 +168,7 @@ func record(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec := ctvg.Record(adv, *rounds)
+	rec := ctvg.RecordDeltas(adv.ForwardOnly(), *rounds)
 	if *full {
 		err = trace.Write(f, rec)
 	} else {
@@ -189,7 +189,7 @@ func record(args []string) error {
 	return nil
 }
 
-func load(path string) (*ctvg.Trace, error) {
+func load(path string) (*ctvg.DeltaTrace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ctvg"
-	"repro/internal/graph"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -89,66 +87,6 @@ func TestHiNetNativeDeltasMatchGenericDiff(t *testing.T) {
 		t.Fatalf("changes: native (%d edges, %d roles), generic (%d edges, %d roles)", ne, nr, ge, gr)
 	}
 	checkCTVGEqual(t, native, ctvg.Record(NewHiNet(cfg, xrand.New(3)), rounds), rounds)
-}
-
-func TestTIntervalDeltaRecordingMatchesSnapshots(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		n, T, churn int
-		seed        uint64
-		rounds      int
-	}{
-		{"pure", 25, 4, 0, 2, 17},
-		{"churny", 30, 5, 4, 1, 23},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			snap := NewTInterval(tc.n, tc.T, tc.churn, xrand.New(tc.seed))
-			delt := NewTInterval(tc.n, tc.T, tc.churn, xrand.New(tc.seed))
-			var snaps []*graph.Graph
-			for r := 0; r < tc.rounds; r++ {
-				snaps = append(snaps, snap.At(r).Clone())
-			}
-			tr := tvg.NewTrace(snaps)
-			dt := tvg.RecordDeltas(delt, tc.rounds)
-			for r := 0; r < tc.rounds; r++ {
-				if !dt.At(r).Equal(tr.At(r)) {
-					t.Fatalf("round %d: snapshot mismatch", r)
-				}
-				ds, ts := dt.StableUntil(r), tr.StableUntil(r)
-				if ds != ts && !(ds == math.MaxInt && ts >= tc.rounds-1) {
-					t.Fatalf("round %d: StableUntil %d, want %d", r, ds, ts)
-				}
-			}
-		})
-	}
-}
-
-func TestTIntervalForwardOnlyDeltaRecording(t *testing.T) {
-	snap := NewTInterval(30, 5, 4, xrand.New(6))
-	delt := NewTInterval(30, 5, 4, xrand.New(6)).ForwardOnly()
-	const rounds = 28
-	var snaps []*graph.Graph
-	for r := 0; r < rounds; r++ {
-		snaps = append(snaps, snap.At(r).Clone())
-	}
-	tr := tvg.NewTrace(snaps)
-	dt := tvg.RecordDeltas(delt, rounds)
-	for r := 0; r < rounds; r++ {
-		if !dt.At(r).Equal(tr.At(r)) {
-			t.Fatalf("round %d: snapshot mismatch", r)
-		}
-	}
-}
-
-func TestOneIntervalWindowDelta(t *testing.T) {
-	a := NewOneInterval(20, 30, xrand.New(4))
-	const rounds = 10
-	dt := tvg.RecordDeltas(a, rounds)
-	for r := 0; r < rounds; r++ {
-		if !dt.At(r).Equal(a.At(r)) {
-			t.Fatalf("round %d: snapshot mismatch", r)
-		}
-	}
 }
 
 // TestTIntervalStableUntil pins the new Stability implementation: aligned

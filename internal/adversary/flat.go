@@ -19,11 +19,11 @@
 // content-stable across repeated calls. The structured families (TInterval,
 // HiNet) produce their dynamics as deltas over frozen stable structures
 // rather than memoised per-round snapshots: churny rounds are assembled
-// copy-on-write in O(n + churn) and emitted natively through WindowDelta
-// (tvg.DeltaSource / ctvg.DeltaSource), so recording a delta trace never
-// pays an O(E) clone per round. OneInterval, whose rounds share nothing by
-// design, still memoises — there is no sub-O(E) representation of maximal
-// churn.
+// copy-on-write in O(n + churn). HiNet also emits its window transitions
+// natively through WindowDelta (ctvg.DeltaSource), so recording a delta
+// trace never pays an O(E) clone per round. OneInterval, whose rounds share
+// nothing by design, still memoises — there is no sub-O(E) representation
+// of maximal churn.
 package adversary
 
 import (
@@ -74,17 +74,6 @@ func (a *OneInterval) At(r int) *graph.Graph {
 	return a.snaps[r]
 }
 
-// WindowDelta implements tvg.DeltaSource. Every round is its own window,
-// so the delta is a plain diff of consecutive snapshots; with maximal churn
-// it carries O(E) changes — the model's honest price, there is nothing
-// smaller to stream.
-func (a *OneInterval) WindowDelta(r0, r1 int) *graph.Delta {
-	if r0 < 0 || r1 <= r0 {
-		panic("adversary: WindowDelta needs 0 <= r0 < r1")
-	}
-	return graph.DeltaBetween(a.At(r0), a.At(r1))
-}
-
 // TInterval is a flat adversary realising T-interval connectivity on
 // aligned windows: rounds [iT, (i+1)T) share a random connected spanning
 // backbone; every round adds fresh churn edges on top of it. Aligned-window
@@ -94,20 +83,17 @@ func (a *OneInterval) WindowDelta(r0, r1 int) *graph.Delta {
 // Like HiNet, TInterval produces deltas, not snapshot lists: the backbone
 // of a window is drawn once, each round's effective churn additions are
 // kept as a small edge set, and At assembles the round copy-on-write over
-// the frozen backbone. WindowDelta emits window transitions natively.
+// the frozen backbone.
 type TInterval struct {
 	n     int
 	T     int
 	churn int // extra random edges per round
 	rng   *xrand.Rand
 
-	backbones []*graph.Graph
-	backBase  int
-	churnSets [][]graph.Edge
-	churnBase int
+	backbones []*graph.Graph // backbones[w] is window w's backbone
+	churnSets [][]graph.Edge // churnSets[r] is round r's effective churn
 	curRound  int
 	curG      *graph.Graph
-	forward   bool
 }
 
 // NewTInterval returns a T-interval connected adversary on n nodes with
@@ -119,36 +105,19 @@ func NewTInterval(n, T, churn int, rng *xrand.Rand) *TInterval {
 	return &TInterval{n: n, T: T, churn: churn, rng: rng, curRound: -1}
 }
 
-// ForwardOnly switches the adversary into streaming mode: backbones and
-// consumed churn sets older than the working window are discarded, so
-// memory stays bounded no matter how many rounds are generated. Accessing
-// a discarded round panics. Returns the receiver for chaining.
-func (a *TInterval) ForwardOnly() *TInterval {
-	a.forward = true
-	return a
-}
-
 // N implements tvg.Dynamic.
 func (a *TInterval) N() int { return a.n }
 
 // T returns the stability interval.
 func (a *TInterval) Interval() int { return a.T }
 
-// backbone returns the stable spanning backbone of window w. In
-// forward-only mode, only the two most recent backbones are retained.
+// backbone returns (drawing as needed) the stable spanning backbone of
+// window w.
 func (a *TInterval) backbone(w int) *graph.Graph {
-	if w < a.backBase {
-		panic(fmt.Sprintf("adversary: TInterval window %d discarded (forward-only)", w))
-	}
-	for a.backBase+len(a.backbones) <= w {
+	for len(a.backbones) <= w {
 		a.backbones = append(a.backbones, graph.RandomTree(a.n, a.rng))
-		if a.forward && len(a.backbones) > 2 {
-			a.backbones[0] = nil
-			a.backbones = a.backbones[1:]
-			a.backBase++
-		}
 	}
-	return a.backbones[w-a.backBase]
+	return a.backbones[w]
 }
 
 // ensureChurn draws (and memoises) the effective churn additions of every
@@ -156,12 +125,8 @@ func (a *TInterval) backbone(w int) *graph.Graph {
 // the snapshot path always did. Self-loops, edges already in the backbone
 // and within-round repeats add nothing, matching AddEdge's no-op outcomes.
 func (a *TInterval) ensureChurn(r int) {
-	if r < a.churnBase {
-		panic(fmt.Sprintf("adversary: TInterval round %d discarded (forward-only)", r))
-	}
-	for a.churnBase+len(a.churnSets) <= r {
-		cur := a.churnBase + len(a.churnSets)
-		bb := a.backbone(cur / a.T)
+	for len(a.churnSets) <= r {
+		bb := a.backbone(len(a.churnSets) / a.T)
 		var set []graph.Edge
 		for j := 0; j < a.churn; j++ {
 			u, v := a.rng.Intn(a.n), a.rng.Intn(a.n)
@@ -188,13 +153,6 @@ func (a *TInterval) ensureChurn(r int) {
 	}
 }
 
-func (a *TInterval) churnAt(r int) []graph.Edge {
-	if r < a.churnBase {
-		panic(fmt.Sprintf("adversary: TInterval round %d discarded (forward-only)", r))
-	}
-	return a.churnSets[r-a.churnBase]
-}
-
 // At implements tvg.Dynamic.
 func (a *TInterval) At(r int) *graph.Graph {
 	if r < 0 {
@@ -208,7 +166,7 @@ func (a *TInterval) At(r int) *graph.Graph {
 		return a.curG
 	}
 	a.ensureChurn(r)
-	g := a.backbone(r / a.T).ApplyDelta(&graph.Delta{Add: a.churnAt(r)})
+	g := a.backbone(r / a.T).ApplyDelta(&graph.Delta{Add: a.churnSets[r]})
 	a.curRound, a.curG = r, g
 	return g
 }
@@ -225,55 +183,8 @@ func (a *TInterval) StableUntil(r int) int {
 	return (r/a.T+1)*a.T - 1
 }
 
-// WindowDelta implements tvg.DeltaSource; see HiNet.WindowDelta for the
-// churn-layer algebra.
-func (a *TInterval) WindowDelta(r0, r1 int) *graph.Delta {
-	if r0 < 0 || r1 <= r0 {
-		panic("adversary: WindowDelta needs 0 <= r0 < r1")
-	}
-	if a.churn > 0 {
-		a.ensureChurn(r1)
-	}
-	b0, b1 := a.backbone(r0/a.T), a.backbone(r1/a.T)
-	if a.churn == 0 {
-		if b0 == b1 {
-			return &graph.Delta{}
-		}
-		return graph.DeltaBetween(b0, b1)
-	}
-	c0, c1 := a.churnAt(r0), a.churnAt(r1)
-	var gd *graph.Delta
-	if b0 == b1 {
-		gd = &graph.Delta{Add: edgeSetDiff(c1, c0), Remove: edgeSetDiff(c0, c1)}
-	} else {
-		d := graph.DeltaBetween(b0, b1)
-		add := edgeSetDiff(d.Add, c0)
-		for _, e := range edgeSetDiff(c1, c0) {
-			if !b0.HasEdge(e.U, e.V) {
-				add = append(add, e)
-			}
-		}
-		graph.SortEdges(add)
-		rem := edgeSetDiff(d.Remove, c1)
-		for _, e := range edgeSetDiff(c0, c1) {
-			if !b1.HasEdge(e.U, e.V) {
-				rem = append(rem, e)
-			}
-		}
-		graph.SortEdges(rem)
-		gd = &graph.Delta{Add: add, Remove: rem}
-	}
-	if a.forward && r0 > a.churnBase {
-		a.churnSets = a.churnSets[r0-a.churnBase:]
-		a.churnBase = r0
-	}
-	return gd
-}
-
 var (
-	_ tvg.Dynamic     = (*OneInterval)(nil)
-	_ tvg.DeltaSource = (*OneInterval)(nil)
-	_ tvg.Dynamic     = (*TInterval)(nil)
-	_ tvg.Stability   = (*TInterval)(nil)
-	_ tvg.DeltaSource = (*TInterval)(nil)
+	_ tvg.Dynamic   = (*OneInterval)(nil)
+	_ tvg.Dynamic   = (*TInterval)(nil)
+	_ tvg.Stability = (*TInterval)(nil)
 )

@@ -78,8 +78,9 @@ func (h *Hierarchy) UnapplyDelta(d HierarchyDelta) *Hierarchy {
 }
 
 // DeltaSource is the optional interface through which a generating CTVG
-// Dynamic emits window transitions natively as deltas on both layers (see
-// tvg.DeltaSource for the flat half of the contract).
+// Dynamic emits window transitions natively as deltas on both layers, so
+// recording a delta trace never has to materialise two snapshots and diff
+// them.
 type DeltaSource interface {
 	Dynamic
 	// WindowDelta returns the graph and hierarchy deltas transforming the
@@ -95,11 +96,13 @@ type DeltaSource interface {
 // over which BOTH layers are constant, matching Trace's combined
 // StableUntil. Rounds beyond the recorded range repeat the final window.
 //
-// Like tvg.DeltaTrace, the materialising cursor makes this type stateful:
-// a DeltaTrace must not be shared by concurrent runs (the engine's own
-// worker parallelism is fine — snapshots are fetched by the coordinating
-// goroutine only). Within one window, At and HierarchyAt return stable
-// pointers, which Record's dedup and the engine's stability cache rely on.
+// At materialises the requested window on a cursor via copy-on-write
+// Apply/Unapply, so a transition costs O(n + |changes|) regardless of |E|.
+// The cursor makes this type stateful: a DeltaTrace must not be shared by
+// concurrent runs (the engine's own worker parallelism is fine — snapshots
+// are fetched by the coordinating goroutine only). Within one window, At
+// and HierarchyAt return stable pointers, which Record's dedup and the
+// engine's stability cache rely on.
 type DeltaTrace struct {
 	n       int
 	length  int

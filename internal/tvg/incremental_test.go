@@ -13,6 +13,34 @@ import (
 // compares the stability-aware path against a naive reference on the same
 // trace, accessed both with and without the Stability interface.
 
+// randomTrace builds a Trace whose windows change by a few random edge
+// flips each.
+func randomTrace(t *testing.T, n, windows, winLen int, seed uint64) *Trace {
+	t.Helper()
+	rng := xrand.New(seed)
+	g := graph.RandomConnected(n, 2*n, rng)
+	var snaps []*graph.Graph
+	for w := 0; w < windows; w++ {
+		if w > 0 {
+			g = g.Clone()
+			for i := 0; i < 3; i++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u != v {
+					if g.HasEdge(u, v) {
+						g.RemoveEdge(u, v)
+					} else {
+						g.AddEdge(u, v)
+					}
+				}
+			}
+		}
+		for r := 0; r < winLen; r++ {
+			snaps = append(snaps, g)
+		}
+	}
+	return NewTrace(snaps)
+}
+
 // noStability strips the Stability interface from a Dynamic.
 type noStability struct {
 	d Dynamic
