@@ -344,3 +344,69 @@ func TestHiNetStableUntilNegativePanics(t *testing.T) {
 	}()
 	a.StableUntil(-1)
 }
+
+// table3Models builds each dynamics model of the Table 3 point (n=100,
+// θ=30, L=2, T=18, ten churn edges a round) as experiment.Table3Config
+// runs it, with the row's round budget: KLO T-interval, Algorithm 1's
+// (T, L)-HiNet with 20 re-affiliations per phase boundary, KLO 1-interval
+// flooding, and Algorithm 2's (1, L)-HiNet with 5 per round.
+var table3Models = []struct {
+	name   string
+	budget int
+	build  func(seed uint64) tvg.Dynamic
+}{
+	{"klo_t", 180, func(seed uint64) tvg.Dynamic { return NewTInterval(100, 18, 10, xrand.New(seed)) }},
+	{"alg1", 126, func(seed uint64) tvg.Dynamic {
+		return NewHiNet(HiNetConfig{N: 100, Theta: 30, L: 2, T: 18, Reaffiliations: 20, ChurnEdges: 10}, xrand.New(seed))
+	}},
+	{"flood", 99, func(seed uint64) tvg.Dynamic { return NewOneInterval(100, 0, xrand.New(seed)) }},
+	{"alg2", 99, func(seed uint64) tvg.Dynamic {
+		return NewHiNet(HiNetConfig{N: 100, Theta: 30, L: 2, T: 1, Reaffiliations: 5, ChurnEdges: 10}, xrand.New(seed))
+	}},
+}
+
+// churnyRoundAllocs is the measured allocation count of a fresh churny
+// round of HiNet.At and TInterval.At at the Table 3 point, inside a phase:
+// the round's churn set, then ApplyDelta's graph, adjacency header and one
+// list per touched vertex, plus the churn memo's occasional growth.
+const churnyRoundAllocs = 21
+
+func TestChurnyRoundAllocs(t *testing.T) {
+	for _, m := range table3Models {
+		if m.name == "flood" || m.name == "alg2" {
+			continue // every round draws a fresh structure, not just churn
+		}
+		d := m.build(1)
+		r := 18 // phase 1 runs rounds 18..35
+		d.At(r)
+		got := testing.AllocsPerRun(16, func() {
+			r++
+			d.At(r)
+		})
+		if got > churnyRoundAllocs {
+			t.Errorf("%s: a fresh churny round allocates %v times, budget %d", m.name, got, churnyRoundAllocs)
+		}
+	}
+}
+
+// BenchmarkTable3Round generates one fresh round of each Table 3 dynamics
+// model (see table3Models). Each adversary is rebuilt after its row's
+// round budget, as a replication would, so phase boundaries weigh in at
+// their real rate and the memoising OneInterval stays small. It explains
+// sim.StageSnapshot on perfbench's table3-grid, which times exactly these
+// At calls. Run with -benchmem.
+func BenchmarkTable3Round(b *testing.B) {
+	for _, m := range table3Models {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var d tvg.Dynamic
+			for i := 0; i < b.N; i++ {
+				r := i % m.budget
+				if r == 0 {
+					d = m.build(uint64(i))
+				}
+				d.At(r)
+			}
+		})
+	}
+}

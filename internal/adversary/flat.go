@@ -108,7 +108,7 @@ func NewTInterval(n, T, churn int, rng *xrand.Rand) *TInterval {
 // N implements tvg.Dynamic.
 func (a *TInterval) N() int { return a.n }
 
-// T returns the stability interval.
+// Interval returns the stability interval T.
 func (a *TInterval) Interval() int { return a.T }
 
 // backbone returns (drawing as needed) the stable spanning backbone of
@@ -127,7 +127,7 @@ func (a *TInterval) backbone(w int) *graph.Graph {
 func (a *TInterval) ensureChurn(r int) {
 	for len(a.churnSets) <= r {
 		bb := a.backbone(len(a.churnSets) / a.T)
-		var set []graph.Edge
+		set := make([]graph.Edge, 0, a.churn)
 		for j := 0; j < a.churn; j++ {
 			u, v := a.rng.Intn(a.n), a.rng.Intn(a.n)
 			if u == v {

@@ -216,7 +216,7 @@ func (a *HiNet) ensureChurn(r int) {
 	for a.churnBase+len(a.churn) <= r {
 		cur := a.churnBase + len(a.churn)
 		p := a.phaseAt(cur / a.cfg.T)
-		var set []graph.Edge
+		set := make([]graph.Edge, 0, a.cfg.ChurnEdges)
 		for j := 0; j < a.cfg.ChurnEdges; j++ {
 			u, v := a.rng.Intn(a.cfg.N), a.rng.Intn(a.cfg.N)
 			if u == v {
@@ -306,11 +306,11 @@ func (a *HiNet) nextPhase(prev *phase) *phase {
 	// Head churn: replace HeadChurn current heads with pool nodes not
 	// currently serving (if any exist).
 	if a.cfg.HeadChurn > 0 {
-		serving := make(map[int]bool, len(heads))
+		serving := make([]bool, a.cfg.N)
 		for _, h := range heads {
 			serving[h] = true
 		}
-		var bench []int
+		bench := make([]int, 0, len(a.pool)-len(heads))
 		for _, v := range a.pool {
 			if !serving[v] {
 				bench = append(bench, v)
@@ -337,7 +337,7 @@ func (a *HiNet) nextPhase(prev *phase) *phase {
 func (a *HiNet) buildPhaseWithReaffiliation(heads []int, prev *phase) *phase {
 	p := a.buildPhase(heads, prev)
 	// Forced re-affiliations: move random members to a different head.
-	members := []int{}
+	members := make([]int, 0, a.cfg.N)
 	for v := 0; v < a.cfg.N; v++ {
 		if p.hier.Role[v] == ctvg.Member {
 			members = append(members, v)
@@ -407,7 +407,7 @@ func (a *HiNet) buildPhase(heads []int, prev *phase) *phase {
 	// unchanged, otherwise draw a fresh random tree (attach head i to a
 	// random earlier head).
 	var links []link
-	if prev != nil && sameIntSet(heads, prev.heads) {
+	if prev != nil && sameHeads(prev.heads, len(heads), isHead) {
 		links = prev.links
 	} else {
 		for i := 1; i < len(heads); i++ {
@@ -585,17 +585,14 @@ func edgeSetDiff(a, b []graph.Edge) []graph.Edge {
 	return out
 }
 
-// sameIntSet reports whether a and b contain the same elements (as sets).
-func sameIntSet(a, b []int) bool {
-	if len(a) != len(b) {
+// sameHeads reports whether prev is exactly the head set marked in isHead,
+// which holds n heads.
+func sameHeads(prev []int, n int, isHead []bool) bool {
+	if len(prev) != n {
 		return false
 	}
-	seen := make(map[int]bool, len(a))
-	for _, x := range a {
-		seen[x] = true
-	}
-	for _, x := range b {
-		if !seen[x] {
+	for _, h := range prev {
+		if !isHead[h] {
 			return false
 		}
 	}

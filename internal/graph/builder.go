@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // Builder assembles a graph from a stream of edges and materialises it in
 // one O(E log deg_max) pass instead of AddEdge's O(E·deg) insert-shifting.
@@ -42,7 +42,8 @@ func (b *Builder) Add(u, v int) {
 // Build materialises the buffered edges as a frozen CSR graph and resets
 // the builder for reuse. Construction: count degrees, prefix-sum into
 // offsets, scatter both edge directions into one backing array, sort each
-// vertex's run, and compact out duplicates in place.
+// vertex's run that is not already sorted, and compact out duplicates in
+// place.
 func (b *Builder) Build() *Graph {
 	n := b.n
 	g := &Graph{n: n, adj: make([][]int, n), frozen: true}
@@ -75,7 +76,11 @@ func (b *Builder) Build() *Graph {
 	for v := 0; v < n; v++ {
 		hi := off[v]
 		run := back[lo:hi]
-		sort.Ints(run)
+		// Most runs hold one or two entries, and generators that emit
+		// edges in ascending order leave longer runs sorted already.
+		if !slices.IsSorted(run) {
+			slices.Sort(run)
+		}
 		start := w
 		prev := -1
 		for _, x := range run {

@@ -178,15 +178,21 @@ func TestGeneratorsRNGStreamUnchanged(t *testing.T) {
 		if got, want := RandomConnected(25, 60, xrand.New(seed)), refConnected(25, 60, xrand.New(seed)); !got.Equal(want) {
 			t.Fatalf("seed %d: RandomConnected diverged from incremental reference", seed)
 		}
+		if got, want := RandomConnected(25, 24, xrand.New(seed)), refConnected(25, 24, xrand.New(seed)); !got.Equal(want) {
+			t.Fatalf("seed %d: RandomConnected(n, n-1) diverged from incremental reference", seed)
+		}
 		if got, want := RandomGNP(25, 0.2, xrand.New(seed)), refGNP(25, 0.2, xrand.New(seed)); !got.Equal(want) {
 			t.Fatalf("seed %d: RandomGNP diverged from incremental reference", seed)
 		}
 	}
-	// Post-generator rng state must match too (same number of draws).
-	a, b := xrand.New(9), xrand.New(9)
-	RandomConnected(20, 40, a)
-	refConnected(20, 40, b)
-	if a.Intn(1<<30) != b.Intn(1<<30) {
-		t.Fatal("RandomConnected consumed a different number of rng draws")
+	// Post-generator rng state must match too (same number of draws), with
+	// extra edges and as a bare spanning tree.
+	for _, m := range []int{40, 19} {
+		a, b := xrand.New(9), xrand.New(9)
+		RandomConnected(20, m, a)
+		refConnected(20, m, b)
+		if a.Intn(1<<30) != b.Intn(1<<30) {
+			t.Fatalf("RandomConnected(20, %d) consumed a different number of rng draws", m)
+		}
 	}
 }

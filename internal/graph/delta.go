@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Delta is the symmetric difference between two graphs on the same vertex
@@ -32,11 +32,11 @@ func (d *Delta) Inverse() *Delta { return &Delta{Add: d.Remove, Remove: d.Add} }
 // Callers assembling Delta lists by hand normalise each edge with NormEdge
 // and then sort with this.
 func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if a.U != b.U {
+			return a.U - b.U
 		}
-		return edges[i].V < edges[j].V
+		return a.V - b.V
 	})
 }
 
@@ -83,6 +83,12 @@ func DeltaBetween(a, b *Graph) *Delta {
 // header plus O(deg) per touched vertex — independent of |E| for small
 // deltas.
 //
+// Each touched vertex gets its own freshly allocated list rather than a
+// slice of one slab shared by all of them: a DeltaTrace chains ApplyDelta
+// window after window, and a slab would stay live until the last of its
+// lists is replaced, so retained heap would grow with every window a
+// long-lived list survives.
+//
 // The delta must be strict: adding an edge already present or removing an
 // absent one panics, so edge counts stay exact.
 func (g *Graph) ApplyDelta(d *Delta) *Graph {
@@ -93,63 +99,58 @@ func (g *Graph) ApplyDelta(d *Delta) *Graph {
 		return c
 	}
 
-	// Flatten both directions of every change and group them per vertex.
-	type vedit struct {
-		v, w int
-		add  bool
+	// Flatten both directions of every change into one packed key per
+	// edit, v<<33 | w<<1 | add, so sorting the keys groups the edits per
+	// vertex with their neighbours ascending. Vertex IDs fit in 31 bits,
+	// as Builder's int32 buffers already assume. Up to 32 changes the keys
+	// live in a stack buffer.
+	var buf [64]uint64
+	keys := buf[:0]
+	if 2*d.Len() > len(buf) {
+		keys = make([]uint64, 0, 2*d.Len())
 	}
-	ed := make([]vedit, 0, 2*d.Len())
 	for _, e := range d.Add {
 		g.check(e.U)
 		g.check(e.V)
 		if e.U == e.V {
 			panic("graph: ApplyDelta with self-loop")
 		}
-		ed = append(ed, vedit{e.U, e.V, true}, vedit{e.V, e.U, true})
+		keys = append(keys, editKey(e.U, e.V, 1), editKey(e.V, e.U, 1))
 	}
 	for _, e := range d.Remove {
 		g.check(e.U)
 		g.check(e.V)
-		ed = append(ed, vedit{e.U, e.V, false}, vedit{e.V, e.U, false})
+		keys = append(keys, editKey(e.U, e.V, 0), editKey(e.V, e.U, 0))
 	}
-	sort.Slice(ed, func(i, j int) bool {
-		if ed[i].v != ed[j].v {
-			return ed[i].v < ed[j].v
-		}
-		return ed[i].w < ed[j].w
-	})
+	slices.Sort(keys)
 
-	for i := 0; i < len(ed); {
-		v := ed[i].v
-		j := i
-		for j < len(ed) && ed[j].v == v {
+	for i := 0; i < len(keys); {
+		v := int(keys[i] >> 33)
+		j, adds := i, 0
+		for j < len(keys) && int(keys[j]>>33) == v {
+			adds += int(keys[j] & 1)
 			j++
 		}
 		// Merge v's sorted adjacency list with its sorted edit run into a
 		// fresh slice; adds colliding with a present neighbour and removes
 		// of an absent one panic.
 		lst := g.adj[v]
-		adds := 0
-		for _, e := range ed[i:j] {
-			if e.add {
-				adds++
-			}
-		}
 		out := make([]int, 0, len(lst)+2*adds-(j-i))
 		li := 0
-		for _, e := range ed[i:j] {
-			for li < len(lst) && lst[li] < e.w {
+		for _, k := range keys[i:j] {
+			w := int(uint32(k >> 1))
+			for li < len(lst) && lst[li] < w {
 				out = append(out, lst[li])
 				li++
 			}
-			if e.add {
-				if li < len(lst) && lst[li] == e.w {
-					panic(fmt.Sprintf("graph: ApplyDelta adds existing edge {%d,%d}", v, e.w))
+			if k&1 == 1 {
+				if li < len(lst) && lst[li] == w {
+					panic(fmt.Sprintf("graph: ApplyDelta adds existing edge {%d,%d}", v, w))
 				}
-				out = append(out, e.w)
+				out = append(out, w)
 			} else {
-				if li == len(lst) || lst[li] != e.w {
-					panic(fmt.Sprintf("graph: ApplyDelta removes absent edge {%d,%d}", v, e.w))
+				if li == len(lst) || lst[li] != w {
+					panic(fmt.Sprintf("graph: ApplyDelta removes absent edge {%d,%d}", v, w))
 				}
 				li++
 			}
@@ -159,6 +160,11 @@ func (g *Graph) ApplyDelta(d *Delta) *Graph {
 		i = j
 	}
 	return c
+}
+
+// editKey packs one directed half of an edge change for ApplyDelta.
+func editKey(v, w int, add uint64) uint64 {
+	return uint64(v)<<33 | uint64(w)<<1 | add
 }
 
 // UnapplyDelta returns a new graph equal to g with the delta undone: it

@@ -128,3 +128,96 @@ func TestSortEdges(t *testing.T) {
 		}
 	}
 }
+
+// randomStrictDelta draws a strict delta against g: `removes` present
+// edges to drop and `adds` absent ones to insert, both lists canonical.
+func randomStrictDelta(g *Graph, adds, removes int, rng *xrand.Rand) *Delta {
+	present := g.Edges()
+	rng.Shuffle(len(present), func(i, j int) { present[i], present[j] = present[j], present[i] })
+	d := &Delta{Remove: append([]Edge(nil), present[:removes]...)}
+	picked := map[Edge]bool{}
+	for len(d.Add) < adds {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		if e := NormEdge(u, v); u != v && !g.HasEdge(u, v) && !picked[e] {
+			picked[e] = true
+			d.Add = append(d.Add, e)
+		}
+	}
+	SortEdges(d.Add)
+	SortEdges(d.Remove)
+	return d
+}
+
+// TestApplyDeltaMatchesIncremental checks ApplyDelta against a reference
+// that thaws a clone and edits it with RemoveEdge and AddEdge, on random
+// strict deltas on both sides of the 32-change stack buffer.
+func TestApplyDeltaMatchesIncremental(t *testing.T) {
+	rng := xrand.New(13)
+	for _, changes := range []int{0, 1, 32, 33, 100} {
+		for trial := 0; trial < 20; trial++ {
+			n := 30 + rng.Intn(50)
+			g := RandomConnected(n, n-1+rng.Intn(2*n), rng)
+			removes := rng.Intn(min(changes, g.M()) + 1)
+			d := randomStrictDelta(g, changes-removes, removes, rng)
+			want := g.Clone()
+			want.thaw()
+			for _, e := range d.Remove {
+				want.RemoveEdge(e.U, e.V)
+			}
+			for _, e := range d.Add {
+				want.AddEdge(e.U, e.V)
+			}
+			if got := g.ApplyDelta(d); !got.Equal(want) {
+				t.Fatalf("%d changes (%d removes), trial %d: ApplyDelta gave %v, incremental edits %v",
+					changes, removes, trial, got, want)
+			}
+		}
+	}
+}
+
+var appliedGraph *Graph
+
+// TestApplyDeltaAllocs pins ApplyDelta's allocations up to 32 edge
+// changes: the graph, its adjacency header and one list per touched vertex
+// left with any neighbours. The sorted edits stay on the stack.
+func TestApplyDeltaAllocs(t *testing.T) {
+	rng := xrand.New(17)
+	g := RandomConnected(100, 150, rng)
+	for _, c := range []struct{ adds, removes int }{{1, 0}, {10, 0}, {20, 12}, {0, 32}} {
+		d := randomStrictDelta(g, c.adds, c.removes, rng)
+		h := g.ApplyDelta(d)
+		touched := map[int]bool{}
+		for _, es := range [][]Edge{d.Add, d.Remove} {
+			for _, e := range es {
+				touched[e.U], touched[e.V] = true, true
+			}
+		}
+		want := 2
+		for v := range touched {
+			if h.Degree(v) > 0 {
+				want++
+			}
+		}
+		got := testing.AllocsPerRun(20, func() { appliedGraph = g.ApplyDelta(d) })
+		if got != float64(want) {
+			t.Errorf("%d adds, %d removes over %d vertices: %v allocations, want %d",
+				c.adds, c.removes, len(touched), got, want)
+		}
+	}
+}
+
+// BenchmarkApplyDelta assembles one churny round the way the adversaries'
+// At does at the Table 3 point: ten churn edges added over a frozen
+// 100-vertex backbone. It explains sim.StageSnapshot on perfbench's
+// table3-grid, where the TInterval row and both HiNet rows build every
+// round this way. Run with -benchmem.
+func BenchmarkApplyDelta(b *testing.B) {
+	rng := xrand.New(1)
+	g := RandomTree(100, rng)
+	d := randomStrictDelta(g, 10, 0, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		appliedGraph = g.ApplyDelta(d)
+	}
+}

@@ -850,7 +850,7 @@ func Run(d ctvg.Dynamic, nodes []Node, assign *token.Assignment, opts Options) (
 				tk := nodes[v].Tokens()
 				l := tk.Len()
 				st.preSum += l
-				if crashed[v] && (recoverAt == nil || recoverAt[v] == faults.NoRecovery) {
+				if !counted(v, crashed, recoverAt) {
 					continue
 				}
 				st.cntN++
@@ -1214,7 +1214,9 @@ func Run(d ctvg.Dynamic, nodes []Node, assign *token.Assignment, opts Options) (
 			// nothing more and every token has been collected — which
 			// requires at least one counted node, same as doneLive.
 			done = countedN > 0 && arr.live.Empty() && arr.exhausted(r+1)
-		} else {
+		} else if !met.Complete {
+			// Completion is sticky and a StopWhenComplete run has already
+			// stopped, so the scan runs only until the first completion.
 			done = doneLive(nodes, crashed, recoverAt, k, workers)
 		}
 		tst.end(StageProgress, segT)
@@ -1418,16 +1420,10 @@ func workersFor(opts Options, n int) int {
 // so the scan fans out when the run is parallel; each node's Tokens()
 // touches only that node's state.
 func doneLive(nodes []Node, crashed []bool, recoverAt []int, k, workers int) bool {
-	counts := func(v int) bool {
-		if !crashed[v] {
-			return true
-		}
-		return recoverAt != nil && recoverAt[v] != faults.NoRecovery
-	}
 	if workers <= 1 {
 		any := false
 		for v, nd := range nodes {
-			if !counts(v) {
+			if !counted(v, crashed, recoverAt) {
 				continue
 			}
 			any = true
@@ -1443,7 +1439,7 @@ func doneLive(nodes []Node, crashed []bool, recoverAt []int, k, workers int) boo
 			if incomplete.Load() {
 				return
 			}
-			if !counts(v) {
+			if !counted(v, crashed, recoverAt) {
 				continue
 			}
 			considered.Store(true)
@@ -1454,6 +1450,15 @@ func doneLive(nodes []Node, crashed []bool, recoverAt []int, k, workers int) boo
 		}
 	})
 	return considered.Load() && !incomplete.Load()
+}
+
+// counted reports whether node v counts toward completion: it is up, or
+// down but scheduled to rejoin.
+func counted(v int, crashed []bool, recoverAt []int) bool {
+	if !crashed[v] {
+		return true
+	}
+	return recoverAt != nil && recoverAt[v] != faults.NoRecovery
 }
 
 // RunProtocol is the convenience entry point: build fresh nodes from the
