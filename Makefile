@@ -81,7 +81,8 @@ bench:
 
 # The 10x scaling suite behind BENCH_PR5.json: the full 10000-node pipeline
 # (adversary generation, CSR trace recording, run) for Alg1 at the Theorem-1
-# budget and Alg2 to completion, plus the k-scaling variants (k=256, 4096).
+# budget and Alg2 to completion, plus the k-scaling variants (k=256, 4096)
+# and BenchmarkHiNet10kLossy, the guard on delivery's per-sender Drop path.
 bench10k:
 	$(GO) test -run '^$$' -bench 'BenchmarkHiNet10k' -benchmem -count 3 -timeout 2h .
 

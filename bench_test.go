@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctvg"
 	"repro/internal/experiment"
+	"repro/internal/faults"
 	"repro/internal/graph"
 	hinetmodel "repro/internal/hinet"
 	"repro/internal/obs"
@@ -423,6 +424,58 @@ func benchHiNet10k(b *testing.B, k int, alg2 bool) {
 // BenchmarkHiNet10k is the scaling headline: Algorithm 1 at 10× the 1k
 // instance. BENCH_PR5.json tracks it against the pre-CSR engine.
 func BenchmarkHiNet10k(b *testing.B) { benchHiNet10k(b, 16, false) }
+
+// BenchmarkHiNet10kLossy guards delivery's per-sender Drop path
+// (sim.StageDeliver) on lossy runs without self-stabilization: Alg1 over
+// the Theorem-1 budget and Alg2 to completion, both with failover, on
+// BenchmarkHiNet10k's instance under 2% i.i.d. loss, with and without a
+// Gilbert–Elliott burst channel. The trace is recorded once, outside the
+// measured loop, so the engine's run is all that is timed.
+func BenchmarkHiNet10kLossy(b *testing.B) {
+	const (
+		n     = 10000
+		k     = 16
+		alpha = 2
+		l     = 2
+		theta = 50
+	)
+	T := core.Theorem1T(k, alpha, l)
+	rounds := core.Theorem1Phases(theta, alpha) * T
+	tr := ctvg.Record(adversary.NewHiNet(adversary.HiNetConfig{
+		N: n, Theta: theta, L: l, T: T,
+		Reaffiliations: 200, HeadChurn: 2,
+	}, xrand.New(1)), rounds)
+	assign := token.Spread(n, k, xrand.New(2))
+	for _, alg := range []struct {
+		name  string
+		proto sim.Protocol
+		opts  sim.Options
+	}{
+		{"alg1", core.Alg1{T: T, Failover: &core.Failover{Window: 3}}, sim.Options{MaxRounds: rounds}},
+		{"alg2", core.Alg2{Failover: &core.Failover{Window: 3}}, sim.Options{MaxRounds: 400, StopWhenComplete: true}},
+	} {
+		for _, ch := range []struct {
+			name  string
+			burst *faults.GilbertElliott
+		}{
+			{"iid", nil},
+			{"burst", &faults.GilbertElliott{PGoodBad: 0.01, PBadGood: 0.25, DropBad: 0.8}},
+		} {
+			b.Run(alg.name+"-"+ch.name, func(b *testing.B) {
+				opts := alg.opts
+				opts.SizeFn = wire.Size
+				opts.Faults = &sim.Faults{Seed: 3, DropProb: 0.02, Burst: ch.burst}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					met := sim.MustRunProtocol(tr, alg.proto, assign, opts)
+					if met.Drops == 0 {
+						b.Fatalf("lossy 10k run dropped nothing: %v", met)
+					}
+				}
+			})
+		}
+	}
+}
 
 // BenchmarkHiNet10kAlg2 runs Algorithm 2 to completion on the same
 // instance: the full-set-broadcast workload.

@@ -29,9 +29,9 @@
 // The state update is double-buffered: a round reads only the previous
 // round's states and writes only the next, so the per-node transition can
 // be sharded across workers in any order and still produce byte-identical
-// results. Link faults enter exclusively through the drop predicate passed
-// to Shard, which the engine binds to the same counter-based fault
-// injector that filters payload messages.
+// results. Link faults enter exclusively through the loss predicate passed
+// to Shard, which the engine binds to the round's link-loss rows — the
+// same draws that filter payload messages.
 package selfstab
 
 import (
@@ -158,12 +158,14 @@ func (s *State) Begin(g *graph.Graph, crashed []bool) {
 	}
 }
 
-// Shard advances nodes [lo, hi) one round. drop reports whether the
-// beacon from u to v is lost this round; it must be pure in (u, v) for
-// the duration of the round. Shard only reads previous-round states and
-// writes states and hierarchy entries it owns, so distinct shards may run
-// concurrently.
-func (s *State) Shard(shard, lo, hi int, drop func(u, v int) bool) {
+// Shard advances nodes [lo, hi) one round. lost reports whether the
+// beacon to v from its i-th neighbour in the round's graph is lost; it
+// must be pure in (v, i) for the duration of the round, and nil loses
+// nothing. Keying by neighbour index lets the engine answer from a slot
+// of v's loss row without a search. Shard only reads previous-round states
+// and writes states and hierarchy entries it owns, so distinct shards may
+// run concurrently.
+func (s *State) Shard(shard, lo, hi int, lost func(v, i int) bool) {
 	st := &s.shards[shard]
 	for v := lo; v < hi; v++ {
 		if s.crashed[v] {
@@ -187,8 +189,8 @@ func (s *State) Shard(shard, lo, hi int, drop func(u, v int) bool) {
 		lowerContender := false
 		affA, affB := -1, -1 // first two distinct cluster IDs heard
 		heard := 0
-		for _, u := range s.g.Neighbors(v) {
-			if s.crashed[u] || drop(u, v) {
+		for i, u := range s.g.Neighbors(v) {
+			if s.crashed[u] || lost != nil && lost(v, i) {
 				continue
 			}
 			heard++

@@ -8,9 +8,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// step runs one full protocol round over nShards equal shards.
+// step runs one full protocol round over nShards equal shards. drop
+// reports whether the beacon from u to v is lost.
 func step(s *State, g *graph.Graph, crashed []bool, drop func(u, v int) bool, nShards int) Stats {
 	s.Begin(g, crashed)
+	lost := func(v, i int) bool { return drop(g.Neighbors(v)[i], v) }
 	n := g.N()
 	per := (n + nShards - 1) / nShards
 	for i := 0; i < nShards; i++ {
@@ -19,7 +21,7 @@ func step(s *State, g *graph.Graph, crashed []bool, drop func(u, v int) bool, nS
 			hi = n
 		}
 		if lo < hi {
-			s.Shard(i, lo, hi, drop)
+			s.Shard(i, lo, hi, lost)
 		}
 	}
 	return s.Commit()
@@ -218,7 +220,7 @@ func TestValidRejectsUncoveredAndUnbridged(t *testing.T) {
 	crashed := make([]bool, 4)
 	s := New(4, Config{}, 1)
 	s.Begin(g, crashed)
-	s.Shard(0, 0, 4, noDrop)
+	s.Shard(0, 0, 4, nil)
 	s.Commit()
 	if s.Valid() {
 		t.Fatal("one round from cold cannot already be valid")

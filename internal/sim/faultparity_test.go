@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/ctvg"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -21,23 +22,19 @@ import (
 	"repro/internal/xrand"
 )
 
-// runFullFaultPlan executes the resilient Algorithm 1 on a churning HiNet
-// under every fault class at once and returns metrics plus the raw JSONL.
-// The adversary is rebuilt per call so each run replays the same dynamics.
-func runFullFaultPlan(t *testing.T, workers int) (*sim.Metrics, []byte) {
-	t.Helper()
+// fullFaultPlan is the resilient Algorithm 1 on a churning HiNet under
+// every fault class at once, without the self-stabilizing hierarchy, so
+// delivery takes the per-sender Drop path. The adversary is rebuilt per
+// call so each run replays the same dynamics.
+func fullFaultPlan(workers int) (ctvg.Dynamic, sim.Protocol, *token.Assignment, int, sim.Options) {
 	const n, k, T, theta, L = 60, 6, 10, 8, 2
 	adv := adversary.NewHiNet(adversary.HiNetConfig{
 		N: n, Theta: theta, L: L, T: T,
 		Reaffiliations: 4, ChurnEdges: 6,
 	}, xrand.New(3))
 	assign := token.Spread(n, k, xrand.New(4))
-
-	var sink bytes.Buffer
-	col := obs.NewCollector(obs.Config{N: n, K: k, PhaseLen: T, Sink: &sink})
-	met, err := sim.RunProtocol(adv, core.Alg1{T: T, Failover: &core.Failover{Window: 3}}, assign, sim.Options{
+	return adv, core.Alg1{T: T, Failover: &core.Failover{Window: 3}}, assign, T, sim.Options{
 		MaxRounds:   20 * T,
-		Observer:    col.Observer(),
 		Workers:     workers,
 		StallWindow: 6 * T,
 		Faults: &sim.Faults{
@@ -50,7 +47,18 @@ func runFullFaultPlan(t *testing.T, workers int) (*sim.Metrics, []byte) {
 			HeadCrashRounds:   []int{15},
 			HeadCrashDowntime: 8,
 		},
-	})
+	}
+}
+
+// runFullFaultPlan executes fullFaultPlan and returns metrics plus the raw
+// JSONL.
+func runFullFaultPlan(t *testing.T, workers int) (*sim.Metrics, []byte) {
+	t.Helper()
+	adv, proto, assign, phaseLen, opts := fullFaultPlan(workers)
+	var sink bytes.Buffer
+	col := obs.NewCollector(obs.Config{N: adv.N(), K: assign.K, PhaseLen: phaseLen, Sink: &sink})
+	opts.Observer = col.Observer()
+	met, err := sim.RunProtocol(adv, proto, assign, opts)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -4,7 +4,8 @@ package sim_test
 // observer JSONL and its provenance JSONL, for a fixed set of runs that
 // together cover the Table 3 harness, the delivery paths of every protocol
 // family, a 10k-node completion run, seeded chaos with faults, arrivals and
-// the self-stabilizing hierarchy, and a replay of a decoded trace file.
+// the self-stabilizing hierarchy, lossy delivery under every fault class
+// without it, and a replay of a decoded trace file.
 // Every case runs serially and on 4 workers; both must produce the pinned
 // digests, so these runs are bit-identical across engine refactors and
 // across the serial/parallel split. A refactor that is meant to change no
@@ -257,6 +258,11 @@ var goldenDigests = map[string]goldenDigest{
 		Events:     "d01f8786cdecb2a33903f8adbed4ee624445dc059fca294450d09b94c91f41e1",
 		Provenance: "5fb6ac067d26eb066e479590e108ae13f0bcbaddbf1163763db788c9e835cdfc",
 	},
+	"fault-plan": {
+		Metrics:    "27449d575d87e47794c0f4c17589b337a51d428346ffcf33c931f16238062045",
+		Events:     "160b80f73ed230cb435847d9cd018d51ec793675ed5ee619658bfba4d37242b6",
+		Provenance: "71a4235717991456f23f917cb1faabef22a5d21db8ff59ff66f729b5b5fbc54a",
+	},
 	"trace-replay": {
 		Metrics:    "a041d3c562441ed5d2bf607a3185d4dc2b67b78688d63b0084bb7f35fab01de1",
 		Events:     "8900a4e4adb5b0bc21195be3ea82e87bd7ea9fcdb4a764171d4a896e589641b4",
@@ -339,6 +345,14 @@ func TestGoldenOutputs(t *testing.T) {
 			return goldenRun(t, d, proto, assign, phaseLen, opts)
 		}})
 	}
+
+	// Lossy delivery without the self-stabilizing hierarchy: every chaos
+	// case sets SelfStabilize, so this is the one pin on delivery's
+	// per-sender Drop path through the burst channel.
+	cases = append(cases, goldenCase{"fault-plan", func(t *testing.T, workers int) goldenDigest {
+		d, proto, assign, phaseLen, opts := fullFaultPlan(workers)
+		return goldenRun(t, d, proto, assign, phaseLen, opts)
+	}})
 
 	// A trace file in the delta format, decoded and replayed (the shape
 	// `hinettrace record` writes by default).

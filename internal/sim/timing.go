@@ -18,13 +18,18 @@ type Stage uint8
 
 const (
 	// StageFaults: crash/recovery bookkeeping — downtime-window rejoins,
-	// static and head-targeted crash activation, Crashed/Recovered events.
+	// static and head-targeted crash activation, Crashed/Recovered events
+	// — plus arrival injection and, on lossy self-stabilizing runs, the
+	// link-loss row pass that draws every live receiver's in-links once
+	// for the round.
 	StageFaults Stage = iota
 	// StageSnapshot: materialising the round's communication graph (the
 	// ctvg.Dynamic.At call, a cache thaw or a CSR snapshot build).
 	StageSnapshot
 	// StageHierarchy: refreshing the clustering hierarchy and the
-	// stability-window bookkeeping (ctvg.Dynamic.HierarchyAt, StableUntil).
+	// stability-window bookkeeping (ctvg.Dynamic.HierarchyAt, StableUntil),
+	// or, with Options.SelfStabilize, the beacon exchange and its validity
+	// check; beacon losses are read from the rows StageFaults drew.
 	StageHierarchy
 	// StageCollect: the per-shard protocol step — every node's Send plus
 	// per-message accounting, fanned out over the shard partition.
@@ -34,6 +39,8 @@ const (
 	StageObserve
 	// StageDeliver: the delivery fan-out — inbox assembly, link-fault
 	// queries and every node's Deliver, over the same shard partition.
+	// Link loss is one Injector.Drop per sender link, or a read of the
+	// round's loss rows on self-stabilizing runs.
 	StageDeliver
 	// StageMerge: the round-barrier folds — per-shard accumulator merge,
 	// note merge/replay, link-fault fold.
