@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/token"
 	"repro/internal/tvg"
@@ -270,6 +271,20 @@ func TestRunRejectsInvalidPlan(t *testing.T) {
 	}
 	if want := "CrashAt names node 99"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not mention %q", err, want)
+	}
+}
+
+// TestRunRejectsRoundsPastBurstMemo: a burst channel answers up to round
+// faults.MaxBurstRound, so a longer run fails before its first round.
+func TestRunRejectsRoundsPastBurstMemo(t *testing.T) {
+	d := staticPath(3)
+	assign := token.SingleSource(3, 1, 0)
+	_, err := RunProtocol(d, floodProto{}, assign, Options{
+		MaxRounds: faults.MaxBurstRound + 2,
+		Faults:    &Faults{Burst: &faults.GilbertElliott{PGoodBad: 0.1, PBadGood: 0.5, DropBad: 1}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "MaxBurstRound") {
+		t.Fatalf("got %v, want an error naming MaxBurstRound", err)
 	}
 }
 
