@@ -20,11 +20,15 @@ build:
 test:
 	$(GO) test ./...
 
-# The engine, worker pool, observability layer, fault injector and
-# provenance tracer are the concurrent surfaces; everything else is
-# single-goroutine.
+# The packages whose code runs on more than one goroutine: the engine's
+# shard fan-out (sim, parallel) and what runs on its shards (the fault
+# injector, the provenance tracer, the self-stabilizing clustering in
+# cluster), the observability layer, the protocols' chaos and soak tests
+# with Workers above 1 (core), and RunGrid's replication pool
+# (experiment).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/parallel/... ./internal/obs/... ./internal/faults/... ./internal/provenance/...
+	$(GO) test -race ./internal/sim/... ./internal/parallel/... ./internal/obs/... ./internal/faults/... ./internal/provenance/... \
+		./internal/core/... ./internal/cluster/... ./internal/experiment/...
 
 # Coverage floors for the observability surfaces — the metrics/event layer
 # and the provenance tracer are pure bookkeeping, so low coverage there

@@ -11,6 +11,7 @@ package repro
 
 import (
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -351,30 +352,37 @@ func BenchmarkHiNet10kRecorded(b *testing.B) {
 }
 
 // hiNet1kAllocBudget is the timing-off allocation budget of the 1k hot-path
-// benchmark, unchanged since BENCH_PR2.json. Growing it means the timing
-// layer (or anything else) leaked allocations into the disabled path.
-const hiNet1kAllocBudget = 7913
+// benchmark: exactly BenchmarkHiNet1k's allocs/op. Growing it means the
+// timing layer (or anything else) leaked allocations into the disabled
+// path.
+const hiNet1kAllocBudget = 7390
 
 // TestTimingOffAllocParity pins the zero-cost contract of Options.Timing:
-// the exact BenchmarkHiNet1k workload, timing off, must stay at the PR 2
-// allocation baseline. The timing state hangs off one pointer allocated
+// the exact BenchmarkHiNet1k workload, timing off, must stay within
+// hiNet1kAllocBudget. The timing state hangs off one pointer allocated
 // only when a sink is attached, so this holds to the allocation.
 func TestTimingOffAllocParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second 1k runs")
 	}
 	d, assign, T, rounds := hiNet1kDynamic(t)
-	avg := testing.AllocsPerRun(2, func() {
-		met := sim.MustRunProtocol(d, core.Alg1{T: T}, assign, sim.Options{
-			MaxRounds: rounds, SizeFn: wire.Size,
-		})
-		if !met.Complete {
-			t.Fatalf("1k-node HiNet run incomplete: %v", met)
-		}
-	})
-	if avg > hiNet1kAllocBudget {
+	// A garbage collection charges the run it lands in a few runtime
+	// allocations (the process's first one starts a mark worker per P),
+	// never fewer, so the check keeps the least count over three runs.
+	least := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		least = min(least, testing.AllocsPerRun(1, func() {
+			met := sim.MustRunProtocol(d, core.Alg1{T: T}, assign, sim.Options{
+				MaxRounds: rounds, SizeFn: wire.Size,
+			})
+			if !met.Complete {
+				t.Fatalf("1k-node HiNet run incomplete: %v", met)
+			}
+		}))
+	}
+	if least > hiNet1kAllocBudget {
 		t.Fatalf("timing-off 1k run allocates %.0f times, budget %d: the disabled path is no longer free",
-			avg, hiNet1kAllocBudget)
+			least, hiNet1kAllocBudget)
 	}
 }
 

@@ -23,7 +23,6 @@ package recorder
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/faults"
@@ -416,17 +415,6 @@ func (rec *Recorder) Status() Status {
 	st.Violations = rec.hea.Violations()
 	st.Rules = rec.hea.States()
 	return st
-}
-
-// fingerprintKeys returns the fingerprint's keys, sorted, so bundle bytes
-// are stable.
-func (rec *Recorder) fingerprintKeys() []string {
-	keys := make([]string, 0, len(rec.cfg.Fingerprint))
-	for k := range rec.cfg.Fingerprint {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // bundleName renders the deterministic bundle filename for req.

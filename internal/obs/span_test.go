@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -166,7 +167,7 @@ func firstDiffLine(a, b []byte) string {
 	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
 	for i := range al {
 		if i >= len(bl) || !bytes.Equal(al[i], bl[i]) {
-			return "line " + string(rune('0'+i%10)) + ": " + string(al[i])
+			return "line " + strconv.Itoa(i+1) + ": " + string(al[i])
 		}
 	}
 	return ""

@@ -1,11 +1,11 @@
-// Package parallel provides the bounded worker pool used for Monte-Carlo
+// Package parallel provides the two levels of parallelism in this
+// repository. ForEach and Map are the bounded worker pool for Monte-Carlo
 // experiment sweeps: many independent, seed-deterministic simulation runs
-// fanned out across the machine's cores.
-//
-// Each simulation run is intentionally single-goroutine (deterministic
-// message ordering); parallelism lives one level up, across replications
-// and sweep points. ForEach preserves output slot order regardless of
-// scheduling, so aggregated results are reproducible.
+// fanned out across the machine's cores, with results kept in slot order
+// regardless of scheduling. ForEachBounds is the within-run fan-out: the
+// engine runs each round stage on one goroutine per contiguous node shard
+// when Options.Workers > 1 and merges the shards in shard order, so a
+// parallel run stays bit-identical to a serial one.
 package parallel
 
 import (
@@ -51,77 +51,9 @@ func ForEach(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForEachBlock invokes fn(i) for every i in [0, n) using a static
-// partition into `workers` contiguous blocks, one goroutine each. Compared
-// with ForEach it has no per-index scheduling overhead, which matters when
-// each fn call is cheap (e.g. one protocol step per node inside a
-// simulation round); the cost is no load balancing, so use it for uniform
-// work.
-func ForEachBlock(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ForEachRange partitions [0, n) into `workers` contiguous blocks and
-// invokes fn(lo, hi) once per block, concurrently. fn can keep block-local
-// scratch state (buffers, accumulators) across its indices, which
-// ForEachBlock cannot offer.
-func ForEachRange(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// Shards reports how many shards ForEachShard will use for n items under
-// the given worker bound: min(workers, n), with workers <= 0 meaning
-// GOMAXPROCS. Callers that pre-allocate one accumulator per shard size
+// Shards reports how many shards to cut n items into under the given
+// worker bound: min(workers, n), with workers <= 0 meaning GOMAXPROCS, and
+// 0 for no items. Callers that pre-allocate one accumulator per shard size
 // their slice with this.
 func Shards(n, workers int) int {
 	if n <= 0 {
@@ -136,42 +68,16 @@ func Shards(n, workers int) int {
 	return workers
 }
 
-// ForEachShard partitions [0, n) into Shards(n, workers) contiguous blocks
-// and invokes fn(shard, lo, hi) once per block, concurrently. It is
-// ForEachRange plus a stable shard index: shard s always covers the s-th
-// contiguous block, so per-shard accumulators merged in shard order yield
-// the same result as a serial left-to-right pass — the primitive behind
-// the engine's deterministic parallel observer pipeline.
-func ForEachShard(n, workers int, fn func(shard, lo, hi int)) {
-	w := Shards(n, workers)
-	if w == 0 {
-		return
-	}
-	if w == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for s := 0; s < w; s++ {
-		lo := s * n / w
-		hi := (s + 1) * n / w
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
-}
-
-// ForEachBounds is ForEachShard with an explicit partition: bounds holds
-// len(bounds)-1 contiguous blocks, shard s covering [bounds[s], bounds[s+1]).
-// fn is invoked once per shard, concurrently, including for empty shards —
-// callers keep per-shard accumulators and a skipped shard would leave stale
-// state unmerged. Bounds must be non-decreasing and start/end at the range
-// edges; the engine uses this to cut shards at equal cumulative degree
-// instead of equal node count, so hub-heavy blocks no longer serialise on
-// one worker while bit-identity (ascending-block merge order) is preserved.
+// ForEachBounds invokes fn(shard, lo, hi) once per block of an explicit
+// partition: bounds holds len(bounds)-1 contiguous blocks, shard s covering
+// [bounds[s], bounds[s+1]). Blocks run concurrently, one goroutine each;
+// a single block runs on the calling goroutine. fn is invoked for empty
+// shards too — callers keep per-shard accumulators and a skipped shard
+// would leave stale state unmerged. Bounds must be non-decreasing and
+// start/end at the range edges; the engine uses this to cut shards at
+// equal cumulative degree instead of equal node count, so hub-heavy blocks
+// no longer serialise on one worker while bit-identity (ascending-block
+// merge order) is preserved.
 func ForEachBounds(bounds []int, fn func(shard, lo, hi int)) {
 	w := len(bounds) - 1
 	if w <= 0 {
@@ -214,18 +120,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// MeanInt64 returns the mean of int64 samples as a float64.
-func MeanInt64(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := int64(0)
-	for _, x := range xs {
-		s += x
-	}
-	return float64(s) / float64(len(xs))
-}
-
 // Stddev returns the sample standard deviation of xs (0 for fewer than two
 // samples).
 func Stddev(xs []float64) float64 {
@@ -239,21 +133,4 @@ func Stddev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// MinMaxInt64 returns the extrema of xs; it panics on an empty slice.
-func MinMaxInt64(xs []int64) (min, max int64) {
-	if len(xs) == 0 {
-		panic("parallel: MinMaxInt64 of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }

@@ -61,12 +61,6 @@ func TestMean(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean wrong")
 	}
-	if MeanInt64([]int64{2, 4}) != 3 {
-		t.Fatal("MeanInt64 wrong")
-	}
-	if MeanInt64(nil) != 0 {
-		t.Fatal("MeanInt64(nil)")
-	}
 }
 
 func TestStddev(t *testing.T) {
@@ -83,19 +77,6 @@ func TestStddev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMaxInt64([]int64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("min=%d max=%d", min, max)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty slice accepted")
-		}
-	}()
-	MinMaxInt64(nil)
-}
-
 func BenchmarkForEach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ForEach(64, 0, func(j int) {
@@ -108,63 +89,45 @@ func BenchmarkForEach(b *testing.B) {
 	}
 }
 
-func TestForEachBlockCoversAll(t *testing.T) {
-	const n = 103 // intentionally not divisible by worker counts
-	for _, w := range []int{0, 1, 2, 4, 7, 103, 200} {
-		var hits [n]int32
-		ForEachBlock(n, w, func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", w, i, h)
-			}
-		}
-	}
-	called := false
-	ForEachBlock(0, 4, func(i int) { called = true })
-	if called {
-		t.Fatal("fn called for n=0")
-	}
-}
-
-func TestForEachShardCoversAllInOrder(t *testing.T) {
+func TestForEachBoundsCoversAllInOrder(t *testing.T) {
 	const n = 103 // intentionally not divisible by worker counts
 	for _, w := range []int{0, 1, 2, 4, 7, 103, 200} {
 		shards := Shards(n, w)
-		if shards < 1 || shards > n {
+		if shards < 1 || shards > n || (w > 0 && shards != min(w, n)) {
 			t.Fatalf("workers=%d: Shards=%d out of range", w, shards)
 		}
-		type block struct{ lo, hi int }
-		got := make([]block, shards)
-		var hits [n]int32
-		ForEachShard(n, w, func(s, lo, hi int) {
-			got[s] = block{lo, hi}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
+	}
+	if s := Shards(0, 4); s != 0 {
+		t.Fatalf("Shards(0, 4) = %d, want 0", s)
+	}
+	// Empty shards at the front, in the middle and at the end must still
+	// run, each exactly once with its own bounds.
+	for _, bounds := range [][]int{
+		{0, n},
+		{0, 51, n},
+		{0, 0, 40, 40, 90, n, n},
+		{0, 10, 20, 30, 40, 50, 60, n},
+	} {
+		calls := make([]int32, len(bounds)-1)
+		got := make([][2]int, len(bounds)-1)
+		ForEachBounds(bounds, func(s, lo, hi int) {
+			atomic.AddInt32(&calls[s], 1)
+			got[s] = [2]int{lo, hi}
 		})
-		// Shards must tile [0, n) contiguously in shard order, so merging
-		// per-shard accumulators in index order equals a serial pass.
-		next := 0
-		for s, b := range got {
-			if b.lo != next || b.hi < b.lo {
-				t.Fatalf("workers=%d: shard %d is [%d, %d), want lo=%d", w, s, b.lo, b.hi, next)
+		for s, c := range calls {
+			if c != 1 {
+				t.Fatalf("bounds %v: shard %d ran %d times", bounds, s, c)
 			}
-			next = b.hi
-		}
-		if next != n {
-			t.Fatalf("workers=%d: shards end at %d, want %d", w, next, n)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", w, i, h)
+			if want := [2]int{bounds[s], bounds[s+1]}; got[s] != want {
+				t.Fatalf("bounds %v: shard %d got [%d, %d), want [%d, %d)",
+					bounds, s, got[s][0], got[s][1], want[0], want[1])
 			}
 		}
 	}
 	called := false
-	ForEachShard(0, 4, func(s, lo, hi int) { called = true })
+	ForEachBounds([]int{0}, func(s, lo, hi int) { called = true })
+	ForEachBounds(nil, func(s, lo, hi int) { called = true })
 	if called {
-		t.Fatal("fn called for n=0")
+		t.Fatal("fn called for a partition with no shards")
 	}
 }

@@ -325,3 +325,105 @@ func (a *arrState) inject(r int, crashed []bool, hier *ctvg.Hierarchy, obs *Obse
 		met.PeakOutstanding = l
 	}
 }
+
+// collectGarbage is the arrival-mode progress pass, two sharded passes at
+// the round barrier. Pass 1 scans every node once: the pre-GC delivered
+// popcount, the counted population (up, or down but rejoining — the nodes
+// the batch completion check counts), and the intersection of counted
+// nodes' token sets. Pass 2, run only when the merged intersection
+// contains live tokens, removes the collected set from every node (crashed
+// ones included: GC is an accounting operation on stable storage) and
+// measures exactly how many pairs it dropped, so the post-GC delivered
+// count is exact even when permanently crashed nodes held part of the
+// collected set. Set intersection and integer addition commute, so merging
+// the shards in order is bit-identical to a serial scan.
+func (e *engine) collectGarbage() {
+	a := e.arr
+	e.each(e.scanArrivals)
+	e.delivered, e.countedN = 0, 0
+	held, haveInter := 0, false
+	for s := range e.shards {
+		st := &e.shards[s]
+		e.delivered += st.delivered
+		e.countedN += st.counted
+		held += st.held
+		if !st.interAny {
+			continue
+		}
+		if !haveInter {
+			a.gc.CopyFrom(&st.inter)
+			haveInter = true
+		} else {
+			a.gc.IntersectWith(&st.inter)
+		}
+	}
+	if !haveInter {
+		a.gc.Clear()
+	}
+	a.gc.IntersectWith(a.live)
+	// Collect the fully disseminated tokens and rebase the accounting on
+	// the post-GC universe, so Progress and the totals stay mutually
+	// consistent.
+	if gcLen := a.gc.Len(); gcLen > 0 {
+		if e.atr != nil {
+			e.atr.Collected(e.r, a.gc)
+		}
+		e.each(e.collectArrivals)
+		for s := range e.shards {
+			e.delivered -= e.shards[s].removed
+		}
+		held -= e.countedN * gcLen
+		for tok := 0; tok < a.next; tok++ {
+			if !a.gc.Contains(tok) {
+				continue
+			}
+			if e.obs != nil && e.obs.Collected != nil {
+				e.obs.Collected(e.r, tok, a.seq[tok], a.born[tok])
+			}
+			a.live.Remove(tok)
+			a.free.Add(tok)
+		}
+		a.collected += int64(gcLen)
+		e.met.TokensCollected += int64(gcLen)
+	}
+	e.outstanding = e.countedN*a.liveCount() - held
+	e.met.OutstandingTokens = a.liveCount()
+	// Steady state is complete when the arrival process can inject
+	// nothing more and every token has been collected — which requires at
+	// least one counted node, as in a batch run.
+	e.done = e.countedN > 0 && a.live.Empty() && a.exhausted(e.r+1)
+}
+
+// scanArrivalsShard is collectGarbage's pass 1 on one shard.
+func (e *engine) scanArrivalsShard(s, lo, hi int) {
+	st := &e.shards[s]
+	st.interAny = false
+	st.delivered, st.counted, st.held = 0, 0, 0
+	for v := lo; v < hi; v++ {
+		tk := e.nodes[v].Tokens()
+		l := tk.Len()
+		st.delivered += l
+		if !counted(v, e.crashed, e.recoverAt) {
+			continue
+		}
+		st.counted++
+		st.held += l
+		if !st.interAny {
+			st.inter.CopyFrom(tk)
+			st.interAny = true
+		} else {
+			st.inter.IntersectWith(tk)
+		}
+	}
+}
+
+// collectArrivalsShard is collectGarbage's pass 2 on one shard.
+func (e *engine) collectArrivalsShard(s, lo, hi int) {
+	removed := 0
+	for v := lo; v < hi; v++ {
+		pre := e.nodes[v].Tokens().Len()
+		e.arr.collects[v].Collect(e.arr.gc)
+		removed += pre - e.nodes[v].Tokens().Len()
+	}
+	e.shards[s].removed = removed
+}

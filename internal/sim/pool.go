@@ -144,15 +144,18 @@ type shardState struct {
 	// notes buffers the shard's View.Note emissions for the round; the
 	// engine merges, replays and truncates it at the round barrier.
 	notes []note
-	// Arrival-mode GC scratch (see the barrier in Run): inter accumulates
-	// the shard's intersection of counted nodes' token sets (interAny marks
-	// it meaningful), preSum / cntN / cntHeld are the shard's pre-GC
-	// delivered popcount and counted-node stats, and removed counts the
-	// (node, token) pairs the shard's Collect pass dropped.
-	inter    bitset.Set
-	interAny bool
-	preSum   int
-	cntN     int
-	cntHeld  int
-	removed  int
+	// Progress-stage scratch (see engine.progress): delivered sums the
+	// shard's token counts, counted its counted nodes (up, or down but
+	// rejoining), and incomplete marks a counted node short of k tokens.
+	// Arrival-mode GC adds held, the counted nodes' token count; inter,
+	// the intersection of their token sets (meaningful when interAny);
+	// and removed, the (node, token) pairs the shard's Collect pass
+	// dropped.
+	delivered  int
+	counted    int
+	incomplete bool
+	held       int
+	inter      bitset.Set
+	interAny   bool
+	removed    int
 }

@@ -97,8 +97,21 @@ type stabState struct {
 	ms         MaintenanceStats
 	rep        *ConvergenceReport // non-nil only on the round the watchdog fires
 	invalidRun int
-	runShard   func(s, lo, hi int)
+	// lost reads a beacon's loss from the round's loss rows; nil on
+	// lossless runs.
+	lost func(v, i int) bool
 }
+
+// beaconShard runs the beacon exchange on one shard. A beacon from u to v
+// in round r is lost exactly when a payload on the same link is, one
+// outcome per link per round: the beacon piggybacks on the node's round
+// transmission.
+func (e *engine) beaconShard(s, lo, hi int) { e.stb.state.Shard(s, lo, hi, e.stb.lost) }
+
+// lossShard draws the loss rows of one shard's live receivers. The row
+// pass runs over the delivery shard bounds, so each receiver's burst memos
+// stay on the shard that owns the receiver.
+func (e *engine) lossShard(s, lo, hi int) { e.rows.draw(e.r, e.g, e.crashed, lo, hi) }
 
 // lossRows holds one round's link-loss draws for a lossy self-stabilizing
 // run: lost[off[v]+i] reports whether the round's transmission from v's
@@ -128,6 +141,10 @@ func (lr *lossRows) reset(g *graph.Graph) {
 
 // row returns receiver v's loss row.
 func (lr *lossRows) row(v int) []bool { return lr.lost[lr.off[v]:lr.off[v+1]] }
+
+// lostAt reports whether the round's transmission from v's i-th neighbour
+// to v is lost.
+func (lr *lossRows) lostAt(v, i int) bool { return lr.lost[lr.off[v]+i] }
 
 // draw fills the rows of the live receivers in [lo, hi) of g for round r.
 func (lr *lossRows) draw(r int, g *graph.Graph, crashed []bool, lo, hi int) {

@@ -21,12 +21,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"runtime/pprof"
-	"sort"
-	"sync/atomic"
-	"time"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/ctvg"
@@ -195,6 +193,9 @@ type note struct {
 	node int
 	kind NoteKind
 }
+
+// byNode orders notes by node ID.
+func byNode(a, b note) int { return cmp.Compare(a.node, b.node) }
 
 // Node is a per-node protocol state machine.
 type Node interface {
@@ -567,6 +568,85 @@ type Options struct {
 // node/network size mismatch, a non-positive MaxRounds (or, with a burst
 // channel, one past faults.MaxBurstRound), or an invalid fault plan.
 func Run(d ctvg.Dynamic, nodes []Node, assign *token.Assignment, opts Options) (*Metrics, error) {
+	e, err := newEngine(d, nodes, assign.K, opts)
+	if err != nil {
+		return nil, err
+	}
+	for r := 0; r < opts.MaxRounds; r++ {
+		if e.round(r) {
+			break
+		}
+	}
+	return e.met, nil
+}
+
+// engine is one run: the state newEngine validates and builds, and the
+// per-round scratch every stage reuses. round calls one method per stage;
+// the shard bodies those stages fan out are bound to func values once per
+// run, so the round loop builds no closure and, in steady state, allocates
+// nothing.
+type engine struct {
+	d      ctvg.Dynamic
+	stab   ctvg.Stability // nil when graph and hierarchy are refetched every round
+	nodes  []Node
+	n, k   int
+	opts   Options
+	obs    *Observer
+	tracer Tracer
+	atr    ArrivalTracer
+	mtr    MaintenanceTracer
+	met    *Metrics
+
+	// Fault state. crashed marks nodes currently down; recoverAt holds the
+	// rejoin round of nodes in a downtime window (faults.NoRecovery
+	// otherwise); crashSchedule is the static plan, each entry fired once.
+	inj                *faults.Injector
+	lossy, duplicating bool
+	crashed            []bool
+	recoverAt          []int
+	recovering         []int // nodes in a downtime window, unordered
+	crashSchedule      []crashEntry
+	events             []int  // sorted crash/recovery IDs of the round
+	notes              []note // merged View.Note buffer of the round
+
+	outbox []*Message
+	views  []View
+	shards []shardState
+	bounds []int // shard s owns nodes [bounds[s], bounds[s+1])
+
+	// Optional subsystems, each behind one pointer so a run without it
+	// pays a nil comparison per round and allocates nothing for it.
+	arr  *arrState
+	stb  *stabState
+	rows *lossRows
+	tst  *timingState
+
+	// Round state: the round number, whether it opens a new stability
+	// window (graph, hierarchy and views refetched), and the round's graph
+	// and hierarchy.
+	r           int
+	fresh       bool
+	cachedUntil int
+	g           *graph.Graph
+	hier        *ctvg.Hierarchy
+
+	// Progress state. delivered counts (node, token) pairs; countedN and
+	// outstanding are the arrival-mode population and its undelivered
+	// pairs; done marks a complete round.
+	needDelivered           bool
+	delivered               int
+	countedN, outstanding   int
+	done                    bool
+	lastDelivered, stallRun int
+
+	// Shard bodies, bound once per run (see each).
+	collect, deliver, drawLoss, beacons, scan, scanArrivals, collectArrivals func(s, lo, hi int)
+}
+
+// newEngine validates the run and builds its state: fault injector,
+// arrival and self-stabilization subsystems, the shard partition with every
+// view wired to its shard's arena, and the bound shard bodies.
+func newEngine(d ctvg.Dynamic, nodes []Node, k int, opts Options) (*engine, error) {
 	n := d.N()
 	if len(nodes) != n {
 		return nil, fmt.Errorf("sim: %d nodes for a %d-vertex network", len(nodes), n)
@@ -581,182 +661,323 @@ func Run(d ctvg.Dynamic, nodes []Node, assign *token.Assignment, opts Options) (
 	if opts.Faults != nil && opts.Faults.Burst != nil && opts.MaxRounds-1 > faults.MaxBurstRound {
 		return nil, fmt.Errorf("sim: MaxRounds %d runs past faults.MaxBurstRound %d, the last round a burst channel answers", opts.MaxRounds, faults.MaxBurstRound)
 	}
-	workers := workersFor(opts, n)
-	parallelRun := workers > 1
-	k := assign.K
-	obs := opts.Observer
-	met := &Metrics{CompletionRound: -1}
-	outbox := make([]*Message, n)
-	views := make([]View, n)
+	e := &engine{
+		d: d, nodes: nodes, n: n, k: k, opts: opts,
+		obs:           opts.Observer,
+		tracer:        opts.Tracer,
+		met:           &Metrics{CompletionRound: -1},
+		inj:           inj,
+		lossy:         inj.Lossy(),
+		duplicating:   inj.Duplicating(),
+		crashed:       make([]bool, n),
+		outbox:        make([]*Message, n),
+		views:         make([]View, n),
+		cachedUntil:   -1,
+		lastDelivered: -1,
+		needDelivered: opts.StallWindow > 0 || (opts.Observer != nil && opts.Observer.Progress != nil),
+	}
 
-	// Steady-state arrival mode: all bookkeeping hangs off one pointer, so
-	// the batch path below pays a nil comparison per round and nothing else.
-	var arr *arrState
+	// Steady-state arrival mode: all bookkeeping hangs off one pointer.
 	if opts.Arrivals != nil {
 		if err := opts.Arrivals.validate(n); err != nil {
 			return nil, err
 		}
-		if arr, err = newArrState(opts.Arrivals, n, k, nodes); err != nil {
+		if e.arr, err = newArrState(opts.Arrivals, n, k, nodes); err != nil {
 			return nil, err
 		}
-		met.OutstandingTokens = arr.liveCount()
-		met.PeakOutstanding = arr.liveCount()
+		e.met.OutstandingTokens = e.arr.liveCount()
+		e.met.PeakOutstanding = e.arr.liveCount()
 	}
 
-	// Fault state. crashed marks nodes currently down; recoverAt holds the
-	// rejoin round of nodes in a downtime window (faults.NoRecovery
-	// otherwise); crashSchedule is the static plan, each entry fired once.
-	crashed := make([]bool, n)
-	var recoverAt []int
-	var recovering []int // nodes in a downtime window, unordered
-	var crashSchedule []crashEntry
-	lossy, duplicating := inj.Lossy(), inj.Duplicating()
 	if inj != nil {
-		recoverAt = make([]int, n)
-		for v := range recoverAt {
-			recoverAt[v] = faults.NoRecovery
+		e.recoverAt = make([]int, n)
+		for v := range e.recoverAt {
+			e.recoverAt[v] = faults.NoRecovery
 		}
 		for _, c := range inj.Crashes() {
-			crashSchedule = append(crashSchedule, crashEntry{node: c.Node, at: c.At, recoverAt: c.RecoverAt})
+			e.crashSchedule = append(e.crashSchedule, crashEntry{node: c.Node, at: c.At, recoverAt: c.RecoverAt})
 		}
 	}
-	var eventScratch []int // sorted crash/recovery IDs of the current round
-	var noteScratch []note // merged View.Note buffer of the current round
 
-	// Parallel runs shard the per-message accounting: each worker owns a
-	// contiguous sender block and private state (accumulator, message
-	// arena, inbox scratch, note buffer), and the engine merges the
-	// accumulators in shard order at the round barrier. Shard order equals
-	// ascending sender order, so merged metrics — and the observer event
-	// stream replayed from outbox afterwards — are bit-identical to the
-	// serial engine's. The shard partition is fixed for the whole run, so
-	// each view is wired to its owning shard's arena exactly once.
+	// Parallel runs shard the round: each worker owns a contiguous node
+	// block and private state (accumulator, message arena, inbox scratch,
+	// note buffer), and the engine merges the shards in shard order at the
+	// round barrier. Shard order equals ascending node order, so merged
+	// metrics — and the observer event stream replayed from outbox — are
+	// bit-identical to a serial run's. The partition is fixed for the whole
+	// run, so each view is wired to its owning shard's arena exactly once.
 	//
 	// Shards are cut at equal cumulative round-0 degree rather than equal
 	// node count: per-node round work is dominated by neighbour scans, so
 	// on hub-heavy topologies (a star, a clustered HiNet) an equal-count
-	// partition leaves one worker with nearly all edges. Blocks stay
-	// contiguous and ascending, so every bit-identity guarantee above is
-	// untouched — only the cut points move.
-	nshards := 1
-	if parallelRun {
-		nshards = parallel.Shards(n, workers)
+	// partition leaves one worker with nearly all edges.
+	e.bounds = []int{0, n}
+	if w := workersFor(opts, n); w > 1 {
+		e.bounds = shardBounds(d.At(0), parallel.Shards(n, w))
 	}
-	// bounds stays nil on serial runs: the slice leaks into ForEachBounds'
-	// goroutine closures, so even a stack [2]int{0, n} would be charged to
-	// the heap — and the serial paths below never consult it.
-	var bounds []int
-	if nshards > 1 {
-		bounds = shardBounds(d.At(0), nshards)
-	}
-	shards := make([]shardState, nshards)
-	for s := range shards {
-		lo, hi := 0, n
-		if bounds != nil {
-			lo, hi = bounds[s], bounds[s+1]
-		}
-		for v := lo; v < hi; v++ {
-			views[v].id = v
-			views[v].pool = &shards[s].pool
-			views[v].notes = &shards[s].notes
-		}
-	}
-	if arr != nil {
+	nshards := len(e.bounds) - 1
+	e.shards = make([]shardState, nshards)
+	for s := range e.shards {
+		sh := &e.shards[s]
 		// Unbounded runs must not let one burst round pin the arenas'
 		// high-water capacity forever; batch runs keep the plain ratchet.
-		for s := range shards {
-			shards[s].pool.trim = true
+		sh.pool.trim = e.arr != nil
+		for v := e.bounds[s]; v < e.bounds[s+1]; v++ {
+			e.views[v] = View{id: v, pool: &sh.pool, notes: &sh.notes}
 		}
 	}
 
-	tracer := opts.Tracer
-	if tracer != nil {
-		tracer.RunStart(n, k, nshards, nodes)
-	}
-	var atr ArrivalTracer
-	if arr != nil && tracer != nil {
-		atr, _ = tracer.(ArrivalTracer)
-	}
-
-	// Timing: all self-profiling state hangs off one pointer, allocated
-	// only when a sink is attached, so the disabled path stays strictly
-	// allocation-free. segT is the running segment's start time.
-	timer := opts.Timing
-	var tst *timingState
-	var segT time.Time
-	if timer != nil {
-		tst = newTimingState(opts.LabelCtx, nshards)
-		timer.RunStart(nshards)
-	}
-
-	// Self-stabilizing clustering: all protocol state hangs off one
-	// pointer, so the oracle-hierarchy path below pays a nil comparison
-	// per round and nothing else. A lossy run also draws the round's loss
-	// rows (see lossRows), which the beacon exchange and delivery share.
-	// The row pass is sharded over the same bounds as delivery, so each
-	// receiver's burst memos stay on the shard that owns the receiver.
-	var stb *stabState
-	var rows *lossRows
-	if opts.SelfStabilize != nil {
-		stb = newStabState(opts.SelfStabilize, n, nshards)
-		if lossy {
-			rows = &lossRows{inj: inj, off: make([]int, n+1)}
+	if e.tracer != nil {
+		e.tracer.RunStart(n, k, nshards, nodes)
+		if e.arr != nil {
+			e.atr, _ = e.tracer.(ArrivalTracer)
 		}
 	}
-	var mtr MaintenanceTracer
-	if stb != nil && tracer != nil {
-		mtr, _ = tracer.(MaintenanceTracer)
+	if opts.Timing != nil {
+		e.tst = newTimingState(opts.LabelCtx, nshards)
+		opts.Timing.RunStart(nshards)
 	}
 
 	// Stability-window cache: when the dynamic advertises T-interval
-	// stable windows (ctvg.Stability), graph, hierarchy and the per-node
-	// views are frozen on the window's first round and reused until the
-	// window ends — churn or reaffiliation starts a new window, which
-	// refetches everything. Rounds inside a window skip At/HierarchyAt and
-	// all O(n) view rebuilding. Self-stabilizing runs bypass the cache:
-	// the emergent hierarchy may change every round.
-	stab, hasStab := d.(ctvg.Stability)
-	if stb != nil {
-		hasStab = false
-	}
-	cachedUntil := -1
-
-	// Stall watchdog bookkeeping.
-	needDelivered := opts.StallWindow > 0 || (obs != nil && obs.Progress != nil)
-	lastDelivered := -1
-	stallRun := 0
-
-	// The round phases below are expressed as closures over the loop state
-	// (round number, stability freshness, the current graph and hierarchy).
-	// They are defined once here rather than inside the loop so the round
-	// hot path never allocates for them: every captured variable is boxed
-	// once per run, not once per round.
-	var g *graph.Graph
-	var hier *ctvg.Hierarchy
-	var r int
-	var fresh bool
-	sizeFn := opts.SizeFn
-
-	// The beacon exchange reads the same loss rows as delivery: a beacon
-	// from u to v in round r is lost exactly when a payload on the same
-	// link is, one outcome per link per round — the beacon piggybacks on
-	// the node's round transmission.
-	var runRows func(s, lo, hi int)
-	if rows != nil {
-		runRows = func(s, lo, hi int) { rows.draw(r, g, crashed, lo, hi) }
-		stbLost := func(v, i int) bool { return rows.lost[rows.off[v]+i] }
-		stb.runShard = func(s, lo, hi int) { stb.state.Shard(s, lo, hi, stbLost) }
-	} else if stb != nil {
-		stb.runShard = func(s, lo, hi int) { stb.state.Shard(s, lo, hi, nil) }
+	// stable windows (ctvg.Stability), graph, hierarchy and views are
+	// frozen on the window's first round and reused until the window ends.
+	// Self-stabilizing runs bypass it: the emergent hierarchy may change
+	// every round. A lossy self-stabilizing run also draws the round's loss
+	// rows, which the beacon exchange and delivery share.
+	if opts.SelfStabilize != nil {
+		e.stb = newStabState(opts.SelfStabilize, n, nshards)
+		e.beacons = e.beaconShard
+		if e.lossy {
+			e.rows = &lossRows{inj: inj, off: make([]int, n+1)}
+			e.stb.lost = e.rows.lostAt
+			e.drawLoss = e.lossShard
+		}
+		if e.tracer != nil {
+			e.mtr, _ = e.tracer.(MaintenanceTracer)
+		}
+	} else {
+		e.stab, _ = d.(ctvg.Stability)
 	}
 
-	// Collect phase: every node decides its transmission from its local
-	// view only, then the transmission is charged to the accounting. Nodes
-	// are independent, so both steps fan out when Workers > 1 (per-shard
-	// accumulators, merged at the barrier). Inside a stable window only the
-	// round number changes; role, head and neighbour slice keep the frozen
-	// window values.
-	collect := func(v int) {
+	e.collect, e.deliver = e.collectShard, e.deliverShard
+	if e.tst != nil {
+		e.collect = e.tst.wrapShard(StageCollect, e.tst.collectCtx, e.collect)
+		e.deliver = e.tst.wrapShard(StageDeliver, e.tst.deliverCtx, e.deliver)
+	}
+	if e.arr != nil {
+		e.scanArrivals, e.collectArrivals = e.scanArrivalsShard, e.collectArrivalsShard
+	} else {
+		e.scan = e.scanShard
+	}
+	return e, nil
+}
+
+// round runs round r and reports whether the run ends after it. It calls
+// one method per stage, in the order the round executes; Stage names the
+// timing bucket of each call.
+func (e *engine) round(r int) bool {
+	e.r = r
+	e.stage(StageFaults, (*engine).crash)
+	if e.fresh = r > e.cachedUntil; e.fresh {
+		e.stage(StageSnapshot, (*engine).snapshot)
+		if e.rows != nil {
+			e.stage(StageFaults, (*engine).drawLossRows)
+		}
+		e.stage(StageHierarchy, (*engine).hierarchy)
+	}
+	e.stage(StageFaults, (*engine).crashHeads)
+	if e.stb != nil {
+		e.stage(StageHierarchy, (*engine).validate)
+	}
+	e.stage(StageObserve, (*engine).observeStart)
+	e.stage(StageTracer, (*engine).traceStart)
+	if e.arr != nil {
+		e.stage(StageFaults, (*engine).inject)
+	}
+	e.stage(StageCollect, (*engine).collectAll)
+	e.stage(StageMerge, (*engine).mergeAccounts)
+	e.stage(StageObserve, (*engine).observeSent)
+	e.stage(StageDeliver, (*engine).deliverAll)
+	e.stage(StageMerge, (*engine).mergeNotes)
+	e.stage(StageTracer, (*engine).traceEnd)
+	e.stage(StageMerge, (*engine).mergeLinkFaults)
+	e.stage(StageProgress, (*engine).progress)
+	e.stage(StageRecycle, (*engine).recycle)
+	e.tst.flush(e.opts.Timing, r, e.shards)
+	return e.finish()
+}
+
+// stage runs one stage body, timed as st when a timing sink is attached.
+// Bodies are method expressions, so a call builds no closure.
+func (e *engine) stage(st Stage, body func(*engine)) {
+	t0 := e.tst.seg(st)
+	body(e)
+	e.tst.end(st, t0)
+}
+
+// each fans body out over the shard partition: one goroutine per shard,
+// or a direct call on the engine goroutine for a serial run. It is the
+// engine's only fan-out.
+func (e *engine) each(body func(s, lo, hi int)) { parallel.ForEachBounds(e.bounds, body) }
+
+// crash rejoins the nodes whose downtime window ends this round, then
+// fells the static plan's crashes. A rejoining node is up for the whole
+// round: volatile protocol state resets through the Recoverer hook, and
+// the token set (stable storage) is retained.
+func (e *engine) crash() {
+	if len(e.recovering) > 0 {
+		e.events = e.events[:0]
+		keep := e.recovering[:0]
+		for _, v := range e.recovering {
+			if e.recoverAt[v] <= e.r {
+				e.crashed[v] = false
+				e.recoverAt[v] = faults.NoRecovery
+				e.events = append(e.events, v)
+			} else {
+				keep = append(keep, v)
+			}
+		}
+		e.recovering = keep
+		slices.Sort(e.events)
+		for _, v := range e.events {
+			e.met.Recoveries++
+			if rec, ok := e.nodes[v].(Recoverer); ok {
+				rec.OnRecover(e.r)
+			}
+			if e.obs != nil && e.obs.Recovered != nil {
+				e.obs.Recovered(e.r, v)
+			}
+		}
+	}
+	// Static crashes, then — once the round's hierarchy is known —
+	// head-targeted ones (crashHeads). Both feed one sorted Crashed batch.
+	e.events = e.events[:0]
+	for i := range e.crashSchedule {
+		ce := &e.crashSchedule[i]
+		if !ce.done && e.r >= ce.at {
+			ce.done = true
+			if !e.crashed[ce.node] {
+				e.fell(ce.node, ce.recoverAt)
+			}
+		}
+	}
+}
+
+// fell crashes node v, scheduling its rejoin at recAt unless that is
+// faults.NoRecovery, and queues its Crashed event.
+func (e *engine) fell(v, recAt int) {
+	e.crashed[v] = true
+	if recAt != faults.NoRecovery {
+		e.recoverAt[v] = recAt
+		e.recovering = append(e.recovering, v)
+	}
+	e.events = append(e.events, v)
+}
+
+// snapshot materialises the round's communication graph.
+func (e *engine) snapshot() { e.g = e.d.At(e.r) }
+
+// drawLossRows draws every live receiver's in-links for the round, before
+// the beacon exchange and delivery read them.
+func (e *engine) drawLossRows() {
+	e.rows.reset(e.g)
+	e.each(e.drawLoss)
+}
+
+// hierarchy refreshes the round's clustering hierarchy. With
+// SelfStabilize it runs one protocol round — every live node beacons and
+// recomputes its role from what it heard — and the emergent hierarchy
+// replaces the adversary's for everything below: views, head-targeted
+// crashes, accounting, tracing.
+func (e *engine) hierarchy() {
+	e.cachedUntil = e.r
+	if e.stb != nil {
+		e.stb.state.Begin(e.g, e.crashed)
+		e.each(e.beacons)
+		e.stb.round = e.stb.state.Commit()
+		e.hier = e.stb.state.Hierarchy()
+		return
+	}
+	e.hier = e.d.HierarchyAt(e.r)
+	if e.stab != nil {
+		if s := e.stab.StableUntil(e.r); s > e.r {
+			e.cachedUntil = s
+		}
+	}
+}
+
+// crashHeads fells the round's head-targeted crashes and emits the round's
+// Crashed events in ascending node order.
+func (e *engine) crashHeads() {
+	if kill, recAt := e.inj.HeadCrash(e.r); kill {
+		for v := 0; v < e.n; v++ {
+			if !e.crashed[v] && e.hier.Role[v] == ctvg.Head {
+				e.fell(v, recAt)
+			}
+		}
+	}
+	if e.obs != nil && e.obs.Crashed != nil {
+		slices.Sort(e.events)
+		for _, v := range e.events {
+			e.obs.Crashed(e.r, v)
+		}
+	}
+}
+
+// validate judges the emergent hierarchy against the post-crash
+// population, so a head felled this very round already invalidates its
+// members, and advances the convergence watchdog.
+func (e *engine) validate() { e.stb.observe(e.r, e.met, e.crashed) }
+
+// observeStart emits RoundStart and, in self-stabilizing runs, the
+// maintenance summary and any convergence report.
+func (e *engine) observeStart() {
+	obs := e.obs
+	if obs == nil {
+		return
+	}
+	if obs.RoundStart != nil {
+		obs.RoundStart(e.r, e.g, e.hier)
+	}
+	if e.stb != nil {
+		if obs.Maintenance != nil {
+			obs.Maintenance(e.r, e.stb.ms)
+		}
+		if e.stb.rep != nil && obs.Diverged != nil {
+			obs.Diverged(e.r, e.stb.rep)
+		}
+	}
+}
+
+// traceStart opens the tracer's round.
+func (e *engine) traceStart() {
+	if e.tracer != nil {
+		e.tracer.RoundStart(e.r, e.hier)
+		if e.mtr != nil {
+			e.mtr.Maintenance(e.r, e.stb.ms)
+		}
+	}
+}
+
+// inject hands the round's arrivals to their target nodes before the
+// round's Send, on the engine goroutine, so serial and parallel runs
+// inject identically. Like crashes and recoveries, arrivals are externally
+// scheduled events, timed under StageFaults.
+func (e *engine) inject() { e.arr.inject(e.r, e.crashed, e.hier, e.obs, e.atr, e.met) }
+
+// collectAll runs the collect stage on every shard.
+func (e *engine) collectAll() { e.each(e.collect) }
+
+// collectShard is the collect stage on one shard: every node decides its
+// transmission from its local view only, and the transmission is charged
+// to the shard's accumulator. Inside a stable window only the round number
+// changes; role, head and neighbour slice keep the frozen window values.
+func (e *engine) collectShard(s, lo, hi int) {
+	acc := &e.shards[s].acc
+	acc.reset()
+	r, fresh, g, hier := e.r, e.fresh, e.g, e.hier
+	views, outbox, nodes, crashed, sizeFn := e.views, e.outbox, e.nodes, e.crashed, e.opts.SizeFn
+	for v := lo; v < hi; v++ {
 		vw := &views[v]
 		vw.Round = r
 		if fresh {
@@ -766,562 +987,259 @@ func Run(d ctvg.Dynamic, nodes []Node, assign *token.Assignment, opts Options) (
 		}
 		if crashed[v] {
 			outbox[v] = nil
-			return
+			continue
 		}
-		outbox[v] = nodes[v].Send(*vw)
-	}
-	account := func(acc *shardAcc, v int) {
-		msg := outbox[v]
-		if msg == nil {
-			return
-		}
-		msg.From = v
-		cost := int64(msg.Cost())
-		acc.messages++
-		acc.tokens += cost
-		if int(msg.Kind) < NumKinds {
-			acc.msgsByKind[msg.Kind]++
-			acc.tokensByKind[msg.Kind] += cost
-		}
-		if sizeFn != nil {
-			acc.bytes += int64(sizeFn(msg))
-		}
-		if role := hier.Role[v]; int(role) < NumRoles {
-			acc.msgsByRole[role]++
-			acc.tokensByRole[role] += cost
+		msg := nodes[v].Send(*vw)
+		outbox[v] = msg
+		if msg != nil {
+			msg.From = v
+			acc.charge(msg, hier.Role[v], sizeFn)
 		}
 	}
-	collectShard := func(s, lo, hi int) {
-		acc := &shards[s].acc
-		acc.reset()
-		for v := lo; v < hi; v++ {
-			collect(v)
-			account(acc, v)
-		}
-	}
+}
 
-	// Deliver phase: each node hears its neighbours' messages, ordered by
-	// ascending sender ID (Neighbors is sorted); fault injection may drop a
-	// delivery or hand it over twice. Messages are read-only from here on,
-	// so delivery also fans out — over the same shard partition as collect,
-	// so a node delivering through View.NewSet stays on its arena's owning
-	// goroutine, and the per-receiver fault queries (whose burst-channel
-	// state is keyed by receiver) stay on the shard that owns the receiver.
-	// A self-stabilizing run reads the round's loss rows; any other lossy
-	// run draws one Drop per sender link, since most in-links (member to
-	// head) carry no message on most rounds.
-	deliverShard := func(s, lo, hi int) {
-		st := &shards[s]
-		for v := lo; v < hi; v++ {
-			if crashed[v] {
+// mergeAccounts folds the shard accumulators into the run totals in shard
+// order.
+func (e *engine) mergeAccounts() {
+	for s := range e.shards {
+		e.met.add(&e.shards[s].acc)
+	}
+}
+
+// observeSent replays the round's Sent stream from outbox in ascending
+// sender order — identical for serial and parallel runs.
+func (e *engine) observeSent() {
+	if e.obs == nil || e.obs.Sent == nil {
+		return
+	}
+	for _, msg := range e.outbox {
+		if msg != nil {
+			e.obs.Sent(e.r, msg)
+		}
+	}
+}
+
+// deliverAll runs the deliver stage on every shard.
+func (e *engine) deliverAll() { e.each(e.deliver) }
+
+// deliverShard is the deliver stage on one shard: each live node hears its
+// neighbours' messages, ordered by ascending sender ID (Neighbors is
+// sorted); fault injection may drop a delivery or hand it over twice.
+// Messages are read-only from here on. Delivery runs over the same shard
+// partition as collect, so a node delivering through View.NewSet stays on
+// its arena's owning goroutine, and the per-receiver fault queries (whose
+// burst-channel state is keyed by receiver) stay on the shard that owns
+// the receiver. A self-stabilizing run reads the round's loss rows; any
+// other lossy run draws one Drop per sender link, since most in-links
+// (member to head) carry no message on most rounds.
+func (e *engine) deliverShard(s, lo, hi int) {
+	st := &e.shards[s]
+	r, inj, lossy, duplicating, rows, tracer := e.r, e.inj, e.lossy, e.duplicating, e.rows, e.tracer
+	views, outbox, nodes, crashed := e.views, e.outbox, e.nodes, e.crashed
+	for v := lo; v < hi; v++ {
+		if crashed[v] {
+			continue
+		}
+		st.inbox = st.inbox[:0]
+		var lost []bool
+		if rows != nil {
+			lost = rows.row(v)
+		}
+		for i, u := range views[v].Neighbors {
+			msg := outbox[u]
+			if msg == nil {
 				continue
 			}
-			st.inbox = st.inbox[:0]
-			var lost []bool
-			if rows != nil {
-				lost = rows.row(v)
+			if lossy && (lost != nil && lost[i] || lost == nil && inj.Drop(r, u, v)) {
+				st.drops++
+				continue
 			}
-			for i, u := range views[v].Neighbors {
-				msg := outbox[u]
-				if msg == nil {
-					continue
-				}
-				if lossy && (lost != nil && lost[i] || lost == nil && inj.Drop(r, u, v)) {
-					st.drops++
-					continue
-				}
+			st.inbox = append(st.inbox, msg)
+			if duplicating && inj.Duplicate(r, u, v) {
+				st.dups++
 				st.inbox = append(st.inbox, msg)
-				if duplicating && inj.Duplicate(r, u, v) {
-					st.dups++
-					st.inbox = append(st.inbox, msg)
-				}
 			}
-			nodes[v].Deliver(views[v], st.inbox)
-			// A node with an empty inbox cannot have learned anything
-			// this round, so the tracer only sees non-trivial deliveries.
-			if tracer != nil && len(st.inbox) > 0 {
-				tracer.Delivered(s, v, &views[v], st.inbox, nodes[v].Tokens())
+		}
+		nodes[v].Deliver(views[v], st.inbox)
+		// A node with an empty inbox cannot have learned anything this
+		// round, so the tracer only sees non-trivial deliveries.
+		if tracer != nil && len(st.inbox) > 0 {
+			tracer.Delivered(s, v, &views[v], st.inbox, nodes[v].Tokens())
+		}
+	}
+}
+
+// mergeNotes replays the round's buffered repair notes in deterministic
+// order: ascending node ID, per-node emission order preserved (each node
+// lives on exactly one shard, and the sort is stable).
+func (e *engine) mergeNotes() {
+	e.notes = e.notes[:0]
+	for s := range e.shards {
+		e.notes = append(e.notes, e.shards[s].notes...)
+		e.shards[s].notes = e.shards[s].notes[:0]
+	}
+	slices.SortStableFunc(e.notes, byNode)
+	for _, nt := range e.notes {
+		switch nt.kind {
+		case NoteHandover:
+			e.met.Handovers++
+		case NoteFloodFallback:
+			e.met.FloodFallbacks++
+		}
+		if e.obs != nil && e.obs.Noted != nil {
+			e.obs.Noted(e.r, nt.node, nt.kind)
+		}
+	}
+}
+
+// traceEnd is the tracer's round barrier: it merges the tracer's shard
+// buffers in deterministic order and folds the delivery accounting into
+// the run totals before the arenas reclaim this round's messages.
+func (e *engine) traceEnd() {
+	if e.tracer == nil {
+		return
+	}
+	first, redundant := e.tracer.RoundEnd(e.r, e.crashed)
+	e.met.FirstDeliveries += int64(first)
+	e.met.RedundantDeliveries += int64(redundant)
+	if e.obs != nil && e.obs.Deliveries != nil {
+		e.obs.Deliveries(e.r, first, redundant)
+	}
+}
+
+// mergeLinkFaults folds the round's link-fault counts into the run totals.
+func (e *engine) mergeLinkFaults() {
+	drops, dups := 0, 0
+	for s := range e.shards {
+		drops += e.shards[s].drops
+		dups += e.shards[s].dups
+		e.shards[s].drops, e.shards[s].dups = 0, 0
+	}
+	if drops > 0 || dups > 0 {
+		e.met.Drops += int64(drops)
+		e.met.Dups += int64(dups)
+		if e.obs != nil && e.obs.LinkFaults != nil {
+			e.obs.LinkFaults(e.r, drops, dups)
+		}
+	}
+}
+
+// progress counts the delivered pairs and decides completion — through
+// arrival-mode garbage collection or the batch scan — then emits Progress
+// and Barrier.
+func (e *engine) progress() {
+	if e.arr != nil {
+		e.collectGarbage()
+	} else {
+		e.scanBatch()
+	}
+	if e.obs != nil && e.obs.Progress != nil {
+		e.obs.Progress(e.r, e.delivered)
+	}
+	e.met.Rounds = e.r + 1
+	if e.obs != nil && e.obs.Barrier != nil {
+		e.obs.Barrier(e.r, e.met)
+	}
+}
+
+// scanBatch is the batch progress pass: one sharded scan sums the
+// delivered pairs, when a stall window or a Progress observer needs them,
+// and checks completion until the run first completes. Integer addition
+// commutes, so the sharded sum matches a serial one exactly.
+func (e *engine) scanBatch() {
+	e.delivered, e.done = 0, false
+	if !e.needDelivered && e.met.Complete {
+		return
+	}
+	e.each(e.scan)
+	counted, incomplete := 0, false
+	for s := range e.shards {
+		st := &e.shards[s]
+		e.delivered += st.delivered
+		counted += st.counted
+		incomplete = incomplete || st.incomplete
+	}
+	// Completion is sticky, and a StopWhenComplete run has already stopped.
+	e.done = !e.met.Complete && counted > 0 && !incomplete
+}
+
+// scanShard is scanBatch on one shard. Dissemination is complete when
+// every counted node — up, or down but rejoining, since its token set
+// (stable storage) survives the outage — holds all k tokens, and at least
+// one node is counted: with nobody left to disseminate to, a run cannot be
+// complete. Without a count to take, the scan stops at the shard's first
+// incomplete node.
+func (e *engine) scanShard(s, lo, hi int) {
+	st := &e.shards[s]
+	st.delivered, st.counted, st.incomplete = 0, 0, false
+	for v := lo; v < hi; v++ {
+		held := e.nodes[v].Tokens().Len()
+		st.delivered += held
+		if !counted(v, e.crashed, e.recoverAt) {
+			continue
+		}
+		st.counted++
+		if held != e.k {
+			st.incomplete = true
+			if !e.needDelivered {
+				return
 			}
 		}
 	}
+}
 
-	// Arrival-mode GC, two sharded passes at the round barrier. Pass 1
-	// scans every node once: the pre-GC delivered popcount, the counted
-	// population (up, or down but rejoining — the same nodes doneLive
-	// counts), and the intersection of counted nodes' token sets. Pass 2,
-	// run only when the merged intersection contains live tokens, removes
-	// the collected set from every node (crashed ones included: GC is an
-	// accounting operation on stable storage) and measures exactly how many
-	// pairs it dropped, so the post-GC delivered count is exact even when
-	// permanently crashed nodes held part of the collected set. Set
-	// intersection and integer addition commute, so merging the shards in
-	// order is bit-identical to a serial scan. Both closures are built only
-	// in arrival mode, keeping the batch path allocation-identical.
-	var arrScan, arrCollect func(s, lo, hi int)
-	if arr != nil {
-		arrScan = func(s, lo, hi int) {
-			st := &shards[s]
-			st.interAny = false
-			st.preSum, st.cntN, st.cntHeld = 0, 0, 0
-			for v := lo; v < hi; v++ {
-				tk := nodes[v].Tokens()
-				l := tk.Len()
-				st.preSum += l
-				if !counted(v, crashed, recoverAt) {
-					continue
-				}
-				st.cntN++
-				st.cntHeld += l
-				if !st.interAny {
-					st.inter.CopyFrom(tk)
-					st.interAny = true
-				} else {
-					st.inter.IntersectWith(tk)
-				}
-			}
+// recycle returns the round's messages and payload sets to the arenas:
+// nothing may retain them past the round barrier.
+func (e *engine) recycle() {
+	for s := range e.shards {
+		e.shards[s].pool.recycle()
+	}
+}
+
+// finish closes the round: it records a first completion and reports
+// whether the run ends here — on completion under StopWhenComplete, on a
+// stall, or when the caller's Stop hook says so.
+func (e *engine) finish() bool {
+	if e.done {
+		if !e.met.Complete {
+			e.met.Complete = true
+			e.met.CompletionRound = e.r + 1
 		}
-		arrCollect = func(s, lo, hi int) {
-			st := &shards[s]
-			removed := 0
-			for v := lo; v < hi; v++ {
-				pre := nodes[v].Tokens().Len()
-				arr.collects[v].Collect(arr.gc)
-				removed += pre - nodes[v].Tokens().Len()
-			}
-			st.removed = removed
+		if e.opts.StopWhenComplete {
+			return true
 		}
 	}
-
-	// The fan-out entry points are the raw shard closures when timing is
-	// off and timed wrappers (per-shard clock, stage=/shard= pprof labels)
-	// when it is on. Wrapping conditionally — instead of capturing a flag
-	// inside the hot closures — keeps the timing-off round loop exactly
-	// what it was, in both instructions and allocations.
-	runCollect, runDeliver := collectShard, deliverShard
-	if tst != nil {
-		runCollect = tst.wrapShard(StageCollect, tst.collectCtx, collectShard)
-		runDeliver = tst.wrapShard(StageDeliver, tst.deliverCtx, deliverShard)
-	}
-
-	for r = 0; r < opts.MaxRounds; r++ {
-		// Recoveries first: a node whose downtime window ends at r is up
-		// for the whole round. Volatile protocol state resets through the
-		// Recoverer hook; the token set (stable storage) is retained.
-		segT = tst.seg(StageFaults)
-		if len(recovering) > 0 {
-			eventScratch = eventScratch[:0]
-			keep := recovering[:0]
-			for _, v := range recovering {
-				if recoverAt[v] <= r {
-					crashed[v] = false
-					recoverAt[v] = faults.NoRecovery
-					eventScratch = append(eventScratch, v)
-				} else {
-					keep = append(keep, v)
-				}
-			}
-			recovering = keep
-			sort.Ints(eventScratch)
-			for _, v := range eventScratch {
-				met.Recoveries++
-				if rec, ok := nodes[v].(Recoverer); ok {
-					rec.OnRecover(r)
-				}
-				if obs != nil && obs.Recovered != nil {
-					obs.Recovered(r, v)
-				}
-			}
-		}
-
-		// Static crashes, then — once this round's hierarchy is known —
-		// head-targeted ones. Both feed one sorted Crashed event batch.
-		eventScratch = eventScratch[:0]
-		fell := func(v, recAt int) {
-			crashed[v] = true
-			if recAt != faults.NoRecovery {
-				recoverAt[v] = recAt
-				recovering = append(recovering, v)
-			}
-			eventScratch = append(eventScratch, v)
-		}
-		for i := range crashSchedule {
-			ce := &crashSchedule[i]
-			if !ce.done && r >= ce.at {
-				ce.done = true
-				if !crashed[ce.node] {
-					fell(ce.node, ce.recoverAt)
-				}
-			}
-		}
-		tst.end(StageFaults, segT)
-		fresh = r > cachedUntil
-		if fresh {
-			segT = tst.seg(StageSnapshot)
-			g = d.At(r)
-			tst.end(StageSnapshot, segT)
-			if rows != nil {
-				// Draw every live receiver's in-links for the round, before
-				// the beacon exchange and delivery read them.
-				segT = tst.seg(StageFaults)
-				rows.reset(g)
-				if parallelRun {
-					parallel.ForEachBounds(bounds, runRows)
-				} else {
-					runRows(0, 0, n)
-				}
-				tst.end(StageFaults, segT)
-			}
-			segT = tst.seg(StageHierarchy)
-			if stb != nil {
-				// One protocol round: every live node beacons, every live
-				// node recomputes its role from what it heard. The emergent
-				// hierarchy replaces the adversary's for everything below —
-				// views, head-targeted crashes, accounting, tracing.
-				stb.state.Begin(g, crashed)
-				if parallelRun {
-					parallel.ForEachBounds(bounds, stb.runShard)
-				} else {
-					stb.runShard(0, 0, n)
-				}
-				stb.round = stb.state.Commit()
-				hier = stb.state.Hierarchy()
-				cachedUntil = r
-			} else {
-				hier = d.HierarchyAt(r)
-				cachedUntil = r
-				if hasStab {
-					if s := stab.StableUntil(r); s > r {
-						cachedUntil = s
-					}
-				}
-			}
-			tst.end(StageHierarchy, segT)
-		}
-		segT = tst.seg(StageFaults)
-		if kill, recAt := inj.HeadCrash(r); kill {
-			for v := 0; v < n; v++ {
-				if !crashed[v] && hier.Role[v] == ctvg.Head {
-					fell(v, recAt)
-				}
-			}
-		}
-		if len(eventScratch) > 0 {
-			sort.Ints(eventScratch)
-			if obs != nil && obs.Crashed != nil {
-				for _, v := range eventScratch {
-					obs.Crashed(r, v)
-				}
-			}
-		}
-		tst.end(StageFaults, segT)
-		if stb != nil {
-			// Validity is judged against the post-crash population, so a
-			// head felled this very round already invalidates its members;
-			// the convergence watchdog advances here.
-			segT = tst.seg(StageHierarchy)
-			stb.observe(r, met, crashed)
-			tst.end(StageHierarchy, segT)
-		}
-		segT = tst.seg(StageObserve)
-		if obs != nil && obs.RoundStart != nil {
-			obs.RoundStart(r, g, hier)
-		}
-		if stb != nil && obs != nil {
-			if obs.Maintenance != nil {
-				obs.Maintenance(r, stb.ms)
-			}
-			if stb.rep != nil && obs.Diverged != nil {
-				obs.Diverged(r, stb.rep)
-			}
-		}
-		tst.end(StageObserve, segT)
-		segT = tst.seg(StageTracer)
-		if tracer != nil {
-			tracer.RoundStart(r, hier)
-			if mtr != nil {
-				mtr.Maintenance(r, stb.ms)
-			}
-		}
-		tst.end(StageTracer, segT)
-
-		// Arrival injection: new tokens reach their target nodes before the
-		// round's Send, on the engine goroutine, so serial and parallel runs
-		// inject identically. Timed under the faults stage — like crashes
-		// and recoveries, arrivals are externally scheduled events.
-		if arr != nil {
-			segT = tst.seg(StageFaults)
-			arr.inject(r, crashed, hier, obs, atr, met)
-			tst.end(StageFaults, segT)
-		}
-
-		// Collect, then merge the per-shard accumulators in shard order
-		// and replay the Sent stream from outbox in ascending sender
-		// order — identical for serial and parallel runs.
-		segT = tst.seg(StageCollect)
-		if parallelRun {
-			parallel.ForEachBounds(bounds, runCollect)
+	if w := e.opts.StallWindow; w > 0 && !e.met.Complete {
+		// A stall is outstanding work with no progress. Under arrivals a
+		// flat delivered count is healthy whenever nothing is outstanding
+		// (every live pair delivered, the next burst not yet arrived), so
+		// idle gaps reset the watchdog instead of tripping it; an all-dead
+		// population (countedN == 0) still counts as stalled — nobody is
+		// left to make progress.
+		healthyIdle := e.arr != nil && e.countedN > 0 && e.outstanding == 0
+		if e.delivered == e.lastDelivered && !healthyIdle {
+			e.stallRun++
 		} else {
-			runCollect(0, 0, n)
+			e.stallRun = 0
+			e.lastDelivered = e.delivered
 		}
-		tst.end(StageCollect, segT)
-		segT = tst.seg(StageMerge)
-		for s := range shards {
-			met.add(&shards[s].acc)
-		}
-		tst.end(StageMerge, segT)
-		segT = tst.seg(StageObserve)
-		if obs != nil && obs.Sent != nil {
-			for v := 0; v < n; v++ {
-				if outbox[v] != nil {
-					obs.Sent(r, outbox[v])
-				}
+		if e.stallRun >= w {
+			// Total tracks the live token universe: k for batch runs,
+			// injected-minus-collected (plus the initial batch) under
+			// arrivals.
+			total := e.n * e.k
+			if e.arr != nil {
+				total = e.n * e.arr.liveCount()
 			}
-		}
-		tst.end(StageObserve, segT)
-
-		// Deliver.
-		segT = tst.seg(StageDeliver)
-		if parallelRun {
-			parallel.ForEachBounds(bounds, runDeliver)
-		} else {
-			runDeliver(0, 0, n)
-		}
-		tst.end(StageDeliver, segT)
-
-		// Replay the round's buffered repair notes in deterministic
-		// order: ascending node ID, per-node emission order preserved
-		// (each node lives on exactly one shard, and the sort is stable).
-		segT = tst.seg(StageMerge)
-		noteScratch = noteScratch[:0]
-		for s := range shards {
-			noteScratch = append(noteScratch, shards[s].notes...)
-			shards[s].notes = shards[s].notes[:0]
-		}
-		if len(noteScratch) > 0 {
-			sort.SliceStable(noteScratch, func(i, j int) bool {
-				return noteScratch[i].node < noteScratch[j].node
-			})
-			for _, nt := range noteScratch {
-				switch nt.kind {
-				case NoteHandover:
-					met.Handovers++
-				case NoteFloodFallback:
-					met.FloodFallbacks++
-				}
-				if obs != nil && obs.Noted != nil {
-					obs.Noted(r, nt.node, nt.kind)
-				}
+			rep := stallReport(e.r, w, e.delivered, total, e.crashed, e.recoverAt)
+			e.met.Stall = rep
+			if e.obs != nil && e.obs.Stalled != nil {
+				e.obs.Stalled(e.r, rep)
 			}
-		}
-		tst.end(StageMerge, segT)
-
-		// Round barrier for the tracer: merge its shard buffers in
-		// deterministic order and fold the delivery accounting into the run
-		// totals before the arenas reclaim this round's messages.
-		segT = tst.seg(StageTracer)
-		if tracer != nil {
-			first, redundant := tracer.RoundEnd(r, crashed)
-			met.FirstDeliveries += int64(first)
-			met.RedundantDeliveries += int64(redundant)
-			if obs != nil && obs.Deliveries != nil {
-				obs.Deliveries(r, first, redundant)
-			}
-		}
-		tst.end(StageTracer, segT)
-
-		// Fold the round's link-fault counts into the run totals.
-		segT = tst.seg(StageMerge)
-		roundDrops, roundDups := 0, 0
-		for s := range shards {
-			roundDrops += shards[s].drops
-			roundDups += shards[s].dups
-			shards[s].drops, shards[s].dups = 0, 0
-		}
-		if roundDrops > 0 || roundDups > 0 {
-			met.Drops += int64(roundDrops)
-			met.Dups += int64(roundDups)
-			if obs != nil && obs.LinkFaults != nil {
-				obs.LinkFaults(r, roundDrops, roundDups)
-			}
-		}
-		tst.end(StageMerge, segT)
-
-		segT = tst.seg(StageProgress)
-		delivered := 0
-		countedN, outstanding := 0, 0
-		if arr != nil {
-			// Pass 1: scan, then merge the shard intersections in order.
-			if parallelRun {
-				parallel.ForEachBounds(bounds, arrScan)
-			} else {
-				arrScan(0, 0, n)
-			}
-			countedHeld, haveInter := 0, false
-			for s := range shards {
-				st := &shards[s]
-				delivered += st.preSum
-				countedN += st.cntN
-				countedHeld += st.cntHeld
-				if !st.interAny {
-					continue
-				}
-				if !haveInter {
-					arr.gc.CopyFrom(&st.inter)
-					haveInter = true
-				} else {
-					arr.gc.IntersectWith(&st.inter)
-				}
-			}
-			if !haveInter {
-				arr.gc.Clear()
-			}
-			arr.gc.IntersectWith(arr.live)
-			// Pass 2: collect the fully disseminated tokens and rebase the
-			// accounting on the post-GC universe, so Progress and the
-			// totals below stay mutually consistent.
-			if gcLen := arr.gc.Len(); gcLen > 0 {
-				if atr != nil {
-					atr.Collected(r, arr.gc)
-				}
-				if parallelRun {
-					parallel.ForEachBounds(bounds, arrCollect)
-				} else {
-					arrCollect(0, 0, n)
-				}
-				for s := range shards {
-					delivered -= shards[s].removed
-				}
-				countedHeld -= countedN * gcLen
-				arr.gc.Range(func(tok int) bool {
-					if obs != nil && obs.Collected != nil {
-						obs.Collected(r, tok, arr.seq[tok], arr.born[tok])
-					}
-					arr.live.Remove(tok)
-					arr.free.Add(tok)
-					return true
-				})
-				arr.collected += int64(gcLen)
-				met.TokensCollected += int64(gcLen)
-			}
-			outstanding = countedN*arr.liveCount() - countedHeld
-			met.OutstandingTokens = arr.liveCount()
-			if obs != nil && obs.Progress != nil {
-				obs.Progress(r, delivered)
-			}
-		} else if needDelivered {
-			// The delivered count is a sum of per-node popcounts; integer
-			// addition commutes, so the sharded sum below matches the
-			// serial one exactly.
-			if parallelRun {
-				parallel.ForEachBounds(bounds, func(s, lo, hi int) {
-					sum := 0
-					for v := lo; v < hi; v++ {
-						sum += nodes[v].Tokens().Len()
-					}
-					shards[s].acc.delivered = sum
-				})
-				for s := range shards {
-					delivered += shards[s].acc.delivered
-				}
-			} else {
-				for _, nd := range nodes {
-					delivered += nd.Tokens().Len()
-				}
-			}
-			if obs != nil && obs.Progress != nil {
-				obs.Progress(r, delivered)
-			}
-		}
-
-		met.Rounds = r + 1
-		if obs != nil && obs.Barrier != nil {
-			obs.Barrier(r, met)
-		}
-		var done bool
-		if arr != nil {
-			// Steady state is complete when the arrival process can inject
-			// nothing more and every token has been collected — which
-			// requires at least one counted node, same as doneLive.
-			done = countedN > 0 && arr.live.Empty() && arr.exhausted(r+1)
-		} else if !met.Complete {
-			// Completion is sticky and a StopWhenComplete run has already
-			// stopped, so the scan runs only until the first completion.
-			done = doneLive(nodes, crashed, recoverAt, k, workers)
-		}
-		tst.end(StageProgress, segT)
-
-		// Round barrier: messages and payload sets handed out this round
-		// are dead — nothing may retain them — so the arenas take them
-		// back for the next round.
-		segT = tst.seg(StageRecycle)
-		for s := range shards {
-			shards[s].pool.recycle()
-		}
-		tst.end(StageRecycle, segT)
-
-		// Timing barrier: flush exactly one record per executed round —
-		// before the done/stall breaks, so truncated runs report their
-		// final round too — then restore the caller's pprof labels.
-		if tst != nil {
-			if timer.SampleArena(r) {
-				msgs, sets, setBytes := 0, 0, int64(0)
-				for s := range shards {
-					m, sc, b := shards[s].pool.stats()
-					msgs += m
-					sets += sc
-					setBytes += b
-				}
-				timer.Arena(r, msgs, sets, setBytes)
-			}
-			timer.RoundEnd(r, &tst.wall, tst.shard)
-			tst.reset()
-			pprof.SetGoroutineLabels(tst.baseCtx)
-		}
-
-		if done {
-			if !met.Complete {
-				met.Complete = true
-				met.CompletionRound = r + 1
-			}
-			if opts.StopWhenComplete {
-				break
-			}
-		}
-		if opts.StallWindow > 0 && !met.Complete {
-			// A stall is outstanding work with no progress. Under arrivals
-			// a flat delivered count is healthy whenever nothing is
-			// outstanding (every live pair delivered, the next burst not
-			// yet arrived), so idle gaps reset the watchdog instead of
-			// tripping it; an all-dead population (countedN == 0) still
-			// counts as stalled — nobody is left to make progress.
-			healthyIdle := arr != nil && countedN > 0 && outstanding == 0
-			if delivered == lastDelivered && !healthyIdle {
-				stallRun++
-			} else {
-				stallRun = 0
-				lastDelivered = delivered
-			}
-			if stallRun >= opts.StallWindow {
-				// Total tracks the live token universe: k for batch runs,
-				// injected-minus-collected (plus the initial batch) under
-				// arrivals.
-				total := n * k
-				if arr != nil {
-					total = n * arr.liveCount()
-				}
-				rep := stallReport(r, opts.StallWindow, delivered, total, crashed, recoverAt)
-				met.Stall = rep
-				if obs != nil && obs.Stalled != nil {
-					obs.Stalled(r, rep)
-				}
-				break
-			}
-		}
-		if opts.Stop != nil && opts.Stop(r) {
-			break
+			return true
 		}
 	}
-	return met, nil
+	return e.opts.Stop != nil && e.opts.Stop(e.r)
 }
 
 // MustRun is Run for call sites where a failure is a programming error:
@@ -1350,9 +1268,9 @@ func stallReport(r, window, delivered, total int, crashed []bool, recoverAt []in
 	return rep
 }
 
-// shardAcc is one worker's private slice of the round accounting. The
-// serial engine uses a single stack-allocated instance, so the accounting
-// path allocates nothing per message in either mode.
+// shardAcc is one shard's private slice of the round accounting. Every
+// shard owns one, so the accounting path allocates nothing per message in
+// either mode.
 type shardAcc struct {
 	messages     int64
 	tokens       int64
@@ -1361,10 +1279,27 @@ type shardAcc struct {
 	tokensByKind [NumKinds]int64
 	msgsByRole   [NumRoles]int64
 	tokensByRole [NumRoles]int64
-	delivered    int
 }
 
 func (a *shardAcc) reset() { *a = shardAcc{} }
+
+// charge books one transmission by a sender in the given role.
+func (a *shardAcc) charge(msg *Message, role ctvg.Role, sizeFn func(*Message) int) {
+	cost := int64(msg.Cost())
+	a.messages++
+	a.tokens += cost
+	if int(msg.Kind) < NumKinds {
+		a.msgsByKind[msg.Kind]++
+		a.tokensByKind[msg.Kind] += cost
+	}
+	if sizeFn != nil {
+		a.bytes += int64(sizeFn(msg))
+	}
+	if int(role) < NumRoles {
+		a.msgsByRole[role]++
+		a.tokensByRole[role] += cost
+	}
+}
 
 // add folds one shard's accounting into the run totals.
 func (m *Metrics) add(a *shardAcc) {
@@ -1438,47 +1373,6 @@ func workersFor(opts Options, n int) int {
 		return n
 	}
 	return w
-}
-
-// doneLive reports whether dissemination is complete: every node that is
-// up — or down but scheduled to rejoin, since its token set (stable
-// storage) survives the outage — holds all k tokens. Permanently crashed
-// nodes are excluded (they can never collect anything), but if no node at
-// all is up or rejoining the run cannot be complete: there is nobody left
-// to disseminate to. Tokens() may be expensive (network coding decodes),
-// so the scan fans out when the run is parallel; each node's Tokens()
-// touches only that node's state.
-func doneLive(nodes []Node, crashed []bool, recoverAt []int, k, workers int) bool {
-	if workers <= 1 {
-		any := false
-		for v, nd := range nodes {
-			if !counted(v, crashed, recoverAt) {
-				continue
-			}
-			any = true
-			if nd.Tokens().Len() != k {
-				return false
-			}
-		}
-		return any
-	}
-	var incomplete, considered atomic.Bool
-	parallel.ForEachRange(len(nodes), workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if incomplete.Load() {
-				return
-			}
-			if !counted(v, crashed, recoverAt) {
-				continue
-			}
-			considered.Store(true)
-			if nodes[v].Tokens().Len() != k {
-				incomplete.Store(true)
-				return
-			}
-		}
-	})
-	return considered.Load() && !incomplete.Load()
 }
 
 // counted reports whether node v counts toward completion: it is up, or

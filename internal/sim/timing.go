@@ -8,12 +8,14 @@ import (
 	"time"
 )
 
-// Stage identifies one instrumented slice of the engine's round loop — the
-// granularity of the self-profiling layer (Options.Timing). The enum order
-// is the canonical reporting order, roughly the order the stages run inside
-// a round; a stage may cover more than one code segment (StageFaults wraps
-// both the recovery sweep and the head-crash sweep, StageMerge every
-// barrier fold) and its per-round value is the sum of its segments.
+// Stage identifies one timing bucket of the engine's round — the
+// granularity of the self-profiling layer (Options.Timing). The engine's
+// round method calls one method per stage in a fixed order and times each
+// call under its Stage, so a stage that recurs within a round (StageFaults
+// for the crash sweeps, the loss-row pass and arrival injection;
+// StageMerge for every barrier fold) reports the sum of its calls. The
+// enum order is the canonical reporting order, roughly the order the
+// stages run inside a round.
 type Stage uint8
 
 const (
@@ -48,8 +50,9 @@ const (
 	// StageTracer: provenance tracer emission on the engine goroutine
 	// (Tracer.RoundStart and the shard-merging Tracer.RoundEnd).
 	StageTracer
-	// StageProgress: the delivered scan, progress events and the
-	// completion check (doneLive).
+	// StageProgress: the progress pass — one sharded scan for the
+	// delivered count and the completion check, or arrival-mode GC — and
+	// the Progress and Barrier events.
 	StageProgress
 	// StageRecycle: returning this round's messages and payload sets to
 	// the per-shard arenas.
@@ -70,16 +73,6 @@ func (s Stage) String() string {
 		return stageNames[s]
 	}
 	return fmt.Sprintf("stage(%d)", byte(s))
-}
-
-// StageByName returns the stage with the given canonical name.
-func StageByName(name string) (Stage, bool) {
-	for s, n := range stageNames {
-		if n == name {
-			return Stage(s), true
-		}
-	}
-	return NumStages, false
 }
 
 // TimingSink receives the engine's self-profiling stream; internal/obs
@@ -179,7 +172,7 @@ func (t *timingState) end(st Stage, t0 time.Time) {
 // goroutine (or the engine goroutine when serial); distinct shards write
 // distinct slots, so no synchronisation is needed beyond the fan-out's own
 // barrier. Only called when timing is on — the timing-off path keeps the
-// raw shard closures, untouched.
+// raw shard bodies, untouched.
 func (t *timingState) wrapShard(st Stage, ctxs []context.Context, fn func(s, lo, hi int)) func(s, lo, hi int) {
 	return func(s, lo, hi int) {
 		pprof.SetGoroutineLabels(ctxs[s])
@@ -187,6 +180,29 @@ func (t *timingState) wrapShard(st Stage, ctxs []context.Context, fn func(s, lo,
 		fn(s, lo, hi)
 		t.shard[s][st] += int64(time.Since(t0))
 	}
+}
+
+// flush hands the round's record to the sink at the round barrier —
+// before the end-of-run checks, so a truncated run reports its final round
+// too — then restores the caller's pprof labels. Like seg and end it is
+// inert on a nil receiver.
+func (t *timingState) flush(sink TimingSink, r int, shards []shardState) {
+	if t == nil {
+		return
+	}
+	if sink.SampleArena(r) {
+		msgs, sets, setBytes := 0, 0, int64(0)
+		for s := range shards {
+			m, sc, b := shards[s].pool.stats()
+			msgs += m
+			sets += sc
+			setBytes += b
+		}
+		sink.Arena(r, msgs, sets, setBytes)
+	}
+	sink.RoundEnd(r, &t.wall, t.shard)
+	t.reset()
+	pprof.SetGoroutineLabels(t.baseCtx)
 }
 
 // reset zeroes the per-round accumulators after a RoundEnd flush.
