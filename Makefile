@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet fmt lint build test race fuzz bench bench10k bench100k benchstat chaos cover timing-smoke health-smoke
+.PHONY: check vet fmt lint build test race fuzz bench bench10k bench100k benchstat chaos cover smoke timing-smoke health-smoke
 
 check: lint build test race
 
@@ -109,6 +109,19 @@ bench100k:
 benchstat:
 	$(GO) test -run '^$$' -bench 'BenchmarkHiNet1k|BenchmarkHiNet10k|BenchmarkHiNet100k' -benchmem -count 3 -timeout 2h . | tee bench.latest.out
 	$(GO) run ./cmd/benchdiff -input bench.latest.out BENCH_PR2.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR9.json BENCH_PR10.json
+
+# smoke runs every entry point end to end at its defaults: each hinetsim
+# scenario, hinetbench's whole evaluation at one seed, and every program
+# under examples/. Any non-zero exit fails it.
+SMOKE_SCENARIOS = fig1 fig3 hinet onel mobility
+smoke:
+	@set -e; for s in $(SMOKE_SCENARIOS); do \
+		echo "hinetsim -scenario $$s"; $(GO) run ./cmd/hinetsim -scenario $$s > /dev/null; \
+	done
+	@echo "hinetbench -all -seeds 1"; $(GO) run ./cmd/hinetbench -all -seeds 1 > /dev/null
+	@set -e; for d in examples/*/; do \
+		echo "$$d"; $(GO) run ./$$d > /dev/null; \
+	done
 
 # timing-smoke is CI's end-to-end determinism check for the self-profiling
 # layer: the same 1k-node scenario serial and with -workers 4, both with

@@ -62,7 +62,6 @@ func main() {
 		all      = flag.Bool("all", false, "run every table and sweep")
 		seeds    = flag.Int("seeds", 8, "Monte-Carlo replications per row")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		curve    = flag.Bool("curve", false, "print per-round convergence sparklines")
 		claims   = flag.Bool("claims", false, "print the reproduction ledger")
 		outDir   = flag.String("out", "", "directory to additionally write each table as CSV")
 		metrics  = flag.String("metrics", "", "directory for per-seed round-series JSONL (Table 3 rows)")
@@ -85,6 +84,11 @@ func main() {
 		workers   = flag.Int("workers", 0, "engine shards for the load test (0 = serial)")
 	)
 	flag.Parse()
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateFlags(set, *arrival != "", *table, *all); err != nil {
+		fatal(err)
+	}
 
 	// SIGINT/SIGTERM flips a flag every running replication polls at its
 	// round barrier, so in-flight runs end cleanly with all sinks flushed
@@ -269,16 +273,6 @@ func main() {
 			fatal(err)
 		}
 		emit(experiment.MobilityTable(pts))
-		ran = true
-	}
-	if *all || *curve {
-		curves, err := experiment.ConvergenceCurves(experiment.Table3Config(1), 7, 60)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(out, "Convergence — fraction of (node, token) pairs delivered per round (Table 3 point, seed 7)")
-		fmt.Fprint(out, experiment.RenderCurves(curves))
-		fmt.Fprintln(out)
 		ran = true
 	}
 	if *all || *claims {

@@ -9,9 +9,6 @@
 //	hinetsim -scenario hinet  [-n -k ...]   # Algorithm 1 on a (T, L)-HiNet
 //	hinetsim -scenario onel   [-n -k ...]   # Algorithm 2 on a (1, L)-HiNet
 //	hinetsim -scenario mobility [-n -k ...] # Algorithm 2 on random waypoint mobility
-//	hinetsim -scenario emdg     [-n -k ...] # Algorithm 2 on a clustered edge-Markovian graph
-//	hinetsim -scenario coded    [-n -k ...] # Haeupler-Karger network coding vs flooding
-//	hinetsim -scenario multihop [-n -k ...] # Algorithm 1 on d-hop (multi-hop) clusters
 //
 // Fault injection applies to every simulating scenario:
 //
@@ -74,7 +71,6 @@ import (
 	"syscall"
 
 	"repro/internal/adversary"
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ctvg"
@@ -82,8 +78,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/hinet"
-	"repro/internal/multihop"
-	"repro/internal/netcode"
 	"repro/internal/obs"
 	"repro/internal/obs/health"
 	"repro/internal/obs/recorder"
@@ -97,7 +91,7 @@ import (
 
 func main() {
 	var (
-		scenario = flag.String("scenario", "hinet", "fig1 | fig3 | hinet | onel | mobility | emdg | coded | multihop")
+		scenario = flag.String("scenario", "hinet", "fig1 | fig3 | hinet | onel | mobility")
 		n        = flag.Int("n", 100, "number of nodes")
 		k        = flag.Int("k", 8, "number of tokens")
 		theta    = flag.Int("theta", 30, "max cluster heads (θ)")
@@ -214,18 +208,12 @@ func main() {
 			err = runOneL(*n, *k, *theta, *l, *reaffil, *churn, *seed, mi)
 		case "mobility":
 			err = runMobility(*n, *k, *seed, mi)
-		case "emdg":
-			err = runEMDG(*n, *k, *seed, mi)
-		case "coded":
-			err = runCoded(*n, *k, *seed, mi)
-		case "multihop":
-			err = runMultiHop(*n, *k, *seed, mi)
 		default:
 			err = fmt.Errorf("unknown scenario %q", *scenario)
 		}
 	})
-	if err == nil {
-		err = mi.close()
+	if cerr := mi.close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hinetsim:", err)
@@ -517,33 +505,45 @@ func (in *instr) attach(opts sim.Options, n, k, phaseLen int) (sim.Options, erro
 	return opts, nil
 }
 
-// close flushes the collector and the provenance stream and reports where
-// each went.
+// close flushes every sink and closes every file, whichever of them
+// fails, and returns the first error; when all succeed it reports where
+// each stream went.
 func (in *instr) close() error {
 	if in == nil {
 		return nil
 	}
+	var err error
+	keep := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	if in.tracer != nil {
+		keep(in.tracer.Flush())
+	}
+	if in.tm != nil {
+		keep(in.tm.Flush())
+	}
+	if in.rec != nil {
+		keep(in.rec.Close())
+	} else if in.col != nil {
+		keep(in.col.Flush())
+	}
+	for _, f := range []*os.File{in.pf, in.tf, in.f} {
+		if f != nil {
+			keep(f.Close())
+		}
+	}
+	if err != nil {
+		return err
+	}
 	if in.pf != nil {
-		err := in.tracer.Flush()
-		if cerr := in.pf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
 		fmt.Printf("wrote provenance stream to %s\n", filepath.Join(in.provDir, "provenance.jsonl"))
 		if pv := in.tracer.PaceViolations(); pv > 0 {
 			fmt.Printf("pace checker: %d violation(s) — the run fell behind the Theorem 1 schedule\n", pv)
 		}
 	}
 	if in.tf != nil {
-		err := in.tm.Flush()
-		if cerr := in.tf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
 		fmt.Printf("wrote timing series to %s\n", in.timingPath)
 		if r := in.tm.Rounds(); r > 0 {
 			tbl := obs.TimingTable("per-stage timing", in.tm.Breakdown(), r)
@@ -552,48 +552,28 @@ func (in *instr) close() error {
 			}
 		}
 	}
-	if in.rec != nil {
-		err := in.rec.Close()
-		if in.f != nil {
-			if cerr := in.f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if in.path != "" {
-			fmt.Printf("wrote per-round metrics to %s\n", in.path)
-		}
-		if h := in.rec.Health(); h != nil {
-			if h.Healthy() {
-				fmt.Println("health: ok — all SLO rules held")
-			} else {
-				fmt.Printf("health: %d violation(s)\n", h.Violations())
-				for _, s := range h.States() {
-					if s.Violations > 0 {
-						fmt.Printf("  rule %-12s ×%d, first at round %d, last %.2f vs %.2f\n",
-							s.Rule.Kind, s.Violations, s.FirstRound, s.LastValue, s.LastLimit)
-					}
+	if in.f != nil {
+		fmt.Printf("wrote per-round metrics to %s\n", in.path)
+	}
+	if in.rec == nil {
+		return nil
+	}
+	if h := in.rec.Health(); h != nil {
+		if h.Healthy() {
+			fmt.Println("health: ok — all SLO rules held")
+		} else {
+			fmt.Printf("health: %d violation(s)\n", h.Violations())
+			for _, s := range h.States() {
+				if s.Violations > 0 {
+					fmt.Printf("  rule %-12s ×%d, first at round %d, last %.2f vs %.2f\n",
+						s.Rule.Kind, s.Violations, s.FirstRound, s.LastValue, s.LastLimit)
 				}
 			}
 		}
-		for _, b := range in.rec.Bundles() {
-			fmt.Printf("wrote postmortem bundle %s\n", b)
-		}
-		return nil
 	}
-	if in.f == nil {
-		return nil
+	for _, b := range in.rec.Bundles() {
+		fmt.Printf("wrote postmortem bundle %s\n", b)
 	}
-	if err := in.col.Flush(); err != nil {
-		in.f.Close()
-		return err
-	}
-	if err := in.f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote per-round metrics to %s\n", in.path)
 	return nil
 }
 
@@ -724,87 +704,6 @@ func runOneL(n, k, theta, l, reaffil, churn int, seed uint64, mi *instr) error {
 	}
 	fmt.Printf("Algorithm 2 on a (1, %d)-HiNet (n=%d θ=%d k=%d)\n", l, n, theta, k)
 	fmt.Printf("theorem budget: n-1 = %d rounds\n", core.Theorem2Rounds(n))
-	fmt.Println("result:", met)
-	return nil
-}
-
-func runEMDG(n, k int, seed uint64, mi *instr) error {
-	adv := adversary.NewClusteredEMDG(n, 0.02, 0.11, cluster.Config{}, xrand.New(seed))
-	assign := token.Spread(n, k, xrand.New(seed+1))
-	opts, err := mi.attach(sim.Options{
-		MaxRounds: 3 * n, StopWhenComplete: true,
-	}, n, k, 0)
-	if err != nil {
-		return err
-	}
-	met, err := sim.RunProtocol(adv, mi.alg2(), assign, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Algorithm 2 on a clustered edge-Markovian graph (n=%d k=%d, birth=0.02 death=0.11)\n", n, k)
-	fmt.Println("result:", met)
-	st := adv.Stats()
-	fmt.Printf("clustering churn: %d re-affiliations, %d new heads, %d removed heads\n",
-		st.Reaffiliations, st.NewHeads, st.RemovedHeads)
-	return nil
-}
-
-func runCoded(n, k int, seed uint64, mi *instr) error {
-	assign := token.Spread(n, k, xrand.New(seed+1))
-
-	// The -metrics series covers the coded run (the scenario's subject).
-	opts, err := mi.attach(sim.Options{MaxRounds: 6 * (n + k), StopWhenComplete: true}, n, k, 0)
-	if err != nil {
-		return err
-	}
-	cAdv := adversary.NewOneInterval(n, 0, xrand.New(seed))
-	coded, err := sim.RunProtocol(sim.NewFlat(cAdv), netcode.CodedFlood{Seed: seed}, assign, opts)
-	if err != nil {
-		return err
-	}
-
-	fAdv := adversary.NewOneInterval(n, 0, xrand.New(seed))
-	flood, err := sim.RunProtocol(sim.NewFlat(fAdv), baseline.Flood{}, assign,
-		sim.Options{MaxRounds: n - 1, StopWhenComplete: true})
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("network coding vs flooding on 1-interval dynamics (n=%d k=%d)\n", n, k)
-	fmt.Println("  coded (HK): ", coded)
-	fmt.Println("  flooding:   ", flood)
-	if coded.Complete && flood.Complete {
-		fmt.Printf("coding sends %.1f%% of flooding's tokens at %.1fx its round count\n",
-			100*float64(coded.TokensSent)/float64(flood.TokensSent),
-			float64(coded.CompletionRound)/float64(flood.CompletionRound))
-	}
-	return nil
-}
-
-func runMultiHop(n, k int, seed uint64, mi *instr) error {
-	const d = 2
-	rng := xrand.New(seed)
-	g := graph.RandomConnected(n, 2*n, rng)
-	nw, hier, err := multihop.NewNetwork(g, d, 0, n/10, rng)
-	if err != nil {
-		return err
-	}
-	T := k + (2*d + 1) + d
-	budget := (len(hier.Heads) + 2) * T
-	assign := token.Spread(n, k, xrand.New(seed+1))
-	opts, err := mi.attach(sim.Options{MaxRounds: budget, StopWhenComplete: true}, n, k, T)
-	if err != nil {
-		return err
-	}
-	met, err := sim.RunProtocol(nw, mi.alg1(T), assign, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Algorithm 1 on %d-hop clusters (n=%d k=%d, %d heads, T=%d)\n",
-		d, n, k, len(hier.Heads), T)
-	if L, ok := hier.MaxHeadSeparation(g); ok {
-		fmt.Printf("head separation: %d hops (bound 2d+1 = %d)\n", L, 2*d+1)
-	}
 	fmt.Println("result:", met)
 	return nil
 }

@@ -41,11 +41,7 @@ import (
 	"repro/internal/ctvg"
 	"repro/internal/faults"
 	"repro/internal/geom"
-	"repro/internal/gossip"
-	"repro/internal/graph"
 	hinetmodel "repro/internal/hinet"
-	"repro/internal/multihop"
-	"repro/internal/netcode"
 	"repro/internal/sim"
 	"repro/internal/token"
 	"repro/internal/tvg"
@@ -290,49 +286,7 @@ func MustRun(net Network, p Protocol, tokens *Assignment, opts RunOptions) *Metr
 	return m
 }
 
-// PushGossip returns uniform push gossip (Kempe et al.) — the classic
-// probabilistic comparator from the paper's related work.
-func PushGossip(seed uint64) Protocol { return gossip.Push{Seed: seed} }
-
-// PushPullGossip returns push gossip with reply-to-pusher behaviour.
-func PushPullGossip(seed uint64) Protocol { return gossip.PushPull{Seed: seed} }
-
-// --- extension models (paper's future-work directions and comparators) ---
-
-// NewEMDGNetwork returns a flat edge-Markovian dynamic network (Clementi
-// et al.): each potential edge is born with probability p and dies with
-// probability q per round. With patch set, every snapshot is patched to
-// connectivity with bridge edges.
-func NewEMDGNetwork(n int, p, q float64, patch bool, seed uint64) Network {
-	return sim.NewFlat(adversary.NewEMDG(n, p, q, patch, xrand.New(seed)))
-}
-
-// NewClusteredEMDGNetwork returns the paper's proposed future-work model:
-// an edge-Markovian topology with an incrementally maintained cluster
-// hierarchy on top.
-func NewClusteredEMDGNetwork(n int, p, q float64, seed uint64) Network {
-	return adversary.NewClusteredEMDG(n, p, q, cluster.Config{}, xrand.New(seed))
-}
-
-// CodedFlood returns the Haeupler–Karger network-coded dissemination
-// protocol (random GF(2) combinations, one token-equivalent per packet) —
-// the speed-oriented comparator the paper cites as [8].
-func CodedFlood(seed uint64) Protocol { return netcode.CodedFlood{Seed: seed} }
-
-// NewMultiHopNetwork builds a random connected topology of n nodes and m
-// edges, clusters it with radius d (members up to d hops from their head —
-// the paper's future-work extension), and wraps it as a network with
-// `churn` random extra edges per round. It returns the network and the
-// number of elected heads.
-func NewMultiHopNetwork(n, m, d, churn int, seed uint64) (Network, int, error) {
-	rng := xrand.New(seed)
-	g := graph.RandomConnected(n, m, rng)
-	nw, h, err := multihop.NewNetwork(g, d, 0, churn, rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	return nw, len(h.Heads), nil
-}
+// --- model checking and analysis ---
 
 // DynamicDiameter computes the Kuhn–Oshman dynamic diameter of the
 // network over start rounds [0, starts), giving each causal flood a budget
@@ -344,8 +298,6 @@ func DynamicDiameter(net Network, starts, limit int) int {
 	}
 	return d
 }
-
-// --- model checking and analysis ---
 
 // ProbeReport describes the stability model a network was observed to
 // satisfy; see the field docs on the internal type.

@@ -131,67 +131,6 @@ func TestRemark1Variant(t *testing.T) {
 	}
 }
 
-func TestEMDGNetworks(t *testing.T) {
-	net := hinet.NewEMDGNetwork(25, 0.1, 0.2, true, 5)
-	tokens := hinet.SpreadTokens(25, 4, 6)
-	res := hinet.MustRun(net, hinet.KLOFlood(), tokens, hinet.RunOptions{
-		MaxRounds: 24, StopWhenComplete: true,
-	})
-	if !res.Complete {
-		t.Fatalf("flood incomplete on patched EMDG: %v", res)
-	}
-
-	cnet := hinet.NewClusteredEMDGNetwork(25, 0.1, 0.2, 7)
-	res2 := hinet.MustRun(cnet, hinet.Algorithm2(), tokens, hinet.RunOptions{
-		MaxRounds: 3 * 25, StopWhenComplete: true,
-	})
-	if !res2.Complete {
-		t.Fatalf("Algorithm 2 incomplete on clustered EMDG: %v", res2)
-	}
-}
-
-func TestCodedFloodFacade(t *testing.T) {
-	net := hinet.NewOneIntervalNetwork(20, 0, 3)
-	tokens := hinet.SpreadTokens(20, 8, 4)
-	res := hinet.MustRun(net, hinet.CodedFlood(5), tokens, hinet.RunOptions{
-		MaxRounds: 150, StopWhenComplete: true,
-	})
-	if !res.Complete {
-		t.Fatalf("coded flood incomplete: %v", res)
-	}
-}
-
-func TestMultiHopNetworkFacade(t *testing.T) {
-	net, heads, err := hinet.NewMultiHopNetwork(40, 70, 2, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heads < 1 {
-		t.Fatal("no heads")
-	}
-	tokens := hinet.SpreadTokens(40, 5, 10)
-	T := 5 + 5 + 2
-	res := hinet.MustRun(net, hinet.Algorithm1(T), tokens, hinet.RunOptions{
-		MaxRounds: (heads + 2) * T, StopWhenComplete: true,
-	})
-	if !res.Complete {
-		t.Fatalf("Algorithm 1 incomplete on multi-hop clusters: %v", res)
-	}
-}
-
-func TestGossipFacade(t *testing.T) {
-	net := hinet.NewOneIntervalNetwork(20, 60, 2)
-	tokens := hinet.SpreadTokens(20, 3, 3)
-	for _, p := range []hinet.Protocol{hinet.PushGossip(4), hinet.PushPullGossip(4)} {
-		res := hinet.MustRun(net, p, tokens, hinet.RunOptions{
-			MaxRounds: 600, StopWhenComplete: true,
-		})
-		if !res.Complete {
-			t.Fatalf("%s incomplete: %v", p.Name(), res)
-		}
-	}
-}
-
 func TestFaultsFacade(t *testing.T) {
 	net := hinet.NewOneIntervalNetwork(15, 0, 5)
 	tokens := hinet.SpreadTokens(15, 3, 6)

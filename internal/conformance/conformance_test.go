@@ -8,8 +8,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/ctvg"
-	"repro/internal/gossip"
-	"repro/internal/netcode"
 	"repro/internal/sim"
 	"repro/internal/token"
 	"repro/internal/xrand"
@@ -38,9 +36,6 @@ func TestAllProtocolsConformant(t *testing.T) {
 		core.Alg2{},
 		baseline.Flood{},
 		baseline.KLOT{T: 10},
-		netcode.CodedFlood{Seed: 7},
-		gossip.Push{Seed: 7},
-		gossip.PushPull{Seed: 7},
 	}
 	for _, p := range protocols {
 		if vs := Check(tr, p, assign, 60); len(vs) != 0 {

@@ -32,11 +32,13 @@ type Claim struct {
 	Source    string // where in the paper
 	Statement string
 	Status    ClaimStatus
-	Evidence  string // test name or harness command
+	Evidence  string // test names, repo paths or hinetbench commands
 }
 
 // Claims returns the full reproduction ledger. Statuses are backed by the
-// test suite; TestClaimsLedgerConsistent cross-checks the cheap ones.
+// test suite; TestClaimsLedgerConsistent cross-checks the cheap ones, and
+// TestClaimsEvidenceExists checks that every test, path and hinetbench
+// flag an Evidence field cites exists.
 func Claims() []Claim {
 	return []Claim{
 		{
@@ -115,7 +117,7 @@ func Claims() []Claim {
 			ID: "NR-PREMISE", Source: "Section V",
 			Statement: "the saving requires nr ≪ n0; it erodes (and analytically crosses over) as re-affiliation churn grows",
 			Status:    StatusHolds,
-			Evidence:  "hinetbench -sweep nr (analytic crossover at nr≈15); examples/p2p (EMDG churn boundary)",
+			Evidence:  "hinetbench -sweep nr (analytic crossover at nr≈15); hinetbench -sweep mobility (the saving shrinks as the measured n_r rises with speed)",
 		},
 	}
 }

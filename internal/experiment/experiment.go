@@ -227,209 +227,190 @@ type seedSample struct {
 // with whatever instrumentation the spec arms. It is the unit of work both
 // runRow's per-row pool and RunGrid's cross-seed pool schedule.
 func runSeed(spec runSpec, i int) seedSample {
-	type sample = seedSample
-	{
-		seed := uint64(i)*1_000_003 + 17
-		d, p := spec.build(seed)
-		assign := token.Spread(spec.n, spec.k, xrand.New(seed^0xabcdef))
-		opts := sim.Options{MaxRounds: spec.budget, SizeFn: wire.Size}
-		if spec.faults != nil {
-			// Per-replication copy so each seed draws its own fault
-			// randomness; the schedule fields are shared read-only.
-			plan := *spec.faults
-			plan.Seed ^= seed
-			opts.Faults = &plan
+	seed := uint64(i)*1_000_003 + 17
+	d, p := spec.build(seed)
+	assign := token.Spread(spec.n, spec.k, xrand.New(seed^0xabcdef))
+	opts := sim.Options{MaxRounds: spec.budget, SizeFn: wire.Size}
+	if spec.faults != nil {
+		// Per-replication copy so each seed draws its own fault
+		// randomness; the schedule fields are shared read-only.
+		plan := *spec.faults
+		plan.Seed ^= seed
+		opts.Faults = &plan
+	}
+	if spec.arrivals != nil {
+		// Same idiom: each seed draws its own traffic.
+		arr := *spec.arrivals
+		arr.Seed ^= seed
+		opts.Arrivals = &arr
+	}
+	if spec.selfstab != nil {
+		ss := *spec.selfstab
+		opts.SelfStabilize = &ss
+	}
+	if spec.stop != nil {
+		stop := spec.stop
+		opts.Stop = func(int) bool { return stop() }
+	}
+	var sinks seedSinks
+	var met *sim.Metrics
+	err := sinks.open(spec, i, &opts)
+	if err == nil {
+		met, err = sim.RunProtocol(d, p, assign, opts)
+	}
+	if cerr := sinks.close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return seedSample{err: err}
+	}
+	t := met.CompletionRound
+	if !met.Complete {
+		t = spec.budget
+	}
+	s := seedSample{
+		time:      t,
+		comm:      met.TokensSent,
+		bytes:     met.BytesSent,
+		relay:     met.TokensByRole[ctvg.Head] + met.TokensByRole[ctvg.Gateway],
+		member:    met.TokensByRole[ctvg.Member] + met.TokensByRole[ctvg.Unaffiliated],
+		first:     met.FirstDeliveries,
+		redundant: met.RedundantDeliveries,
+		complete:  met.Complete,
+	}
+	if rec := sinks.rec; rec != nil {
+		if h := rec.Health(); h != nil {
+			s.health = h.Violations()
 		}
-		if spec.arrivals != nil {
-			// Same idiom: each seed draws its own traffic.
-			arr := *spec.arrivals
-			arr.Seed ^= seed
-			opts.Arrivals = &arr
+		s.bundles = len(rec.Bundles())
+	}
+	if sinks.tracer != nil {
+		s.pace = sinks.tracer.PaceViolations()
+	}
+	if tm := sinks.tm; tm != nil {
+		s.wall = make([]int64, sim.NumStages)
+		s.cpu = make([]int64, sim.NumStages)
+		for st, br := range tm.Breakdown() {
+			s.wall[st] = br.WallNs
+			s.cpu[st] = br.CPUNs
 		}
-		if spec.selfstab != nil {
-			ss := *spec.selfstab
-			opts.SelfStabilize = &ss
-		}
-		if spec.stop != nil {
-			stop := spec.stop
-			opts.Stop = func(int) bool { return stop() }
-		}
-		var col *obs.Collector
-		var rec *recorder.Recorder
-		var mf *os.File
-		rules := spec.healthRules
-		if spec.paceBudget == nil {
-			// The Theorem-1 pace floor only governs Algorithm 1 rows; on
-			// the other rows the rule would flag perfectly healthy runs.
-			kept := rules[:0:0]
-			for _, r := range rules {
-				if r.Kind != health.KindPace {
-					kept = append(kept, r)
-				}
+		s.rounds = tm.Rounds()
+	}
+	return s
+}
+
+// seedSinks is what one replication opens: the metrics collector, or the
+// flight recorder that owns it, the provenance tracer, the timing sink,
+// and the file behind each.
+type seedSinks struct {
+	col        *obs.Collector
+	rec        *recorder.Recorder
+	tracer     *provenance.Tracer
+	tm         *obs.Timing
+	mf, pf, tf *os.File
+}
+
+// open creates replication i's files and sinks and attaches them to opts.
+// On error it keeps what it opened so far, for close.
+func (s *seedSinks) open(spec runSpec, i int, opts *sim.Options) error {
+	path := func(dir, ext string) string {
+		return filepath.Join(dir, fmt.Sprintf("%s_seed%02d%s", spec.slug, i, ext))
+	}
+	rules := spec.healthRules
+	if spec.paceBudget == nil {
+		// The Theorem-1 pace floor only governs Algorithm 1 rows; on
+		// the other rows the rule would flag perfectly healthy runs.
+		kept := rules[:0:0]
+		for _, r := range rules {
+			if r.Kind != health.KindPace {
+				kept = append(kept, r)
 			}
-			rules = kept
 		}
-		recording := len(spec.healthRules) > 0 || spec.dumpDir != ""
-		if spec.metricsDir != "" || recording {
-			var sink io.Writer
-			if spec.metricsDir != "" {
-				path := filepath.Join(spec.metricsDir, fmt.Sprintf("%s_seed%02d.jsonl", spec.slug, i))
-				var err error
-				mf, err = os.Create(path)
-				if err != nil {
-					return sample{err: err}
-				}
-				sink = mf
-			}
-			ocfg := obs.Config{
-				N: spec.n, K: spec.k, PhaseLen: spec.phaseLen,
-				Sink: sink, SizeFn: wire.Size,
-				Arrivals: spec.arrivals != nil,
-			}
-			if recording {
-				rec = recorder.New(recorder.Config{
-					Obs:       ocfg,
-					Rules:     rules,
-					Alpha:     spec.alpha,
-					DumpDir:   spec.dumpDir,
-					Prefix:    fmt.Sprintf("%s_seed%02d", spec.slug, i),
-					FaultPlan: opts.Faults,
-				})
-				col = rec.Collector()
-				opts.Observer = rec.Observer()
-			} else {
-				col = obs.NewCollector(ocfg)
-				opts.Observer = col.Observer()
-			}
-		}
-		var tracer *provenance.Tracer
-		var pf *os.File
-		if spec.provDir != "" {
-			path := filepath.Join(spec.provDir, fmt.Sprintf("%s_seed%02d.prov.jsonl", spec.slug, i))
+		rules = kept
+	}
+	recording := len(spec.healthRules) > 0 || spec.dumpDir != ""
+	if spec.metricsDir != "" || recording {
+		var sink io.Writer
+		if spec.metricsDir != "" {
 			var err error
-			pf, err = os.Create(path)
-			if err != nil {
-				if mf != nil {
-					mf.Close()
-				}
-				return sample{err: err}
+			if s.mf, err = os.Create(path(spec.metricsDir, ".jsonl")); err != nil {
+				return err
 			}
-			tracer = provenance.New(provenance.Config{Sink: pf, Budget: spec.paceBudget})
-			opts.Tracer = tracer
+			sink = s.mf
 		}
-		var tm *obs.Timing
-		var tf *os.File
-		if spec.timingDir != "" {
-			path := filepath.Join(spec.timingDir, fmt.Sprintf("%s_seed%02d.timing.jsonl", spec.slug, i))
-			var err error
-			tf, err = os.Create(path)
-			if err != nil {
-				if mf != nil {
-					mf.Close()
-				}
-				if pf != nil {
-					pf.Close()
-				}
-				return sample{err: err}
-			}
-			tm = obs.NewTiming(obs.TimingConfig{Sink: tf})
-			opts.Timing = tm
-			opts.LabelCtx = pprof.WithLabels(context.Background(),
-				pprof.Labels("alg", spec.slug))
+		ocfg := obs.Config{
+			N: spec.n, K: spec.k, PhaseLen: spec.phaseLen,
+			Sink: sink, SizeFn: wire.Size,
+			Arrivals: spec.arrivals != nil,
 		}
-		if rec != nil && tm != nil {
+		if recording {
+			s.rec = recorder.New(recorder.Config{
+				Obs:       ocfg,
+				Rules:     rules,
+				Alpha:     spec.alpha,
+				DumpDir:   spec.dumpDir,
+				Prefix:    fmt.Sprintf("%s_seed%02d", spec.slug, i),
+				FaultPlan: opts.Faults,
+			})
+			s.col = s.rec.Collector()
+			opts.Observer = s.rec.Observer()
+		} else {
+			s.col = obs.NewCollector(ocfg)
+			opts.Observer = s.col.Observer()
+		}
+	}
+	if spec.provDir != "" {
+		var err error
+		if s.pf, err = os.Create(path(spec.provDir, ".prov.jsonl")); err != nil {
+			return err
+		}
+		s.tracer = provenance.New(provenance.Config{Sink: s.pf, Budget: spec.paceBudget})
+		opts.Tracer = s.tracer
+	}
+	if spec.timingDir != "" {
+		var err error
+		if s.tf, err = os.Create(path(spec.timingDir, ".timing.jsonl")); err != nil {
+			return err
+		}
+		s.tm = obs.NewTiming(obs.TimingConfig{Sink: s.tf})
+		opts.Timing = s.tm
+		opts.LabelCtx = pprof.WithLabels(context.Background(),
+			pprof.Labels("alg", spec.slug))
+		if s.rec != nil {
 			// Tee stage timings into the flight-recorder ring (and its
 			// stage-regression rule) on their way to the timing sink.
-			opts.Timing = rec.TimingSink(tm)
+			opts.Timing = s.rec.TimingSink(s.tm)
 		}
-		met, err := sim.RunProtocol(d, p, assign, opts)
-		if err != nil {
-			if mf != nil {
-				mf.Close()
-			}
-			if pf != nil {
-				pf.Close()
-			}
-			if tf != nil {
-				tf.Close()
-			}
-			return sample{err: err}
-		}
-		var healthViol, bundleCnt int
-		if rec != nil {
-			err := rec.Close()
-			if mf != nil {
-				if cerr := mf.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				return sample{err: err}
-			}
-			if h := rec.Health(); h != nil {
-				healthViol = h.Violations()
-			}
-			bundleCnt = len(rec.Bundles())
-		} else if col != nil {
-			err := col.Flush()
-			if cerr := mf.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return sample{err: err}
-			}
-		}
-		if tracer != nil {
-			err := tracer.Flush()
-			if cerr := pf.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return sample{err: err}
-			}
-		}
-		t := met.CompletionRound
-		if !met.Complete {
-			t = spec.budget
-		}
-		var wall, cpu []int64
-		rounds := 0
-		if tm != nil {
-			err := tm.Flush()
-			if cerr := tf.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return sample{err: err}
-			}
-			wall = make([]int64, sim.NumStages)
-			cpu = make([]int64, sim.NumStages)
-			for st, br := range tm.Breakdown() {
-				wall[st] = br.WallNs
-				cpu[st] = br.CPUNs
-			}
-			rounds = tm.Rounds()
-		}
-		s := sample{
-			time:      t,
-			comm:      met.TokensSent,
-			bytes:     met.BytesSent,
-			relay:     met.TokensByRole[ctvg.Head] + met.TokensByRole[ctvg.Gateway],
-			member:    met.TokensByRole[ctvg.Member] + met.TokensByRole[ctvg.Unaffiliated],
-			first:     met.FirstDeliveries,
-			redundant: met.RedundantDeliveries,
-			complete:  met.Complete,
-			wall:      wall,
-			cpu:       cpu,
-			rounds:    rounds,
-			health:    healthViol,
-			bundles:   bundleCnt,
-		}
-		if tracer != nil {
-			s.pace = tracer.PaceViolations()
-		}
-		return s
 	}
+	return nil
+}
+
+// close flushes every sink and closes every file, whichever of them
+// fails, and returns the first error.
+func (s *seedSinks) close() error {
+	var err error
+	keep := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	if s.rec != nil {
+		keep(s.rec.Close())
+	} else if s.col != nil {
+		keep(s.col.Flush())
+	}
+	if s.tracer != nil {
+		keep(s.tracer.Flush())
+	}
+	if s.tm != nil {
+		keep(s.tm.Flush())
+	}
+	for _, f := range []*os.File{s.mf, s.pf, s.tf} {
+		if f != nil {
+			keep(f.Close())
+		}
+	}
+	return err
 }
 
 func runRow(spec runSpec, analytic analysis.Cost) (RowResult, error) {

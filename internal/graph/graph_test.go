@@ -257,24 +257,6 @@ func TestDiameterAndEccentricity(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodWithin(t *testing.T) {
-	g := Path(6)
-	nb := g.NeighborhoodWithin(2, 2)
-	want := []int{0, 1, 2, 3, 4}
-	if len(nb) != len(want) {
-		t.Fatalf("N2(2)=%v", nb)
-	}
-	for i := range want {
-		if nb[i] != want[i] {
-			t.Fatalf("N2(2)=%v", nb)
-		}
-	}
-	nb0 := g.NeighborhoodWithin(2, 0)
-	if len(nb0) != 1 || nb0[0] != 2 {
-		t.Fatalf("N0(2)=%v", nb0)
-	}
-}
-
 func TestAllPairsMatchesBFS(t *testing.T) {
 	rng := xrand.New(8)
 	g := RandomConnected(12, 20, rng)

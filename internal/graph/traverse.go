@@ -169,19 +169,6 @@ func (g *Graph) AllPairsDistances() [][]int {
 	return out
 }
 
-// NeighborhoodWithin returns all vertices at hop distance <= d from src,
-// sorted ascending. d=0 yields {src}.
-func (g *Graph) NeighborhoodWithin(src, d int) []int {
-	dist, _ := g.BFS(src)
-	var out []int
-	for v, dv := range dist {
-		if dv <= d {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 func sortInts(xs []int) {
 	// Insertion sort: component lists are produced nearly ordered and are
 	// typically small; avoids importing sort in this file twice.

@@ -290,9 +290,8 @@ func TestRunRejectsRoundsPastBurstMemo(t *testing.T) {
 
 // The two engine benchmarks document the parallelism granularity rule:
 // flooding on a path does ~150ns of work per node-round, far below the
-// goroutine fan-out cost, so Workers > 1 LOSES here. Protocols with heavy
-// per-node steps (GF(2) decoding — see internal/netcode's
-// BenchmarkCodedSerial/Parallel) win. Choose Workers accordingly.
+// goroutine fan-out cost, so Workers > 1 LOSES here. Only protocols with
+// heavy per-node steps gain from shards. Choose Workers accordingly.
 func BenchmarkEngineSerial1000(b *testing.B) {
 	d := staticPath(1000)
 	assign := token.SingleSource(1000, 8, 0)

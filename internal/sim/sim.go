@@ -368,8 +368,8 @@ type Observer struct {
 	// Sent is called for every non-nil message of round r.
 	Sent func(r int, msg *Message)
 	// Progress, if set, is called after each round's deliveries with the
-	// total number of (node, token) pairs delivered so far — the raw
-	// material for convergence curves. The maximum is n·k.
+	// total number of (node, token) pairs delivered so far. The maximum is
+	// n·k.
 	Progress func(r int, delivered int)
 	// Crashed, if set, is called once per crash when fault injection fells
 	// node v at the top of round r, in ascending node order within a

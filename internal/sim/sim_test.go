@@ -284,6 +284,43 @@ func TestMessageCost(t *testing.T) {
 	}
 }
 
+// codedNode broadcasts its whole set every round as one KindCoded packet
+// with Units 1: a stand-in for a network-coded protocol, whose packet
+// carries a coefficient vector but costs one token-equivalent.
+type codedNode struct{ floodNode }
+
+func (c *codedNode) Send(v View) *Message {
+	return &Message{To: NoAddr, Kind: KindCoded, Tokens: c.ta.Clone(), Units: 1}
+}
+
+type codedProto struct{}
+
+func (codedProto) Name() string { return "test-coded" }
+
+func (codedProto) Nodes(a *token.Assignment) []Node {
+	out := make([]Node, a.N())
+	for v := range out {
+		out[v] = &codedNode{floodNode{ta: a.Initial[v].Clone()}}
+	}
+	return out
+}
+
+func TestCodedPacketsChargedOneUnit(t *testing.T) {
+	// 3-node path, 4 tokens at node 0, 2 rounds: every node sends one
+	// coded packet per round. By payload size the run would cost
+	// 4+0+0 + 4+4+0 = 12; charged by Units it costs one per packet.
+	d := staticPath(3)
+	assign := token.SingleSource(3, 4, 0)
+	m := MustRunProtocol(d, codedProto{}, assign, Options{MaxRounds: 2})
+	if m.Messages != 6 || m.TokensSent != 6 {
+		t.Fatalf("messages %d, tokens sent %d; want 6 and 6", m.Messages, m.TokensSent)
+	}
+	want := [NumKinds]int64{KindCoded: 6}
+	if m.MessagesByKind != want || m.TokensByKind != want {
+		t.Fatalf("per-kind accounting %v %v, want %v for both", m.MessagesByKind, m.TokensByKind, want)
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if KindBroadcast.String() != "broadcast" || KindUpload.String() != "upload" || KindRelay.String() != "relay" {
 		t.Fatal("kind strings wrong")

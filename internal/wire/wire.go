@@ -7,8 +7,9 @@
 // in this repository encode very differently:
 //
 //   - singleton packets (Algorithm 1, KLO-T): one varint token ID;
-//   - set packets (Algorithm 2, flooding, gossip): a packed token bitmap;
-//   - coded packets (Haeupler–Karger): a k-bit coefficient vector plus one
+//   - set packets (Algorithm 2, flooding): a packed token bitmap;
+//   - coded packets (sim.KindCoded, after Haeupler–Karger; no protocol in
+//     this repository sends them): a k-bit coefficient vector plus one
 //     token-sized payload.
 //
 // Size reports the exact on-wire size of a message under this encoding;

@@ -99,11 +99,6 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	return hi
 }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -174,11 +169,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Pick returns a uniformly chosen element of xs. It panics on an empty slice.
-func Pick[T any](r *Rand, xs []T) T {
-	return xs[r.Intn(len(xs))]
 }
 
 // Sample returns k distinct elements chosen uniformly from xs, in random

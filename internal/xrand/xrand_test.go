@@ -232,18 +232,6 @@ func TestSampleDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestPickCoversAll(t *testing.T) {
-	r := New(31)
-	xs := []string{"a", "b", "c"}
-	seen := map[string]bool{}
-	for i := 0; i < 300; i++ {
-		seen[Pick(r, xs)] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("Pick over 300 draws only saw %v", seen)
-	}
-}
-
 func TestShuffleSmall(t *testing.T) {
 	r := New(37)
 	// Shuffling 0 or 1 elements must be a no-op and not panic.
