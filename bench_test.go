@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"runtime"
@@ -503,8 +504,9 @@ func BenchmarkHiNet10kAlg2K4096(b *testing.B) { benchHiNet10k(b, 4096, true) }
 // behind the working window is discarded. No snapshot list is ever built —
 // retained memory is O(n + window), independent of how many rounds run,
 // which the live-MB metric (live heap after the run, trace still
-// referenced) makes visible next to ns/op.
-func benchHiNetStream(b *testing.B, n, k, rounds int, alg2 bool) {
+// referenced) makes visible next to ns/op. workers is sim.Options.Workers:
+// 0 lets the engine choose the shard count.
+func benchHiNetStream(b *testing.B, n, k, rounds, workers int, alg2 bool) {
 	const (
 		alpha = 2
 		l     = 2
@@ -523,11 +525,11 @@ func benchHiNetStream(b *testing.B, n, k, rounds int, alg2 bool) {
 		var met *sim.Metrics
 		if alg2 {
 			met = sim.MustRunProtocol(adv, core.Alg2{}, assign, sim.Options{
-				MaxRounds: rounds, StopWhenComplete: true, SizeFn: wire.Size,
+				MaxRounds: rounds, StopWhenComplete: true, SizeFn: wire.Size, Workers: workers,
 			})
 		} else {
 			met = sim.MustRunProtocol(adv, core.Alg1{T: T}, assign, sim.Options{
-				MaxRounds: rounds, SizeFn: wire.Size,
+				MaxRounds: rounds, SizeFn: wire.Size, Workers: workers,
 			})
 		}
 		if !met.Complete {
@@ -548,7 +550,7 @@ func benchHiNetStream(b *testing.B, n, k, rounds int, alg2 bool) {
 func BenchmarkHiNet100k(b *testing.B) {
 	T := core.Theorem1T(16, 2, 2)
 	rounds := core.Theorem1Phases(50, 2) * T
-	benchHiNetStream(b, 100_000, 16, rounds, false)
+	benchHiNetStream(b, 100_000, 16, rounds, 0, false)
 }
 
 // BenchmarkHiNet100kLongTrace doubles the round budget at the same point:
@@ -557,14 +559,14 @@ func BenchmarkHiNet100k(b *testing.B) {
 func BenchmarkHiNet100kLongTrace(b *testing.B) {
 	T := core.Theorem1T(16, 2, 2)
 	rounds := 2 * core.Theorem1Phases(50, 2) * T
-	benchHiNetStream(b, 100_000, 16, rounds, false)
+	benchHiNetStream(b, 100_000, 16, rounds, 0, false)
 }
 
 // BenchmarkHiNet100kAlg2 runs Algorithm 2 to completion at 100k: per-round
 // communication is Θ(n) relays regardless of n's flat neighborhoods, so
 // completion cost scales like n · completion-rounds.
 func BenchmarkHiNet100kAlg2(b *testing.B) {
-	benchHiNetStream(b, 100_000, 16, 400, true)
+	benchHiNetStream(b, 100_000, 16, 400, 0, true)
 }
 
 // BenchmarkHiNet10kStream is the same streamed pipeline at 10k — the base
@@ -572,7 +574,25 @@ func BenchmarkHiNet100kAlg2(b *testing.B) {
 func BenchmarkHiNet10kStream(b *testing.B) {
 	T := core.Theorem1T(16, 2, 2)
 	rounds := core.Theorem1Phases(50, 2) * T
-	benchHiNetStream(b, 10_000, 16, rounds, false)
+	benchHiNetStream(b, 10_000, 16, rounds, 0, false)
+}
+
+// BenchmarkShardCrossover measures where within-run shards start to pay,
+// the crossover behind the engine's default shard count (minShardNodes in
+// internal/sim): BenchmarkHiNet100k's Alg1 instance at four sizes, serial
+// and on two shards. Re-measure it with
+//
+//	go test -run '^$' -bench ShardCrossover -benchmem -count 2 -cpu 2 .
+func BenchmarkShardCrossover(b *testing.B) {
+	T := core.Theorem1T(16, 2, 2)
+	rounds := core.Theorem1Phases(50, 2) * T
+	for _, n := range []int{1_000, 4_000, 16_000, 100_000} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
+				benchHiNetStream(b, n, 16, rounds, workers, false)
+			})
+		}
+	}
 }
 
 // BenchmarkHiNet10kTimed is the timing-on variant of BenchmarkHiNet10k —

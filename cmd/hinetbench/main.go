@@ -81,12 +81,12 @@ func main() {
 		arrHot    = flag.Int("arrival-hotspot", -1, "concentrate arrivals on this node's cluster (-1 = uniform)")
 		arrSLA    = flag.Int("arrival-sla", 0, "per-token latency deadline in rounds (0 = off)")
 		arrSeed   = flag.Uint64("arrival-seed", 1, "load test seed (topology and traffic)")
-		workers   = flag.Int("workers", 0, "engine shards for the load test (0 = serial)")
+		workers   = flag.Int("workers", 0, "engine shards for the load test (0 = one per 4096 nodes, at most GOMAXPROCS; 1 = serial)")
 	)
 	flag.Parse()
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateFlags(set, *arrival != "", *table, *all); err != nil {
+	if err := validateFlags(set, *arrival != "", *table, *sweep != "", *all); err != nil {
 		fatal(err)
 	}
 

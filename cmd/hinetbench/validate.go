@@ -7,11 +7,11 @@ import (
 
 // modeFlags lists the flags that only some modes read, with those modes:
 // the load-test flags only -arrival, the Table 3 sinks and the emergent
-// hierarchy only -table 3 (alone or through -all), and the flight
-// recorder both.
+// hierarchy only -table 3 (alone or through -all), the flight recorder
+// both, and the replication count -table 3 and the sweeps.
 var modeFlags = []struct {
-	arrival, table3 bool // the modes that read flags
-	flags           []string
+	arrival, table3, sweep bool // the modes that read flags
+	flags                  []string
 }{
 	{arrival: true, flags: []string{
 		"arrival-n", "arrival-k", "arrival-rounds", "arrival-proto", "arrival-on",
@@ -19,16 +19,17 @@ var modeFlags = []struct {
 	}},
 	{table3: true, flags: []string{"selfstab", "metrics", "timing"}},
 	{arrival: true, table3: true, flags: []string{"health", "dump-dir"}},
+	{table3: true, sweep: true, flags: []string{"seeds"}},
 }
 
 // validateFlags rejects a flag that the selected modes never read, so a
 // misplaced option fails instead of being silently ignored. set holds the
-// names of the flags given on the command line; arrival, table and all are
-// the mode selectors' values.
-func validateFlags(set map[string]bool, arrival bool, table int, all bool) error {
+// names of the flags given on the command line; arrival, table, sweep and
+// all are the mode selectors' values (sweep: a -sweep was given).
+func validateFlags(set map[string]bool, arrival bool, table int, sweep, all bool) error {
 	table3 := table == 3 || all
 	for _, m := range modeFlags {
-		if m.arrival && arrival || m.table3 && table3 {
+		if m.arrival && arrival || m.table3 && table3 || m.sweep && (sweep || all) {
 			continue
 		}
 		for _, name := range m.flags {
@@ -41,6 +42,9 @@ func validateFlags(set map[string]bool, arrival bool, table int, all bool) error
 			}
 			if m.table3 {
 				modes = append(modes, "-table 3", "-all")
+			}
+			if m.sweep {
+				modes = append(modes, "-sweep")
 			}
 			return fmt.Errorf("-%s needs %s", name, strings.Join(modes, " or "))
 		}

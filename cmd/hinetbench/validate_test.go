@@ -13,6 +13,7 @@ func TestValidateFlags(t *testing.T) {
 		set     string // flags given on the command line, space-separated
 		arrival bool
 		table   int
+		sweep   bool
 		all     bool
 		wantErr string // substring, "" = valid
 	}{
@@ -27,12 +28,18 @@ func TestValidateFlags(t *testing.T) {
 		{name: "table 2 ignores load test and selfstab",
 			set: "table arrival-on arrival-sla workers selfstab", table: 2, wantErr: "-arrival-on needs -arrival"},
 		{name: "workers without arrival", set: "table workers", table: 3, wantErr: "-workers needs -arrival"},
-		{name: "arrival seed without arrival", set: "sweep arrival-seed", wantErr: "-arrival-seed needs -arrival"},
+		{name: "arrival seed without arrival", set: "sweep arrival-seed", sweep: true, wantErr: "-arrival-seed needs -arrival"},
 		{name: "selfstab on load test", set: "arrival selfstab", arrival: true, wantErr: "-selfstab needs -table 3 or -all"},
-		{name: "metrics on sweep", set: "sweep metrics", wantErr: "-metrics needs -table 3"},
+		{name: "metrics on sweep", set: "sweep metrics", sweep: true, wantErr: "-metrics needs -table 3"},
 		{name: "timing on table 2", set: "table timing", table: 2, wantErr: "-timing needs -table 3"},
-		{name: "health on sweep", set: "sweep health", wantErr: "-health needs -arrival or -table 3 or -all"},
+		{name: "health on sweep", set: "sweep health", sweep: true, wantErr: "-health needs -arrival or -table 3 or -all"},
 		{name: "dump-dir on claims", set: "claims dump-dir", wantErr: "-dump-dir needs -arrival or -table 3 or -all"},
+		{name: "seeds on table 3", set: "table seeds", table: 3},
+		{name: "seeds on sweep", set: "sweep seeds", sweep: true},
+		{name: "smoke: all with seeds", set: "all seeds", all: true},
+		{name: "seeds on load test", set: "arrival seeds", arrival: true, wantErr: "-seeds needs -table 3 or -all or -sweep"},
+		{name: "seeds on table 2", set: "table seeds", table: 2, wantErr: "-seeds needs -table 3 or -all or -sweep"},
+		{name: "seeds on claims", set: "claims seeds", wantErr: "-seeds needs -table 3 or -all or -sweep"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,7 +47,7 @@ func TestValidateFlags(t *testing.T) {
 			for _, f := range strings.Fields(tc.set) {
 				set[f] = true
 			}
-			err := validateFlags(set, tc.arrival, tc.table, tc.all)
+			err := validateFlags(set, tc.arrival, tc.table, tc.sweep, tc.all)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -106,7 +106,7 @@ func main() {
 		timing   = flag.String("timing", "", "write per-round engine stage spans (JSONL) to this file and print a breakdown")
 		tsample  = flag.Int("timing-sample", 0, "rounds between timing resource samples (0 = default 32)")
 		tnorm    = flag.Bool("timing-normalize", false, "zero durations/resources in the timing JSONL, keeping structure (determinism checks)")
-		workers  = flag.Int("workers", 0, "within-round parallelism (0 or 1 = serial)")
+		workers  = flag.Int("workers", 0, "engine shards per run (0 = one per 4096 nodes, at most GOMAXPROCS; 1 = serial)")
 
 		drop         = flag.Float64("drop", 0, "i.i.d. per-delivery message loss probability")
 		burst        = flag.String("burst", "", "Gilbert–Elliott bursty loss as pGoodBad,pBadGood,dropBad")
@@ -661,10 +661,14 @@ func runFig3(mi *instr) error {
 func runHiNet(n, k, theta, alpha, l, reaffil, churn int, seed uint64, mi *instr) error {
 	T := core.Theorem1T(k, alpha, l)
 	phases := core.Theorem1Phases(theta, alpha)
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
+	cfg := adversary.HiNetConfig{
 		N: n, Theta: theta, L: l, T: T,
 		Reaffiliations: reaffil, ChurnEdges: churn,
-	}, xrand.New(seed))
+	}
+	if err := checkHiNet(cfg); err != nil {
+		return err
+	}
+	adv := adversary.NewHiNet(cfg, xrand.New(seed))
 	if err := (hinet.Model{T: T, L: l}).CheckValid(adv, phases); err != nil {
 		return fmt.Errorf("generated network violates the model: %w", err)
 	}
@@ -687,10 +691,14 @@ func runHiNet(n, k, theta, alpha, l, reaffil, churn int, seed uint64, mi *instr)
 }
 
 func runOneL(n, k, theta, l, reaffil, churn int, seed uint64, mi *instr) error {
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
+	cfg := adversary.HiNetConfig{
 		N: n, Theta: theta, L: l, T: 1,
 		Reaffiliations: reaffil, HeadChurn: 1, ChurnEdges: churn,
-	}, xrand.New(seed))
+	}
+	if err := checkHiNet(cfg); err != nil {
+		return err
+	}
+	adv := adversary.NewHiNet(cfg, xrand.New(seed))
 	assign := token.Spread(n, k, xrand.New(seed+1))
 	opts, err := mi.attach(sim.Options{
 		MaxRounds: core.Theorem2Rounds(n), StopWhenComplete: true,

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/adversary"
 )
 
 // validateFlags rejects numeric flag values that would otherwise reach the
@@ -22,6 +24,16 @@ func validateFlags(drop, arrival float64, stallWindow int, stallSet bool) error 
 	}
 	if stallWindow < 0 || (stallSet && stallWindow == 0) {
 		return fmt.Errorf("-stall-window: window must be a positive round count (got %d); omit the flag to disable the watchdog", stallWindow)
+	}
+	return nil
+}
+
+// checkHiNet rejects a HiNet scenario whose flags the adversary cannot
+// build (too few nodes for -theta heads at -l hops, a -theta above -n),
+// naming those flags, before adversary.NewHiNet would panic on it.
+func checkHiNet(cfg adversary.HiNetConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("-n %d, -theta %d, -l %d: %w", cfg.N, cfg.Theta, cfg.L, err)
 	}
 	return nil
 }

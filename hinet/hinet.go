@@ -76,7 +76,10 @@ type Protocol = sim.Protocol
 // strategy on every network and harness in this library, then hold it to
 // CheckConformance.
 
-// ProtocolNode is the per-node state machine interface (see sim.Node).
+// ProtocolNode is the per-node state machine interface (see sim.Node). On
+// a sharded run, which networks of 8192 nodes or more get by default, Send
+// and Deliver of different nodes run concurrently: a node may write only
+// its own state. RunOptions.Workers: 1 keeps a run serial.
 type ProtocolNode = sim.Node
 
 // Message is one transmission (see sim.Message).
@@ -253,8 +256,11 @@ type RunOptions struct {
 	// links and live nodes; this knob measures degradation beyond that
 	// assumption). An invalid plan is a Run error.
 	Faults *Faults
-	// Workers enables within-round parallelism (0 or 1 = serial). Results
-	// are bit-identical to serial runs, fault injection included.
+	// Workers sets within-round parallelism (see sim.Options.Workers): 0
+	// cuts one shard per 4096 nodes, at most GOMAXPROCS, so networks below
+	// 8192 nodes run serial; 1 keeps any run serial; a larger count is
+	// taken as given. Results are bit-identical to serial runs, fault
+	// injection included.
 	Workers int
 	// StallWindow, when positive, arms the engine's stall watchdog: a run
 	// making no token progress for StallWindow consecutive rounds is

@@ -38,7 +38,11 @@ type HiNetConfig struct {
 	ChurnEdges int
 }
 
-func (c HiNetConfig) validate() error {
+// Validate reports whether the configuration can be built: the node count
+// must host the heads and their gateway chains, and every count must be in
+// range. NewHiNet panics on a configuration that fails it, so a caller
+// that takes the parameters from a user checks them here first.
+func (c HiNetConfig) Validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("adversary: N=%d too small", c.N)
 	}
@@ -138,9 +142,9 @@ type HiNet struct {
 }
 
 // NewHiNet builds the adversary; it panics on an infeasible configuration
-// (see HiNetConfig).
+// (see HiNetConfig.Validate).
 func NewHiNet(cfg HiNetConfig, rng *xrand.Rand) *HiNet {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	headsPer := cfg.Heads

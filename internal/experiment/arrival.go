@@ -52,8 +52,9 @@ type ArrivalConfig struct {
 	// Seed drives topology and assignment randomness; the arrival process
 	// draws from its own Arrivals.Seed.
 	Seed uint64
-	// Workers is the engine shard count (0 or 1 = serial; results are
-	// bit-identical either way).
+	// Workers is the engine shard count, as sim.Options.Workers: 0 cuts
+	// one shard per 4096 nodes, at most GOMAXPROCS; 1 keeps the run
+	// serial. Results are bit-identical either way.
 	Workers int
 	// HealthRules, when non-empty, attaches the online health engine
 	// (internal/obs/health) with this rule spec; DumpDir, when non-empty,

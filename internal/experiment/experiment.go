@@ -52,7 +52,9 @@ type PointConfig struct {
 	NRT, NR1 int
 	// Seeds is the number of Monte-Carlo replications per row.
 	Seeds int
-	// Workers bounds parallelism (0 = GOMAXPROCS).
+	// Workers bounds the replication pool (0 = GOMAXPROCS). Each
+	// replication's engine keeps its default shard count, which is serial
+	// below 8192 nodes.
 	Workers int
 	// ChurnEdges is the per-round random edge churn of every adversary.
 	ChurnEdges int

@@ -290,8 +290,10 @@ func TestRunRejectsRoundsPastBurstMemo(t *testing.T) {
 
 // The two engine benchmarks document the parallelism granularity rule:
 // flooding on a path does ~150ns of work per node-round, far below the
-// goroutine fan-out cost, so Workers > 1 LOSES here. Only protocols with
-// heavy per-node steps gain from shards. Choose Workers accordingly.
+// goroutine fan-out cost, so Workers > 1 LOSES here. The same holds for
+// HiNet runs at 1k nodes; BenchmarkShardCrossover in the root package
+// measures the size at which shards start to pay, which sets the default
+// shard count (minShardNodes).
 func BenchmarkEngineSerial1000(b *testing.B) {
 	d := staticPath(1000)
 	assign := token.SingleSource(1000, 8, 0)

@@ -10,20 +10,27 @@ import (
 
 func TestWorkersForClamp(t *testing.T) {
 	cases := []struct {
-		workers, n, want int
+		workers, n, procs, want int
 	}{
-		{0, 5, 1},  // unset → serial
-		{-3, 5, 1}, // nonsense → serial
-		{1, 5, 1},
-		{4, 5, 4},
-		{5, 5, 5},
-		{8, 5, 5},  // more workers than nodes → clamp to n
-		{64, 1, 1}, // single node never parallelises
-		{16, 16, 16},
+		// Unset: one shard per minShardNodes nodes, at most procs.
+		{0, 5, 2, 1},                              // far below the threshold → serial
+		{0, 2*minShardNodes - 1, 2, 1},            // one node short of two shards → serial
+		{0, 10_000, 2, 2},                         // 10k on 2 procs → 2 shards
+		{0, 100_000, 1, 1},                        // one proc → serial at any size
+		{0, 100_000, 64, 100_000 / minShardNodes}, // many procs → capped at n/minShardNodes
+		{0, 64 * minShardNodes, 64, 64},           // ...and at procs
+		{-3, 5, 2, 1},                             // nonsense → serial
+		{-3, 100_000, 64, 1},                      // ...above the threshold too
+		{1, 100_000, 64, 1},                       // explicit serial above the threshold
+		{4, 5, 1, 4},                              // explicit counts ignore procs
+		{5, 5, 2, 5},
+		{8, 5, 2, 5},  // more workers than nodes → clamp to n
+		{64, 1, 2, 1}, // single node never parallelises
+		{16, 16, 2, 16},
 	}
 	for _, c := range cases {
-		if got := workersFor(Options{Workers: c.workers}, c.n); got != c.want {
-			t.Errorf("workersFor(Workers=%d, n=%d) = %d, want %d", c.workers, c.n, got, c.want)
+		if got := workersFor(c.workers, c.n, c.procs); got != c.want {
+			t.Errorf("workersFor(workers=%d, n=%d, procs=%d) = %d, want %d", c.workers, c.n, c.procs, got, c.want)
 		}
 	}
 }
