@@ -79,7 +79,10 @@ func Check(d ctvg.Dynamic, p sim.Protocol, assign *token.Assignment, rounds int)
 			},
 		}
 	}
-	first := sim.MustRun(d, nodes, assign, sim.Options{MaxRounds: rounds})
+	// Serial: every auditNode reports into the one out slice, and a
+	// sharded run (the default from 8192 nodes) would call Deliver of
+	// different shards concurrently.
+	first := sim.MustRun(d, nodes, assign, sim.Options{MaxRounds: rounds, Workers: 1})
 
 	// Determinism: replay and compare.
 	second := sim.MustRunProtocol(d, p, assign, sim.Options{MaxRounds: rounds})

@@ -8,8 +8,10 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/ctvg"
+	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/token"
+	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -129,6 +131,49 @@ func TestKitCatchesDomainViolation(t *testing.T) {
 	vs := Check(tr, rogueProto{}, assign, 5)
 	if len(vs) == 0 {
 		t.Fatal("domain violation not caught")
+	}
+}
+
+// loudRogueProto broadcasts every round while holding the out-of-domain
+// token k, so every node that hears anything reports one violation per
+// round.
+type loudRogueProto struct{}
+
+func (loudRogueProto) Name() string { return "loud-rogue" }
+func (loudRogueProto) Nodes(a *token.Assignment) []sim.Node {
+	nodes := make([]sim.Node, a.N())
+	for v := range nodes {
+		ta := a.Initial[v].Clone()
+		ta.Add(a.K)
+		nodes[v] = &loudRogueNode{cheatNode{ta: ta}}
+	}
+	return nodes
+}
+
+type loudRogueNode struct{ cheatNode }
+
+func (r *loudRogueNode) Send(v sim.View) *sim.Message {
+	m := v.NewMessage()
+	m.To, m.Kind, m.Tokens = sim.NoAddr, sim.KindBroadcast, v.NewSet()
+	return m
+}
+
+// TestKitOnShardedScale audits a star of 8192 nodes, two shards' worth
+// for an engine left to choose its shard count. Every node reports from
+// Deliver on every round, and the report must keep each violation, in the
+// serial run's (round, node) order.
+func TestKitOnShardedScale(t *testing.T) {
+	const n, rounds = 8192, 3
+	d := sim.NewFlat(tvg.Static{G: graph.Star(n, 0)})
+	vs := Check(d, loudRogueProto{}, token.SingleSource(n, 1, 0), rounds)
+	if len(vs) != n*rounds {
+		t.Fatalf("%d violations, want one per node per round (%d)", len(vs), n*rounds)
+	}
+	for i := 1; i < len(vs); i++ {
+		a, b := vs[i-1], vs[i]
+		if b.Round < a.Round || b.Round == a.Round && b.Node <= a.Node {
+			t.Fatalf("violation %d (%v) follows %v: not in (round, node) order", i, b, a)
+		}
 	}
 }
 

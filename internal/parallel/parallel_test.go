@@ -91,15 +91,6 @@ func BenchmarkForEach(b *testing.B) {
 
 func TestForEachBoundsCoversAllInOrder(t *testing.T) {
 	const n = 103 // intentionally not divisible by worker counts
-	for _, w := range []int{0, 1, 2, 4, 7, 103, 200} {
-		shards := Shards(n, w)
-		if shards < 1 || shards > n || (w > 0 && shards != min(w, n)) {
-			t.Fatalf("workers=%d: Shards=%d out of range", w, shards)
-		}
-	}
-	if s := Shards(0, 4); s != 0 {
-		t.Fatalf("Shards(0, 4) = %d, want 0", s)
-	}
 	// Empty shards at the front, in the middle and at the end must still
 	// run, each exactly once with its own bounds.
 	for _, bounds := range [][]int{
