@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet fmt lint build test race fuzz bench bench10k bench100k benchstat chaos cover smoke timing-smoke health-smoke
+.PHONY: check vet fmt lint build test race fuzz bench bench10k bench100k benchstat benchab chaos cover smoke timing-smoke health-smoke
 
 check: lint build test race
 
@@ -109,6 +109,22 @@ bench100k:
 benchstat:
 	$(GO) test -run '^$$' -bench 'BenchmarkHiNet1k|BenchmarkHiNet10k|BenchmarkHiNet100k' -benchmem -count 3 -timeout 2h . | tee bench.latest.out
 	$(GO) run ./cmd/benchdiff -input bench.latest.out BENCH_PR2.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR9.json BENCH_PR10.json
+
+# benchab runs the end-to-end benchmark (perfbench) on BASE and on this
+# checkout, or on HEAD when given, in PAIRS alternating pairs per workload
+# and writes BENCH_PR$(PR).json: medians, quartiles, wins, bounds, failed
+# repetitions, host and steal (see cmd/benchab). CLAIM=workload:metric
+# judges a speed claim by the 9-of-10-pairs and base-IQR rule; TRACE=N
+# adds N traced pairs per workload for per-layer medians. BASE is exported
+# with git archive under .bench_build/benchab/.
+PAIRS ?= 10
+BENCH_SECONDS ?= 30
+TRACE ?= 0
+benchab:
+	@if [ -z "$(BASE)" ] || [ -z "$(PR)" ]; then \
+		echo "usage: make benchab BASE=<rev> PR=<n> [HEAD=<rev>] [PAIRS=10] [BENCH_SECONDS=30] [WORKLOADS=a,b] [CLAIM=workload:metric] [TRACE=0]"; exit 2; fi
+	$(GO) run ./cmd/benchab -base '$(BASE)' -head '$(HEAD)' -out BENCH_PR$(PR).json \
+		-pairs $(PAIRS) -seconds $(BENCH_SECONDS) -workloads '$(WORKLOADS)' -claim '$(CLAIM)' -trace $(TRACE)
 
 # smoke runs every entry point end to end at its defaults: each hinetsim
 # scenario, hinetbench's whole evaluation at one seed, and every program

@@ -135,7 +135,7 @@ func main() {
 			stallSet = true
 		}
 	})
-	if err := validateFlags(*drop, *arrival, *stallWindow, stallSet); err != nil {
+	if err := validateFlags(*drop, *arrival, *stallWindow, stallSet, *scenario, *n, *k, *alpha); err != nil {
 		fmt.Fprintln(os.Stderr, "hinetsim:", err)
 		os.Exit(1)
 	}

@@ -32,7 +32,7 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.drop, tc.arrival, tc.stall, tc.stallSet)
+			err := validateFlags(tc.drop, tc.arrival, tc.stall, tc.stallSet, "hinet", 100, 8, 5)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -44,6 +44,45 @@ func TestValidateFlags(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestValidateCounts covers -alpha and -k: `hinetsim -scenario hinet
+// -alpha 0` used to panic with "core: non-positive divisor" and
+// `hinetsim -scenario mobility -n 1` with "token: Spread needs k <= n".
+// Both must be flag errors; fig1 and fig3 spread no tokens over -n nodes,
+// so -k is not checked there.
+func TestValidateCounts(t *testing.T) {
+	cases := []struct {
+		name     string
+		scenario string
+		n, k     int
+		alpha    int
+		wantErr  string // substring, "" = valid
+	}{
+		{name: "defaults", scenario: "hinet", n: 100, k: 8, alpha: 5},
+		{name: "alpha one", scenario: "hinet", n: 100, k: 8, alpha: 1},
+		{name: "alpha zero", scenario: "hinet", n: 100, k: 8, alpha: 0, wantErr: "-alpha"},
+		{name: "negative alpha", scenario: "onel", n: 100, k: 8, alpha: -2, wantErr: "-alpha"},
+		{name: "k equals n", scenario: "onel", n: 8, k: 8, alpha: 5},
+		{name: "k above n", scenario: "mobility", n: 1, k: 8, alpha: 5, wantErr: "-k"},
+		{name: "k zero", scenario: "hinet", n: 100, k: 0, alpha: 5, wantErr: "-k"},
+		{name: "negative k", scenario: "onel", n: 100, k: -1, alpha: 5, wantErr: "-k"},
+		{name: "fig3 ignores k", scenario: "fig3", n: 1, k: 8, alpha: 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := validateFlags(0, 0, 0, false, tc.scenario, tc.n, tc.k, tc.alpha)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("want error mentioning %q, got %v", tc.wantErr, err)
 			}
 		})
 	}

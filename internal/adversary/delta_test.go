@@ -57,13 +57,35 @@ func TestHiNetDeltaRecordingMatchesSnapshots(t *testing.T) {
 	}
 }
 
+// TestHiNetForwardOnlyDeltaRecording records a forward-only HiNet, whose
+// phases and churny rounds reuse the storage of discarded ones, over at
+// least three phases with and without churn, and compares it with the
+// snapshot recording of a memoising twin. The recorded base must be a deep
+// copy (phase 0's storage is reused by phase 2), and a run of phases that
+// change nothing must not make RecordDeltas ask for a recycled phase.
 func TestHiNetForwardOnlyDeltaRecording(t *testing.T) {
-	cfg := HiNetConfig{N: 40, Theta: 8, L: 2, T: 5, Reaffiliations: 3, HeadChurn: 1, ChurnEdges: 4}
-	snap, delt := hiNetPair(cfg, 11)
-	const rounds = 35
-	tr := ctvg.Record(snap, rounds)
-	dt := ctvg.RecordDeltas(delt.ForwardOnly(), rounds)
-	checkCTVGEqual(t, dt, tr, rounds)
+	for _, tc := range []struct {
+		name   string
+		cfg    HiNetConfig
+		rounds int
+	}{
+		{"churny", HiNetConfig{N: 40, Theta: 8, L: 2, T: 5, Reaffiliations: 3, HeadChurn: 1, ChurnEdges: 4}, 35},
+		{"stable", HiNetConfig{N: 40, Theta: 8, L: 3, T: 4, Reaffiliations: 3, HeadChurn: 2}, 24},
+		{"t1-churny", HiNetConfig{N: 30, Theta: 6, L: 2, T: 1, Reaffiliations: 2, ChurnEdges: 3}, 12},
+		{"t1-stable", HiNetConfig{N: 30, Theta: 6, L: 2, T: 1, Reaffiliations: 2, HeadChurn: 1}, 12},
+		// Every phase equals phase 0, so RecordDeltas records one window.
+		{"identical-phases", HiNetConfig{N: 30, Theta: 6, L: 2, T: 3}, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, delt := hiNetPair(tc.cfg, 11)
+			tr := ctvg.Record(snap, tc.rounds)
+			dt := ctvg.RecordDeltas(delt.ForwardOnly(), tc.rounds)
+			checkCTVGEqual(t, dt, tr, tc.rounds)
+			if got := delt.Stats().Phases; got < 3 {
+				t.Fatalf("recorded %d phases, want at least 3", got)
+			}
+		})
+	}
 }
 
 // TestHiNetNativeDeltasMatchGenericDiff pins the native WindowDelta algebra

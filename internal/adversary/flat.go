@@ -22,8 +22,18 @@
 // copy-on-write in O(n + churn). HiNet also emits its window transitions
 // natively through WindowDelta (ctvg.DeltaSource), so recording a delta
 // trace never pays an O(E) clone per round. OneInterval, whose rounds share
-// nothing by design, still memoises — there is no sub-O(E) representation
-// of maximal churn.
+// nothing by design, memoises every round by default.
+//
+// OneInterval, TInterval and HiNet each have a ForwardOnly mode for
+// single-pass consumers (the engine, ctvg.RecordDeltas): nothing behind the
+// working window is kept, and round storage is recycled, so a warm round
+// allocates no graph. Every rng draw stays where it is, so both modes
+// produce the same rounds. Rounds are requested in ascending order, the
+// graph and hierarchy of round r stay valid until round r+2 is generated,
+// and a consumer that keeps one longer deep-copies it. The experiment
+// harness builds every adversary forward-only; callers that need random
+// access (ctvg.Record, the hinet checkers, the hinet facade's networks)
+// keep the memoising mode.
 package adversary
 
 import (
@@ -42,6 +52,14 @@ type OneInterval struct {
 	m     int
 	rng   *xrand.Rand
 	snaps []*graph.Graph
+
+	// Forward-only mode: the last drawn round and its graph, drawn with
+	// bd's reused buffers into one of bufs.
+	forward bool
+	bd      *graph.Builder
+	bufs    graphPair
+	cur     int
+	curG    *graph.Graph
 }
 
 // NewOneInterval returns a 1-interval connected adversary on n nodes whose
@@ -57,21 +75,48 @@ func NewOneInterval(n, m int, rng *xrand.Rand) *OneInterval {
 	if m < n-1 || m > n*(n-1)/2 {
 		panic(fmt.Sprintf("adversary: infeasible edge count m=%d for n=%d", m, n))
 	}
-	return &OneInterval{n: n, m: m, rng: rng}
+	return &OneInterval{n: n, m: m, rng: rng, cur: -1}
+}
+
+// ForwardOnly switches the adversary into streaming mode for single-pass
+// consumers such as the engine: rounds are no longer memoised. Each round
+// is drawn, consuming the rng exactly as the memoising mode does, into one
+// of two recycled graphs. The lifetime rule:
+//   - rounds are requested in ascending order; an earlier round panics;
+//   - the graph from At(r) stays valid until the adversary generates round
+//     r+2;
+//   - anything kept longer is deep-copied (graph.Graph.DeepClone).
+//
+// Returns the receiver for chaining.
+func (a *OneInterval) ForwardOnly() *OneInterval {
+	a.forward = true
+	a.bd = graph.NewBuilder(a.n)
+	return a
 }
 
 // N implements tvg.Dynamic.
 func (a *OneInterval) N() int { return a.n }
 
-// At implements tvg.Dynamic; rounds are generated on demand and memoised.
+// At implements tvg.Dynamic; rounds are generated on demand and memoised
+// unless the adversary is forward-only.
 func (a *OneInterval) At(r int) *graph.Graph {
 	if r < 0 {
 		panic("adversary: negative round")
 	}
-	for len(a.snaps) <= r {
-		a.snaps = append(a.snaps, graph.RandomConnected(a.n, a.m, a.rng))
+	if !a.forward {
+		for len(a.snaps) <= r {
+			a.snaps = append(a.snaps, graph.RandomConnected(a.n, a.m, a.rng))
+		}
+		return a.snaps[r]
 	}
-	return a.snaps[r]
+	if r < a.cur {
+		panic(fmt.Sprintf("adversary: OneInterval round %d discarded (forward-only)", r))
+	}
+	for a.cur < r {
+		a.curG = a.bd.RandomConnected(a.m, a.rng, a.bufs.take())
+		a.cur++
+	}
+	return a.curG
 }
 
 // TInterval is a flat adversary realising T-interval connectivity on
@@ -90,10 +135,14 @@ type TInterval struct {
 	churn int // extra random edges per round
 	rng   *xrand.Rand
 
-	backbones []*graph.Graph // backbones[w] is window w's backbone
-	churnSets [][]graph.Edge // churnSets[r] is round r's effective churn
+	backbones []*graph.Graph // backbones[w-bbBase] is window w's backbone
+	bbBase    int
+	sets      churnMemo
 	curRound  int
 	curG      *graph.Graph
+
+	forward bool
+	bufs    graphPair
 }
 
 // NewTInterval returns a T-interval connected adversary on n nodes with
@@ -105,6 +154,22 @@ func NewTInterval(n, T, churn int, rng *xrand.Rand) *TInterval {
 	return &TInterval{n: n, T: T, churn: churn, rng: rng, curRound: -1}
 }
 
+// ForwardOnly switches the adversary into streaming mode for single-pass
+// consumers such as the engine: only the newest window's backbone and the
+// churn sets of the last two requested rounds are kept, and churny rounds
+// are assembled into one of two recycled graphs. Every rng draw stays
+// where it was. The lifetime rule:
+//   - rounds are requested in ascending order; an earlier round panics;
+//   - the graph from At(r) stays valid until the adversary generates round
+//     r+2;
+//   - anything kept longer is deep-copied (graph.Graph.DeepClone).
+//
+// Returns the receiver for chaining.
+func (a *TInterval) ForwardOnly() *TInterval {
+	a.forward = true
+	return a
+}
+
 // N implements tvg.Dynamic.
 func (a *TInterval) N() int { return a.n }
 
@@ -114,42 +179,28 @@ func (a *TInterval) Interval() int { return a.T }
 // backbone returns (drawing as needed) the stable spanning backbone of
 // window w.
 func (a *TInterval) backbone(w int) *graph.Graph {
-	for len(a.backbones) <= w {
-		a.backbones = append(a.backbones, graph.RandomTree(a.n, a.rng))
+	if w < a.bbBase {
+		panic(fmt.Sprintf("adversary: TInterval window %d discarded (forward-only)", w))
 	}
-	return a.backbones[w]
+	for a.bbBase+len(a.backbones) <= w {
+		bb := graph.RandomTree(a.n, a.rng)
+		if a.forward && len(a.backbones) == 1 {
+			// Forward-only mode keeps the newest backbone only.
+			a.backbones[0] = bb
+			a.bbBase++
+		} else {
+			a.backbones = append(a.backbones, bb)
+		}
+	}
+	return a.backbones[w-a.bbBase]
 }
 
 // ensureChurn draws (and memoises) the effective churn additions of every
 // round up to r, forcing each round's backbone before its draws exactly as
-// the snapshot path always did. Self-loops, edges already in the backbone
-// and within-round repeats add nothing, matching AddEdge's no-op outcomes.
+// the snapshot path always did.
 func (a *TInterval) ensureChurn(r int) {
-	for len(a.churnSets) <= r {
-		bb := a.backbone(len(a.churnSets) / a.T)
-		set := make([]graph.Edge, 0, a.churn)
-		for j := 0; j < a.churn; j++ {
-			u, v := a.rng.Intn(a.n), a.rng.Intn(a.n)
-			if u == v {
-				continue
-			}
-			e := graph.NormEdge(u, v)
-			if bb.HasEdge(e.U, e.V) {
-				continue
-			}
-			dup := false
-			for _, x := range set {
-				if x == e {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				set = append(set, e)
-			}
-		}
-		graph.SortEdges(set)
-		a.churnSets = append(a.churnSets, set)
+	for a.sets.next() <= r {
+		a.sets.draw(a.n, a.churn, a.backbone(a.sets.next()/a.T), a.rng)
 	}
 }
 
@@ -165,8 +216,18 @@ func (a *TInterval) At(r int) *graph.Graph {
 	if r == a.curRound {
 		return a.curG
 	}
+	if a.forward && r < a.curRound {
+		panic(fmt.Sprintf("adversary: TInterval round %d discarded (forward-only)", r))
+	}
 	a.ensureChurn(r)
-	g := a.backbone(r / a.T).ApplyDelta(&graph.Delta{Add: a.churnSets[r]})
+	d := &graph.Delta{Add: a.sets.at(r)}
+	var g *graph.Graph
+	if a.forward {
+		g = a.backbone(r/a.T).ApplyDeltaInto(a.bufs.take(), d)
+		a.sets.drop(a.curRound)
+	} else {
+		g = a.backbone(r / a.T).ApplyDelta(d)
+	}
 	a.curRound, a.curG = r, g
 	return g
 }

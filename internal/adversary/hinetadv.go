@@ -123,21 +123,26 @@ type HiNet struct {
 	pool     []int // the θ head-eligible node IDs
 	rng      *xrand.Rand
 	bd       *graph.Builder // reused across phase materialisations
+	// Phase-construction scratch: the free-node pool, then the member
+	// list (int32, like the builder's buffers, to keep it small), and the
+	// benched pool nodes of a head rotation.
+	scratch []int32
+	bench   []int
 
 	// phases[i] describes phase phaseBase+i; forward-only mode slides the
-	// base upward and discards older phases.
+	// base upward and recycles older phases.
 	phases    []*phase
 	phaseBase int
-	// churn[r-churnBase] is round r's effective churn additions: canonical
-	// sorted edges drawn for the round that are not already in the phase's
-	// stable graph.
-	churn     [][]graph.Edge
-	churnBase int
+	// churn holds each round's effective churn additions: canonical sorted
+	// edges drawn for the round that are not already in the phase's stable
+	// graph.
+	churn churnMemo
 	// One-round cursor for churny At: the last materialised snapshot.
 	curRound int
 	curG     *graph.Graph
 
 	forward bool
+	bufs    graphPair // forward-only churny rounds
 	stats   HiNetStats
 }
 
@@ -161,12 +166,22 @@ func NewHiNet(cfg HiNetConfig, rng *xrand.Rand) *HiNet {
 	return a
 }
 
-// ForwardOnly switches the adversary into streaming mode: phases (and, as
-// WindowDelta consumes them, churn sets) older than the working window are
-// discarded, so memory stays O(E + ChurnEdges·retained rounds) no matter
-// how many rounds are generated. Accessing a discarded round panics.
-// Intended for single-pass consumers like ctvg.RecordDeltas; returns the
-// receiver for chaining.
+// ForwardOnly switches the adversary into streaming mode for single-pass
+// consumers such as the engine and ctvg.RecordDeltas. Two phases are
+// kept; the phase dropping out of that window hands its hierarchy,
+// stable-graph storage and gateway map to the phase replacing it. Churn
+// sets are dropped as At and WindowDelta advance, and churny rounds are
+// assembled into one of two recycled graphs. Memory stays O(E + n) no
+// matter how many rounds are generated, and every rng draw stays where it
+// was. The lifetime rule:
+//   - rounds are requested in ascending order; a discarded round or phase
+//     panics;
+//   - the graph from At(r) and the hierarchy from HierarchyAt(r) stay
+//     valid until the adversary generates round r+2;
+//   - anything kept longer is deep-copied (graph.Graph.DeepClone,
+//     ctvg.Hierarchy.Clone).
+//
+// Returns the receiver for chaining.
 func (a *HiNet) ForwardOnly() *HiNet {
 	a.forward = true
 	return a
@@ -197,11 +212,22 @@ func (a *HiNet) At(r int) *graph.Graph {
 	if r == a.curRound {
 		return a.curG
 	}
+	if a.forward && r < a.curRound {
+		panic(fmt.Sprintf("adversary: HiNet round %d discarded (forward-only)", r))
+	}
 	a.ensureChurn(r)
 	// Copy-on-write assembly: the frozen stable CSR plus this round's
 	// effective churn additions. O(n + ChurnEdges), no per-edge clone, and
-	// earlier rounds' snapshots stay valid in whoever still holds them.
-	g := a.phaseAt(r / a.cfg.T).stable.ApplyDelta(&graph.Delta{Add: a.churnAt(r)})
+	// earlier rounds' snapshots stay valid in whoever still holds them (in
+	// forward-only mode, as long as the lifetime rule says).
+	st, d := a.phaseAt(r/a.cfg.T).stable, &graph.Delta{Add: a.churn.at(r)}
+	var g *graph.Graph
+	if a.forward {
+		g = st.ApplyDeltaInto(a.bufs.take(), d)
+		a.churn.drop(a.curRound)
+	} else {
+		g = st.ApplyDelta(d)
+	}
 	a.curRound, a.curG = r, g
 	return g
 }
@@ -209,50 +235,11 @@ func (a *HiNet) At(r int) *graph.Graph {
 // ensureChurn draws (and memoises) the effective churn sets of every round
 // up to and including r, interleaving phase generation exactly as the
 // snapshot path always did: each round first forces its phase, then draws
-// ChurnEdges candidate pairs. Pairs that are self-loops, already in the
-// phase's stable graph, or repeats within the round add no edge — the same
-// outcomes AddEdge's no-op path used to produce — so only the effective
-// additions are stored.
+// ChurnEdges candidate pairs.
 func (a *HiNet) ensureChurn(r int) {
-	if r < a.churnBase {
-		panic(fmt.Sprintf("adversary: HiNet round %d discarded (forward-only)", r))
+	for a.churn.next() <= r {
+		a.churn.draw(a.cfg.N, a.cfg.ChurnEdges, a.phaseAt(a.churn.next()/a.cfg.T).stable, a.rng)
 	}
-	for a.churnBase+len(a.churn) <= r {
-		cur := a.churnBase + len(a.churn)
-		p := a.phaseAt(cur / a.cfg.T)
-		set := make([]graph.Edge, 0, a.cfg.ChurnEdges)
-		for j := 0; j < a.cfg.ChurnEdges; j++ {
-			u, v := a.rng.Intn(a.cfg.N), a.rng.Intn(a.cfg.N)
-			if u == v {
-				continue
-			}
-			e := graph.NormEdge(u, v)
-			if p.stable.HasEdge(e.U, e.V) {
-				continue
-			}
-			dup := false
-			for _, x := range set {
-				if x == e {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				set = append(set, e)
-			}
-		}
-		graph.SortEdges(set)
-		a.churn = append(a.churn, set)
-	}
-}
-
-// churnAt returns round r's effective churn additions (ensureChurn must
-// have reached r).
-func (a *HiNet) churnAt(r int) []graph.Edge {
-	if r < a.churnBase {
-		panic(fmt.Sprintf("adversary: HiNet round %d discarded (forward-only)", r))
-	}
-	return a.churn[r-a.churnBase]
 }
 
 // HierarchyAt implements ctvg.Dynamic.
@@ -278,48 +265,54 @@ func (a *HiNet) StableUntil(r int) int {
 }
 
 // phaseAt returns (generating as needed) the stable structure of phase i.
-// In forward-only mode, only the two most recent phases are retained.
+// In forward-only mode, only the two most recent phases are retained, and
+// the one dropping out lends its storage to the phase replacing it.
 func (a *HiNet) phaseAt(i int) *phase {
 	if i < a.phaseBase {
 		panic(fmt.Sprintf("adversary: HiNet phase %d discarded (forward-only)", i))
 	}
 	for a.phaseBase+len(a.phases) <= i {
+		var spare *phase
+		if a.forward && len(a.phases) == 2 {
+			spare = a.phases[0]
+			a.phases[0], a.phases[1] = a.phases[1], nil
+			a.phases = a.phases[:1]
+			a.phaseBase++
+		}
 		if len(a.phases) == 0 && a.phaseBase == 0 {
 			heads := xrand.Sample(a.rng, a.pool, a.headsPer)
-			p := a.buildPhase(heads, nil)
+			p := a.buildPhase(heads, nil, spare)
 			a.materialize(p)
 			a.phases = append(a.phases, p)
 		} else {
-			a.phases = append(a.phases, a.nextPhase(a.phases[len(a.phases)-1]))
+			a.phases = append(a.phases, a.nextPhase(a.phases[len(a.phases)-1], spare))
 		}
 		a.stats.Phases++
-		if a.forward && len(a.phases) > 2 {
-			a.phases[0] = nil
-			a.phases = a.phases[1:]
-			a.phaseBase++
-		}
 	}
 	return a.phases[i-a.phaseBase]
 }
 
 // nextPhase derives phase i+1 from phase i: rotate heads within the pool,
-// re-affiliate members, rebuild the backbone.
-func (a *HiNet) nextPhase(prev *phase) *phase {
-	heads := append([]int(nil), prev.heads...)
+// re-affiliate members, rebuild the backbone. A non-nil spare is a
+// discarded phase whose storage the new one takes over.
+func (a *HiNet) nextPhase(prev, spare *phase) *phase {
+	var heads []int
+	if spare != nil {
+		heads = spare.heads[:0]
+	}
+	heads = append(heads, prev.heads...)
 
 	// Head churn: replace HeadChurn current heads with pool nodes not
-	// currently serving (if any exist).
+	// currently serving (if any exist). The serving heads are exactly
+	// the heads of prev's hierarchy.
 	if a.cfg.HeadChurn > 0 {
-		serving := make([]bool, a.cfg.N)
-		for _, h := range heads {
-			serving[h] = true
-		}
-		bench := make([]int, 0, len(a.pool)-len(heads))
+		bench := a.bench[:0]
 		for _, v := range a.pool {
-			if !serving[v] {
+			if !prev.hier.IsHead(v) {
 				bench = append(bench, v)
 			}
 		}
+		a.bench = bench
 		for c := 0; c < a.cfg.HeadChurn && len(bench) > 0; c++ {
 			// Retire a random head, promote a random benched pool node.
 			ri := a.rng.Intn(len(heads))
@@ -329,7 +322,7 @@ func (a *HiNet) nextPhase(prev *phase) *phase {
 		}
 	}
 
-	return a.buildPhaseWithReaffiliation(heads, prev)
+	return a.buildPhaseWithReaffiliation(heads, prev, spare)
 }
 
 // buildPhaseWithReaffiliation builds a phase reusing as much of the
@@ -338,17 +331,18 @@ func (a *HiNet) nextPhase(prev *phase) *phase {
 // after the re-affiliations, so a moved member's star edge is emitted once
 // instead of being inserted and shifted out again — the edits live purely
 // on the hierarchy (a member has exactly one stable edge, to its head).
-func (a *HiNet) buildPhaseWithReaffiliation(heads []int, prev *phase) *phase {
-	p := a.buildPhase(heads, prev)
+func (a *HiNet) buildPhaseWithReaffiliation(heads []int, prev, spare *phase) *phase {
+	p := a.buildPhase(heads, prev, spare)
 	// Forced re-affiliations: move random members to a different head.
-	members := make([]int, 0, a.cfg.N)
+	members := a.scratch[:0]
 	for v := 0; v < a.cfg.N; v++ {
 		if p.hier.Role[v] == ctvg.Member {
-			members = append(members, v)
+			members = append(members, int32(v))
 		}
 	}
+	a.scratch = members
 	for c := 0; c < a.cfg.Reaffiliations && len(members) > 0 && len(heads) > 1; c++ {
-		v := members[a.rng.Intn(len(members))]
+		v := int(members[a.rng.Intn(len(members))])
 		old := p.hier.HeadOf(v)
 		nh := heads[a.rng.Intn(len(heads))]
 		for nh == old {
@@ -388,30 +382,44 @@ func (a *HiNet) materialize(p *phase) {
 			bd.Add(v, p.hier.Cluster[v])
 		}
 	}
-	p.stable = bd.Build()
+	p.stable = bd.BuildInto(p.stable)
 }
 
 // buildPhase constructs a phase's hierarchy and stable graph for the given
-// head set. When prev is non-nil, the structure is sticky: the head-level
-// tree is reused if the head set is unchanged, gateway chains are reused
-// per head pair, and members keep their previous head when it is still
-// serving. Churn beyond the configured re-affiliations and head rotation
-// is thereby avoided, so the paper's n_r parameter maps directly onto the
-// forced re-affiliation count.
-func (a *HiNet) buildPhase(heads []int, prev *phase) *phase {
+// head set, which the phase takes over. When prev is non-nil, the
+// structure is sticky: the head-level tree is reused if the head set is
+// unchanged, gateway chains are reused per head pair, and members keep
+// their previous head when it is still serving. Churn beyond the
+// configured re-affiliations and head rotation is thereby avoided, so the
+// paper's n_r parameter maps directly onto the forced re-affiliation
+// count. A non-nil spare is a discarded phase whose hierarchy, graph
+// storage and gateway map are reused; links and gateway chains are never
+// reused that way, since consecutive phases share them.
+func (a *HiNet) buildPhase(heads []int, prev, spare *phase) *phase {
 	n := a.cfg.N
-	h := ctvg.NewHierarchy(n)
-	isHead := make([]bool, n)
+	p := spare
+	if p == nil {
+		p = &phase{hier: ctvg.NewHierarchy(n), gwFor: map[link][]int{}}
+	} else {
+		for v := range p.hier.Role {
+			p.hier.Role[v], p.hier.Cluster[v] = ctvg.Unaffiliated, ctvg.NoCluster
+		}
+		clear(p.gwFor)
+	}
+	// The hierarchy under construction doubles as the membership scratch:
+	// heads are marked first, then every node committed to a gateway chain
+	// (a gateway affiliated nowhere until the chains are final), so a node
+	// still unaffiliated is free.
+	h := p.hier
 	for _, v := range heads {
 		h.SetHead(v)
-		isHead[v] = true
 	}
 
 	// Head-level tree: reuse the previous tree when the head set is
 	// unchanged, otherwise draw a fresh random tree (attach head i to a
 	// random earlier head).
 	var links []link
-	if prev != nil && sameHeads(prev.heads, len(heads), isHead) {
+	if prev != nil && sameHeads(prev.heads, len(heads), h) {
 		links = prev.links
 	} else {
 		for i := 1; i < len(heads); i++ {
@@ -420,26 +428,24 @@ func (a *HiNet) buildPhase(heads []int, prev *phase) *phase {
 	}
 
 	// Gateway chains: reuse the previous chain for a link when all its
-	// nodes are still non-heads; otherwise draw fresh gateways, preferring
-	// nodes not previously affiliated anywhere special. `taken` tracks
-	// nodes already committed as gateways this phase.
+	// nodes are still free; otherwise draw fresh gateways from the nodes
+	// no chain or head has claimed this phase.
 	gwPerLink := a.cfg.L - 1
-	taken := make([]bool, n)
-	gwFor := make(map[link][]int, len(links))
+	gwFor := p.gwFor
 	needFresh := 0
 	for _, lk := range links {
 		if prev != nil {
 			chain := prev.gwFor[lk]
 			ok := len(chain) == gwPerLink
 			for _, g := range chain {
-				if isHead[g] || taken[g] {
+				if h.Role[g] != ctvg.Unaffiliated {
 					ok = false
 					break
 				}
 			}
 			if ok {
 				for _, g := range chain {
-					taken[g] = true
+					h.SetGateway(g, ctvg.NoCluster)
 				}
 				gwFor[lk] = chain
 				continue
@@ -448,24 +454,25 @@ func (a *HiNet) buildPhase(heads []int, prev *phase) *phase {
 		needFresh += gwPerLink
 		gwFor[lk] = nil
 	}
-	// Pool of free non-head nodes for fresh chains, shuffled.
+	// Pool of free nodes for fresh chains, shuffled.
 	if needFresh > 0 {
-		var free []int
+		free := a.scratch[:0]
 		for v := 0; v < n; v++ {
-			if !isHead[v] && !taken[v] {
-				free = append(free, v)
+			if h.Role[v] == ctvg.Unaffiliated {
+				free = append(free, int32(v))
 			}
 		}
+		a.scratch = free
 		a.rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
 		idx := 0
 		for _, lk := range links {
-			if gwFor[lk] != nil || gwPerLink == 0 {
+			if gwFor[lk] != nil {
 				continue
 			}
 			chain := make([]int, gwPerLink)
 			for c := range chain {
-				chain[c] = free[idx]
-				taken[free[idx]] = true
+				chain[c] = int(free[idx])
+				h.SetGateway(chain[c], ctvg.NoCluster)
 				idx++
 			}
 			gwFor[lk] = chain
@@ -488,12 +495,12 @@ func (a *HiNet) buildPhase(heads []int, prev *phase) *phase {
 	// Members: keep the previous head when it is still serving (whether
 	// the node was a member or an affiliated gateway), else a random head.
 	for v := 0; v < n; v++ {
-		if isHead[v] || taken[v] {
+		if h.Role[v] != ctvg.Unaffiliated {
 			continue
 		}
 		head := -1
 		if prev != nil {
-			if ph := prev.hier.HeadOf(v); ph != ctvg.NoCluster && ph != v && isHead[ph] {
+			if ph := prev.hier.HeadOf(v); ph != ctvg.NoCluster && ph != v && h.IsHead(ph) {
 				head = ph
 			}
 		}
@@ -502,12 +509,8 @@ func (a *HiNet) buildPhase(heads []int, prev *phase) *phase {
 		}
 		h.SetMember(v, head)
 	}
-	return &phase{
-		hier:  h,
-		heads: append([]int(nil), heads...),
-		links: links,
-		gwFor: gwFor,
-	}
+	p.heads, p.links = heads, links
+	return p
 }
 
 // WindowDelta implements ctvg.DeltaSource: the transition between the
@@ -536,7 +539,7 @@ func (a *HiNet) WindowDelta(r0, r1 int) (*graph.Delta, ctvg.HierarchyDelta) {
 		}
 		return graph.DeltaBetween(p0.stable, p1.stable), hd
 	}
-	c0, c1 := a.churnAt(r0), a.churnAt(r1)
+	c0, c1 := a.churn.at(r0), a.churn.at(r1)
 	var gd *graph.Delta
 	if p0 == p1 {
 		// Same stable structure: the transition is pure churn algebra.
@@ -563,11 +566,10 @@ func (a *HiNet) WindowDelta(r0, r1 int) (*graph.Delta, ctvg.HierarchyDelta) {
 		graph.SortEdges(rem)
 		gd = &graph.Delta{Add: add, Remove: rem}
 	}
-	if a.forward && r0 > a.churnBase {
+	if a.forward {
 		// Single-pass consumption: churn sets before the previous window
 		// start can no longer be asked for.
-		a.churn = a.churn[r0-a.churnBase:]
-		a.churnBase = r0
+		a.churn.drop(r0)
 	}
 	return gd, hd
 }
@@ -589,14 +591,14 @@ func edgeSetDiff(a, b []graph.Edge) []graph.Edge {
 	return out
 }
 
-// sameHeads reports whether prev is exactly the head set marked in isHead,
-// which holds n heads.
-func sameHeads(prev []int, n int, isHead []bool) bool {
+// sameHeads reports whether prev is exactly the head set of h, which holds
+// n heads.
+func sameHeads(prev []int, n int, h *ctvg.Hierarchy) bool {
 	if len(prev) != n {
 		return false
 	}
-	for _, h := range prev {
-		if !isHead[h] {
+	for _, v := range prev {
+		if !h.IsHead(v) {
 			return false
 		}
 	}

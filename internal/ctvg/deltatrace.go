@@ -249,6 +249,12 @@ func (t *DeltaTrace) StableUntil(r int) int {
 // transitions are consumed when offered; otherwise consecutive window
 // states are diffed. Transitions that change neither layer are merged into
 // the preceding window, matching Record's dedup.
+//
+// Rounds are visited once, in ascending order, and no round's graph or
+// hierarchy is held past the next window start, so d may be a forward-only
+// adversary that recycles its storage. The base is a deep copy for the
+// same reason: a clone of a frozen graph would share lists the source
+// overwrites later.
 func RecordDeltas(d Dynamic, rounds int) *DeltaTrace {
 	if rounds <= 0 {
 		panic("ctvg: RecordDeltas needs rounds > 0")
@@ -257,7 +263,7 @@ func RecordDeltas(d Dynamic, rounds int) *DeltaTrace {
 	src, native := d.(DeltaSource)
 
 	prevG, prevH := d.At(0), d.HierarchyAt(0)
-	baseG, baseH := prevG.Clone(), prevH.Clone()
+	baseG, baseH := prevG.DeepClone(), prevH.Clone()
 	var starts []int
 	var gdeltas []*graph.Delta
 	var hdeltas []HierarchyDelta
@@ -274,6 +280,10 @@ func RecordDeltas(d Dynamic, rounds int) *DeltaTrace {
 		return r + 1
 	}
 	for r := next(0); r < rounds; r = next(r) {
+		// Each transition is taken from the previous window start, even
+		// when that one changed nothing: its state equals the last
+		// recorded window's, so the delta is the same, and a forward-only
+		// source never has to serve a round behind its working window.
 		var gd *graph.Delta
 		var hd HierarchyDelta
 		if native {
@@ -284,13 +294,13 @@ func RecordDeltas(d Dynamic, rounds int) *DeltaTrace {
 			hd = HierarchyDeltaBetween(prevH, curH)
 			prevG, prevH = curG, curH
 		}
+		prevStart = r
 		if gd.Empty() && len(hd) == 0 {
 			continue
 		}
 		starts = append(starts, r)
 		gdeltas = append(gdeltas, gd)
 		hdeltas = append(hdeltas, hd)
-		prevStart = r
 	}
 	return NewDeltaTrace(baseG, baseH, starts, gdeltas, hdeltas, rounds)
 }

@@ -47,7 +47,10 @@ type ArrivalConfig struct {
 	// monitor and reports the violation count (collected late or still
 	// outstanding at the end).
 	SLA int
-	// ChurnEdges matches PointConfig.ChurnEdges.
+	// ChurnEdges matches PointConfig.ChurnEdges: extra random edges per
+	// round on the HiNet adversaries. The flood pairing's 1-interval
+	// adversary redraws every edge each round (a bare spanning tree, as in
+	// the Table 3 flood row), so it ignores ChurnEdges.
 	ChurnEdges int
 	// Seed drives topology and assignment randomness; the arrival process
 	// draws from its own Arrivals.Seed.
@@ -144,6 +147,8 @@ func ArrivalLoad(cfg ArrivalConfig) (ArrivalResult, error) {
 		stall = drain
 	}
 
+	// The engine reads the adversary once, round by round, so it is built
+	// forward-only and recycles its round storage.
 	rng := xrand.New(cfg.Seed)
 	var d ctvg.Dynamic
 	var proto sim.Protocol
@@ -153,15 +158,15 @@ func ArrivalLoad(cfg ArrivalConfig) (ArrivalResult, error) {
 		name = "alg2"
 		d = adversary.NewHiNet(adversary.HiNetConfig{
 			N: n, Theta: p.Theta, L: p.L, T: 1, ChurnEdges: cfg.ChurnEdges,
-		}, rng)
+		}, rng).ForwardOnly()
 		proto = core.Alg2{}
 	case "alg1":
 		d = adversary.NewHiNet(adversary.HiNetConfig{
 			N: n, Theta: p.Theta, L: p.L, T: T, ChurnEdges: cfg.ChurnEdges,
-		}, rng)
+		}, rng).ForwardOnly()
 		proto = core.Alg1{T: T}
 	case "flood":
-		d = sim.NewFlat(adversary.NewOneInterval(n, cfg.ChurnEdges, rng))
+		d = sim.NewFlat(adversary.NewOneInterval(n, 0, rng).ForwardOnly())
 		proto = baseline.Flood{}
 	default:
 		return ArrivalResult{}, fmt.Errorf("experiment: unknown arrival protocol %q (want alg2, alg1 or flood)", cfg.Proto)

@@ -208,3 +208,33 @@ func TestRunPointArrivals(t *testing.T) {
 		t.Fatalf("invalid arrival process not rejected: %v", err)
 	}
 }
+
+// TestArrivalLoadFloodIgnoresChurnEdges is the regression for the flood
+// pairing with ChurnEdges set: ArrivalPoint(100, 8) with ten churn edges
+// used to hand them to the 1-interval adversary as its total edge count
+// and panic ("adversary: infeasible edge count m=10 for n=100"). That
+// adversary redraws every edge each round, so the run must match the one
+// without churn edges.
+func TestArrivalLoadFloodIgnoresChurnEdges(t *testing.T) {
+	cfg := ArrivalPoint(100, 8)
+	cfg.Proto = "flood"
+	cfg.Arrivals = sim.Arrivals{Rate: 0.5, Seed: 4, Stop: 20}
+	cfg.Seed = 2
+	cfg.ChurnEdges = 10
+	res, err := ArrivalLoad(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != "drained" || res.Injected == 0 {
+		t.Fatalf("want a drained run with arrivals, got %+v", res)
+	}
+	plain := cfg
+	plain.ChurnEdges = 0
+	resPlain, err := ArrivalLoad(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, resPlain) {
+		t.Fatalf("ChurnEdges changed the flood run:\nwith    %+v\nwithout %+v", res, resPlain)
+	}
+}

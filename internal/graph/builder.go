@@ -10,11 +10,13 @@ import "slices"
 //
 // Add buffers endpoints without validation beyond a range check; self-loops
 // and duplicate edges are discarded during Build, matching AddEdge's
-// semantics. A Builder may be reused after Build (it keeps its buffers and
-// starts empty).
+// semantics. A Builder may be reused after Build: it keeps its edge
+// buffers, degree scratch and random-walk scratch, and starts empty.
 type Builder struct {
 	n      int
 	us, vs []int32
+	deg    []int  // Build's degree counts and scatter cursors
+	seen   []bool // addRandomTree's visited marks
 }
 
 // NewBuilder returns a Builder for graphs on n vertices. It panics if n < 0.
@@ -44,10 +46,24 @@ func (b *Builder) Add(u, v int) {
 // offsets, scatter both edge directions into one backing array, sort each
 // vertex's run that is not already sorted, and compact out duplicates in
 // place.
-func (b *Builder) Build() *Graph {
+func (b *Builder) Build() *Graph { return b.BuildInto(nil) }
+
+// BuildInto is Build writing into dst, a graph nothing reads any more: its
+// adjacency header and the backing array it owns are reused when large
+// enough, so a warm build allocates nothing. Every neighbour list dst
+// handed out before, and every clone sharing them, is overwritten. A nil
+// dst allocates a new graph, which is Build.
+func (b *Builder) BuildInto(dst *Graph) *Graph {
 	n := b.n
-	g := &Graph{n: n, adj: make([][]int, n), frozen: true}
-	deg := make([]int, n+1)
+	g := dst
+	if g == nil {
+		g = &Graph{}
+	}
+	g.n, g.m, g.frozen = n, 0, true
+	g.adj = slices.Grow(g.adj[:0], n)[:n]
+	b.deg = slices.Grow(b.deg[:0], n+1)[:n+1]
+	deg := b.deg
+	clear(deg)
 	for i := range b.us {
 		deg[b.us[i]]++
 		deg[b.vs[i]]++
@@ -62,7 +78,8 @@ func (b *Builder) Build() *Graph {
 		off[v] = total
 		total += c
 	}
-	back := make([]int, total)
+	back := slices.Grow(g.own[:0], total)[:total]
+	g.own = back
 	for i := range b.us {
 		u, v := int(b.us[i]), int(b.vs[i])
 		back[off[u]] = v

@@ -196,3 +196,48 @@ func TestGeneratorsRNGStreamUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildIntoRecycles rebuilds random edge sets into one recycled graph:
+// each result equals Build's, a DeepClone taken before a rebuild keeps its
+// edges, and a warm build allocates nothing.
+func TestBuildIntoRecycles(t *testing.T) {
+	rng := xrand.New(23)
+	const n = 60
+	bd, ref := NewBuilder(n), NewBuilder(n)
+	dst := &Graph{}
+	fill := func() {
+		for i := 0; i < 2*n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			bd.Add(u, v)
+			ref.Add(u, v)
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		fill()
+		got := bd.BuildInto(dst)
+		want := ref.Build()
+		if got != dst || !got.Equal(want) || !got.Frozen() {
+			t.Fatalf("trial %d: BuildInto differs from Build", trial)
+		}
+		kept, keptWant := got.DeepClone(), want
+		fill()
+		bd.BuildInto(dst)
+		ref.Build()
+		if !kept.Equal(keptWant) || !kept.Frozen() {
+			t.Fatalf("trial %d: a DeepClone changed when its source was rebuilt", trial)
+		}
+	}
+	// The same edge count every time, so the backing never grows.
+	edges := make([]Edge, 2*n)
+	for i := range edges {
+		edges[i] = Edge{rng.Intn(n), rng.Intn(n)}
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		for _, e := range edges {
+			bd.Add(e.U, e.V)
+		}
+		bd.BuildInto(dst)
+	}); got != 0 {
+		t.Fatalf("a warm BuildInto allocates %v times, want 0", got)
+	}
+}

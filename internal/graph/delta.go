@@ -87,12 +87,29 @@ func DeltaBetween(a, b *Graph) *Delta {
 // slice of one slab shared by all of them: a DeltaTrace chains ApplyDelta
 // window after window, and a slab would stay live until the last of its
 // lists is replaced, so retained heap would grow with every window a
-// long-lived list survives.
+// long-lived list survives. ApplyDeltaInto, whose target dies whole, uses
+// a slab.
 //
 // The delta must be strict: adding an edge already present or removing an
 // absent one panics, so edge counts stay exact.
-func (g *Graph) ApplyDelta(d *Delta) *Graph {
-	c := &Graph{n: g.n, m: g.m + len(d.Add) - len(d.Remove), adj: make([][]int, g.n), frozen: true}
+func (g *Graph) ApplyDelta(d *Delta) *Graph { return g.ApplyDeltaInto(nil, d) }
+
+// ApplyDeltaInto is ApplyDelta writing into dst, a graph nothing reads any
+// more that shares no storage with g: its adjacency header is reused, and
+// the touched vertices' lists are carved from the overlay slab it owns, so
+// a warm call allocates nothing. Every neighbour list dst handed out
+// before, and every clone sharing them, is overwritten. A nil dst
+// allocates a new graph, which is ApplyDelta.
+func (g *Graph) ApplyDeltaInto(dst *Graph, d *Delta) *Graph {
+	c := dst
+	if c == nil {
+		c = &Graph{}
+	} else if c == g {
+		panic("graph: ApplyDeltaInto onto its own receiver")
+	}
+	c.n, c.m, c.frozen = g.n, g.m+len(d.Add)-len(d.Remove), true
+	c.adj = slices.Grow(c.adj[:0], g.n)[:g.n]
+	c.own = c.own[:0]
 	g.frozen = true
 	copy(c.adj, g.adj)
 	if d.Empty() {
@@ -132,10 +149,16 @@ func (g *Graph) ApplyDelta(d *Delta) *Graph {
 			j++
 		}
 		// Merge v's sorted adjacency list with its sorted edit run into a
-		// fresh slice; adds colliding with a present neighbour and removes
-		// of an absent one panic.
+		// list of exactly the merged length; adds colliding with a present
+		// neighbour and removes of an absent one panic.
 		lst := g.adj[v]
-		out := make([]int, 0, len(lst)+2*adds-(j-i))
+		size := len(lst) + 2*adds - (j - i)
+		var out []int
+		if dst == nil {
+			out = make([]int, 0, size)
+		} else {
+			out = c.carve(size)
+		}
 		li := 0
 		for _, k := range keys[i:j] {
 			w := int(uint32(k >> 1))
@@ -160,6 +183,18 @@ func (g *Graph) ApplyDelta(d *Delta) *Graph {
 		i = j
 	}
 	return c
+}
+
+// carve returns an empty list of capacity size from the graph's overlay
+// slab. A full slab is replaced by a larger one; lists already carved keep
+// the old one alive until the graph is next recycled.
+func (g *Graph) carve(size int) []int {
+	lo := len(g.own)
+	if lo+size > cap(g.own) {
+		g.own, lo = make([]int, 0, max(2*cap(g.own), 2*size, 64)), 0
+	}
+	g.own = g.own[:lo+size]
+	return g.own[lo : lo : lo+size]
 }
 
 // editKey packs one directed half of an edge change for ApplyDelta.

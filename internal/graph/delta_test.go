@@ -221,3 +221,31 @@ func BenchmarkApplyDelta(b *testing.B) {
 		appliedGraph = g.ApplyDelta(d)
 	}
 }
+
+// TestApplyDeltaIntoRecycles alternates ApplyDeltaInto between two
+// recycled targets, as a forward-only adversary does: every result equals
+// ApplyDelta's, the previous result survives the next call intact, and
+// once both targets are warm a call allocates nothing.
+func TestApplyDeltaIntoRecycles(t *testing.T) {
+	rng := xrand.New(21)
+	g := RandomConnected(80, 120, rng)
+	var bufs [2]Graph
+	var prev, prevWant *Graph
+	for i := 0; i < 40; i++ {
+		d := randomStrictDelta(g, 1+rng.Intn(20), rng.Intn(12), rng)
+		got := g.ApplyDeltaInto(&bufs[i%2], d)
+		want := g.ApplyDelta(d)
+		if got != &bufs[i%2] || !got.Equal(want) || !got.Frozen() {
+			t.Fatalf("call %d: ApplyDeltaInto differs from ApplyDelta", i)
+		}
+		if prev != nil && !prev.Equal(prevWant) {
+			t.Fatalf("call %d overwrote the previous result", i)
+		}
+		prev, prevWant = got, want
+	}
+	d := randomStrictDelta(g, 20, 12, rng)
+	i := 0
+	if n := testing.AllocsPerRun(20, func() { appliedGraph = g.ApplyDeltaInto(&bufs[i%2], d); i++ }); n != 0 {
+		t.Fatalf("a warm ApplyDeltaInto allocates %v times, want 0", n)
+	}
+}

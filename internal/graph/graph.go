@@ -32,6 +32,11 @@ type Graph struct {
 	// (and are therefore also shared with any frozen Clone). Mutators call
 	// thaw() first; read paths never care.
 	frozen bool
+	// own is the storage this graph's lists were carved from and that a
+	// recycling call (Builder.BuildInto, ApplyDeltaInto) may overwrite:
+	// the CSR backing of a built graph, the overlay slab of a delta
+	// target. Clones never inherit it.
+	own []int
 }
 
 // New returns an empty graph on n vertices. It panics if n < 0.
@@ -157,6 +162,23 @@ func (g *Graph) Clone() *Graph {
 	for v, lst := range g.adj {
 		c.adj[v] = append([]int(nil), lst...)
 	}
+	return c
+}
+
+// DeepClone returns a frozen copy of g that shares no storage with it: one
+// CSR backing array holding every adjacency list. It costs O(n + E), where
+// Clone of a frozen graph is an O(n) header copy sharing g's lists, so it
+// is what a consumer keeps when g's storage is recycled later (a graph
+// handed out by a forward-only adversary).
+func (g *Graph) DeepClone() *Graph {
+	c := &Graph{n: g.n, m: g.m, adj: make([][]int, g.n), frozen: true}
+	back := make([]int, 0, 2*g.m)
+	for v, lst := range g.adj {
+		lo := len(back)
+		back = append(back, lst...)
+		c.adj[v] = back[lo:len(back):len(back)]
+	}
+	c.own = back
 	return c
 }
 

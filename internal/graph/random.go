@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/xrand"
 )
@@ -16,17 +17,20 @@ import (
 // is unchanged from the incremental versions: the same seed yields the same
 // graph, edge for edge.
 
-// randomTreeWalk runs the Aldous-Broder random walk on n vertices, invoking
-// add once per tree edge discovered. It consumes rng exactly as RandomTree
-// always has.
-func randomTreeWalk(n int, rng *xrand.Rand, add func(u, v int)) {
+// addRandomTree runs the Aldous-Broder random walk on b's n vertices and
+// adds every tree edge it discovers, marking visits in the builder's
+// reused scratch. It consumes rng exactly as RandomTree always has.
+func (b *Builder) addRandomTree(rng *xrand.Rand) {
+	n := b.n
 	if n < 1 {
 		panic("graph: RandomTree needs n >= 1")
 	}
 	if n == 1 {
 		return
 	}
-	visited := make([]bool, n)
+	b.seen = slices.Grow(b.seen[:0], n)[:n]
+	visited := b.seen
+	clear(visited)
 	cur := rng.Intn(n)
 	visited[cur] = true
 	remaining := n - 1
@@ -36,7 +40,7 @@ func randomTreeWalk(n int, rng *xrand.Rand, add func(u, v int)) {
 			continue
 		}
 		if !visited[next] {
-			add(cur, next)
+			b.Add(cur, next)
 			visited[next] = true
 			remaining--
 		}
@@ -48,7 +52,7 @@ func randomTreeWalk(n int, rng *xrand.Rand, add func(u, v int)) {
 // generated by the Aldous-Broder random walk. n must be >= 1.
 func RandomTree(n int, rng *xrand.Rand) *Graph {
 	bd := NewBuilder(n)
-	randomTreeWalk(n, rng, bd.Add)
+	bd.addRandomTree(rng)
 	return bd.Build()
 }
 
@@ -57,33 +61,42 @@ func RandomTree(n int, rng *xrand.Rand) *Graph {
 // non-tree edges). It panics if m < n-1 or m exceeds the simple-graph
 // maximum n(n-1)/2.
 func RandomConnected(n, m int, rng *xrand.Rand) *Graph {
+	return NewBuilder(n).RandomConnected(m, rng, nil)
+}
+
+// RandomConnected draws the graph the package-level RandomConnected draws on
+// the builder's n vertices, consuming rng identically, and builds it into
+// dst (see BuildInto; nil allocates). Edges added and not yet built are
+// discarded. The builder's buffers and walk scratch are reused, so drawing
+// a bare tree (m == n-1) into a recycled dst allocates nothing once warm.
+func (b *Builder) RandomConnected(m int, rng *xrand.Rand, dst *Graph) *Graph {
+	n := b.n
 	maxM := n * (n - 1) / 2
 	if n >= 1 && m < n-1 || m > maxM {
 		panic(fmt.Sprintf("graph: RandomConnected(n=%d, m=%d) infeasible", n, m))
 	}
-	bd := NewBuilder(n)
-	bd.us, bd.vs = make([]int32, 0, m), make([]int32, 0, m)
+	b.us, b.vs = slices.Grow(b.us[:0], m), slices.Grow(b.vs[:0], m)
 	// Every walk edge reaches a newly visited vertex, so the tree edges
 	// are distinct and a bare tree (m == n-1) needs no duplicate check.
-	randomTreeWalk(n, rng, bd.Add)
+	b.addRandomTree(rng)
 	if m == n-1 {
-		return bd.Build()
+		return b.BuildInto(dst)
 	}
 	// The incremental version relied on AddEdge rejecting duplicates to
 	// decide when m distinct edges exist; the seen set reproduces that
 	// rejection so the rng draw sequence is identical.
 	seen := make(map[Edge]bool, m)
-	for i := range bd.us {
-		seen[NormEdge(int(bd.us[i]), int(bd.vs[i]))] = true
+	for i := range b.us {
+		seen[NormEdge(int(b.us[i]), int(b.vs[i]))] = true
 	}
-	for len(bd.us) < m {
+	for len(b.us) < m {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if e := NormEdge(u, v); u != v && !seen[e] {
 			seen[e] = true
-			bd.Add(u, v)
+			b.Add(u, v)
 		}
 	}
-	return bd.Build()
+	return b.BuildInto(dst)
 }
 
 // RandomGNP returns an Erdős–Rényi G(n, p) graph: every possible edge is
