@@ -152,8 +152,9 @@ func (o options) run() error {
 		wr, wok := summarise(sp.EndToEnd, runs, w == claimW, claimM)
 		wr["pairs"], wr["seed"], wr["seconds"] = o.pairs, o.seed, o.seconds
 		ok = ok && wok
-		if w == claimW {
-			rec["claim"] = wr["claim"]
+		if c, claimed := wr["claim"].(map[string]any); claimed {
+			c["workload"] = w
+			rec["claim"] = c
 			delete(wr, "claim")
 		}
 		wrec[w] = wr

@@ -60,8 +60,8 @@ func (b *Builder) BuildInto(dst *Graph) *Graph {
 		g = &Graph{}
 	}
 	g.n, g.m, g.frozen = n, 0, true
-	g.adj = slices.Grow(g.adj[:0], n)[:n]
-	b.deg = slices.Grow(b.deg[:0], n+1)[:n+1]
+	g.adj = resize(g.adj, n)
+	b.deg = resize(b.deg, n+1)
 	deg := b.deg
 	clear(deg)
 	for i := range b.us {
@@ -78,7 +78,7 @@ func (b *Builder) BuildInto(dst *Graph) *Graph {
 		off[v] = total
 		total += c
 	}
-	back := slices.Grow(g.own[:0], total)[:total]
+	back := resize(g.own, total)
 	g.own = back
 	for i := range b.us {
 		u, v := int(b.us[i]), int(b.vs[i])
@@ -114,6 +114,15 @@ func (b *Builder) BuildInto(dst *Graph) *Graph {
 	g.m /= 2
 	b.us, b.vs = b.us[:0], b.vs[:0]
 	return g
+}
+
+// resize returns s at length n, reusing its array when it is large enough
+// and allocating exactly n elements otherwise; the contents are stale.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // FromEdgeList builds a frozen CSR graph on n vertices from an edge list in

@@ -108,7 +108,7 @@ func (g *Graph) ApplyDeltaInto(dst *Graph, d *Delta) *Graph {
 		panic("graph: ApplyDeltaInto onto its own receiver")
 	}
 	c.n, c.m, c.frozen = g.n, g.m+len(d.Add)-len(d.Remove), true
-	c.adj = slices.Grow(c.adj[:0], g.n)[:g.n]
+	c.adj = resize(c.adj, g.n)
 	c.own = c.own[:0]
 	g.frozen = true
 	copy(c.adj, g.adj)

@@ -78,7 +78,7 @@ func (g *Graph) thaw() {
 			g.adj[v] = nil
 		}
 	}
-	g.frozen = false
+	g.frozen, g.own = false, nil
 }
 
 // AddEdge inserts the undirected edge {u, v}. Adding an existing edge or a

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/xrand"
 )
@@ -28,7 +27,7 @@ func (b *Builder) addRandomTree(rng *xrand.Rand) {
 	if n == 1 {
 		return
 	}
-	b.seen = slices.Grow(b.seen[:0], n)[:n]
+	b.seen = resize(b.seen, n)
 	visited := b.seen
 	clear(visited)
 	cur := rng.Intn(n)
@@ -75,7 +74,7 @@ func (b *Builder) RandomConnected(m int, rng *xrand.Rand, dst *Graph) *Graph {
 	if n >= 1 && m < n-1 || m > maxM {
 		panic(fmt.Sprintf("graph: RandomConnected(n=%d, m=%d) infeasible", n, m))
 	}
-	b.us, b.vs = slices.Grow(b.us[:0], m), slices.Grow(b.vs[:0], m)
+	b.us, b.vs = resize(b.us, m)[:0], resize(b.vs, m)[:0]
 	// Every walk edge reaches a newly visited vertex, so the tree edges
 	// are distinct and a bare tree (m == n-1) needs no duplicate check.
 	b.addRandomTree(rng)
