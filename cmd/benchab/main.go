@@ -12,7 +12,7 @@
 // `bash perfbench/run.sh --workload W --seed S --seconds T` inside the
 // side's tree, so each binary is built from its own sources exactly as the
 // benchmark builds it. Odd pairs run the base first, even pairs the
-// change, so drift over the session falls on both sides alike.
+// change, so drift over a long run falls on both sides alike.
 //
 // Per workload and end-to-end metric the record holds each side's median,
 // quartiles and IQR over the pairs, the relative move of the median, the
@@ -91,7 +91,7 @@ func main() {
 	flag.StringVar(&o.workloads, "workloads", "", "comma-separated workloads (default: every BENCHMARK.json workload)")
 	flag.StringVar(&o.claim, "claim", "", "claimed workload:metric, judged by the 9-of-10 and IQR rule")
 	flag.IntVar(&o.trace, "trace", 0, "traced pairs per workload for per-layer medians")
-	flag.StringVar(&o.out, "out", "", "record to write, e.g. BENCH_PR20.json (required)")
+	flag.StringVar(&o.out, "out", "", "record to write, e.g. BENCH_PR<n>.json (required)")
 	flag.StringVar(&o.note, "note", "", "what the change is and what it predicts, for the record's benchmark field")
 	flag.Parse()
 	if o.base == "" || o.out == "" || o.pairs < 1 || o.seconds <= 0 || o.trace < 0 || flag.NArg() > 0 {
