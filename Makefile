@@ -111,20 +111,19 @@ benchstat:
 	$(GO) run ./cmd/benchdiff -input bench.latest.out BENCH_PR2.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR9.json BENCH_PR10.json
 
 # benchab runs the end-to-end benchmark (perfbench) on BASE and on this
-# checkout, or on HEAD when given, in PAIRS alternating pairs per workload
-# and writes BENCH_PR$(PR).json: medians, quartiles, wins, bounds, failed
+# checkout, or on HEAD when given, in 10 alternating pairs per workload of
+# BENCHMARK.json's run length, and writes BENCH_PR$(PR).json: medians,
+# quartiles, wins, bounds, whether each metric is resolved, failed
 # repetitions, host and steal (see cmd/benchab). CLAIM=workload:metric
 # judges a speed claim by the 9-of-10-pairs and base-IQR rule; TRACE=N
 # adds N traced pairs per workload for per-layer medians. BASE is exported
 # with git archive under .bench_build/benchab/.
-PAIRS ?= 10
-BENCH_SECONDS ?= 30
 TRACE ?= 0
 benchab:
 	@if [ -z "$(BASE)" ] || [ -z "$(PR)" ]; then \
-		echo "usage: make benchab BASE=<rev> PR=<n> [HEAD=<rev>] [PAIRS=10] [BENCH_SECONDS=30] [WORKLOADS=a,b] [CLAIM=workload:metric] [TRACE=0]"; exit 2; fi
+		echo "usage: make benchab BASE=<rev> PR=<n> [HEAD=<rev>] [WORKLOADS=a,b] [CLAIM=workload:metric] [TRACE=0]"; exit 2; fi
 	$(GO) run ./cmd/benchab -base '$(BASE)' -head '$(HEAD)' -out BENCH_PR$(PR).json \
-		-pairs $(PAIRS) -seconds $(BENCH_SECONDS) -workloads '$(WORKLOADS)' -claim '$(CLAIM)' -trace $(TRACE)
+		-workloads '$(WORKLOADS)' -claim '$(CLAIM)' -trace $(TRACE)
 
 # smoke runs every entry point end to end at its defaults: each hinetsim
 # scenario, hinetbench's whole evaluation at one seed, and every program

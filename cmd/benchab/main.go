@@ -3,27 +3,32 @@
 // alternating pairs, and writes a paired BENCH record:
 //
 //	go run ./cmd/benchab -base <rev> -out BENCH_PR<n>.json \
-//	    [-head <rev>] [-pairs 10] [-seconds 30] [-workloads w1,w2] \
+//	    [-head <rev>] [-pairs 10] [-workloads w1,w2] \
 //	    [-claim workload:metric] [-trace 3]
 //
 // or `make benchab BASE=<rev> PR=<n>`. The base, and the head when -head
 // is given, are exported with git archive under .bench_build/benchab/;
 // without -head the change is this checkout as it stands. Every run is
 // `bash perfbench/run.sh --workload W --seed S --seconds T` inside the
-// side's tree, so each binary is built from its own sources exactly as the
-// benchmark builds it. Odd pairs run the base first, even pairs the
-// change, so drift over a long run falls on both sides alike.
+// side's tree, with T the run_seconds BENCHMARK.json fixes, so each binary
+// is built from its own sources and run exactly as the benchmark runs it.
+// Odd pairs run the base first, even pairs the change, so drift over a
+// long run falls on both sides alike.
 //
 // Per workload and end-to-end metric the record holds each side's median,
-// quartiles and IQR over the pairs, the relative move of the median, the
+// quartiles, IQR and IQR over median, the relative move of the median, the
 // pairs the change won and tied, whether the move stays within the
-// metric's BENCHMARK.json bound, and whether it exceeds the base's IQR;
-// per side it holds failed and attempted repetitions and the median host
-// steal. A claim (-claim) is met when the change wins at least 9 of every
-// 10 pairs and its median beats the base's by more than the base's IQR.
-// With -trace N, N traced pairs per workload add each side's per-layer
-// medians. benchab exits 1 when a run fails, a metric leaves its bound or
-// the claim is not met.
+// metric's BENCHMARK.json bound, whether the metric is resolved, and
+// whether the move exceeds the base's IQR; per side it holds failed and
+// attempted repetitions and the median host steal. A metric is resolved
+// when neither side's IQR exceeds its bound times its median, or when every
+// run of the change beats every run of the base; an unresolved metric
+// shows nothing either way. A claim (-claim) needs at least 10 pairs and is
+// met when the change wins at least 9 of every 10 pairs and its median
+// beats the base's by more than the base's IQR. With fewer pairs (a smoke)
+// the record holds no claim. With -trace N, N traced pairs per workload add
+// each side's per-layer medians. benchab exits 1 when a run fails, a
+// metric leaves its bound or is unresolved, or the claim is not met.
 package main
 
 import (
@@ -46,7 +51,8 @@ import (
 
 // spec is the part of BENCHMARK.json benchab reads.
 type spec struct {
-	Workloads []struct {
+	RunSeconds float64 `json:"run_seconds"`
+	Workloads  []struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []metricSpec `json:"end_to_end"`
@@ -74,19 +80,21 @@ type side struct {
 	name, rev, dir string
 }
 
+// claimPairs is the fewest pairs a claim is judged on: the rule is at
+// least 9 wins in every 10 pairs.
+const claimPairs = 10
+
 // options are the command-line flags.
 type options struct {
 	base, head, workloads, claim, out, note string
 	pairs, seed, trace                      int
-	seconds                                 float64
 }
 
 func main() {
 	var o options
 	flag.StringVar(&o.base, "base", "", "base revision (required)")
 	flag.StringVar(&o.head, "head", "", "revision of the change (default: this checkout as it stands)")
-	flag.IntVar(&o.pairs, "pairs", 10, "alternating pairs per workload")
-	flag.Float64Var(&o.seconds, "seconds", 30, "perfbench measuring window per run")
+	flag.IntVar(&o.pairs, "pairs", claimPairs, "alternating pairs per workload; fewer than 10 is a smoke and takes no -claim")
 	flag.IntVar(&o.seed, "seed", 1, "perfbench --seed")
 	flag.StringVar(&o.workloads, "workloads", "", "comma-separated workloads (default: every BENCHMARK.json workload)")
 	flag.StringVar(&o.claim, "claim", "", "claimed workload:metric, judged by the 9-of-10 and IQR rule")
@@ -94,8 +102,12 @@ func main() {
 	flag.StringVar(&o.out, "out", "", "record to write, e.g. BENCH_PR<n>.json (required)")
 	flag.StringVar(&o.note, "note", "", "what the change is and what it predicts, for the record's benchmark field")
 	flag.Parse()
-	if o.base == "" || o.out == "" || o.pairs < 1 || o.seconds <= 0 || o.trace < 0 || flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchab -base <rev> -out <file> [-head <rev>] [-pairs N] [-seconds S] [-seed S] [-workloads a,b] [-claim workload:metric] [-trace N] [-note text]")
+	if o.base == "" || o.out == "" || o.pairs < 1 || o.trace < 0 || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchab -base <rev> -out <file> [-head <rev>] [-pairs N] [-seed S] [-workloads a,b] [-claim workload:metric] [-trace N] [-note text]")
+		os.Exit(2)
+	}
+	if o.claim != "" && o.pairs < claimPairs {
+		fmt.Fprintf(os.Stderr, "benchab: -claim needs at least %d pairs, not %d\n", claimPairs, o.pairs)
 		os.Exit(2)
 	}
 	if err := o.run(); err != nil {
@@ -112,6 +124,9 @@ func (o options) run() error {
 	var sp spec
 	if err := json.Unmarshal(raw, &sp); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if sp.RunSeconds <= 0 {
+		return fmt.Errorf("BENCHMARK.json: run_seconds %g, want a positive run length", sp.RunSeconds)
 	}
 	var names []string
 	if o.workloads != "" {
@@ -139,8 +154,8 @@ func (o options) run() error {
 	sides := [2]side{b, h}
 
 	rec := map[string]any{
-		"benchmark": strings.TrimSpace("perfbench end to end (BENCHMARK.json), base vs change, alternating pairs (base first on odd pairs). Per end-to-end metric: median and quartiles of each side's per-run values, relative move of the median, pairs the change won (ties count for neither), whether the move stays within the BENCHMARK.json bound and whether it exceeds the base's IQR. " + o.note),
-		"command":   fmt.Sprintf("per pair and side: (cd <tree> && bash perfbench/run.sh --workload <w> --seed %d --seconds %g); traced: the same with --trace 1", o.seed, o.seconds),
+		"benchmark": strings.TrimSpace("perfbench end to end (BENCHMARK.json), base vs change, alternating pairs (base first on odd pairs). Per end-to-end metric: median, quartiles and IQR over median of each side's per-run values, relative move of the median, pairs the change won (ties count for neither), whether the move stays within the BENCHMARK.json bound, whether the metric is resolved (neither side's IQR exceeds the bound times its median, or every run of the change beats every run of the base) and whether the move exceeds the base's IQR. " + o.note),
+		"command":   fmt.Sprintf("per pair and side: (cd <tree> && bash perfbench/run.sh --workload <w> --seed %d --seconds %g); traced: the same with --trace 1", o.seed, sp.RunSeconds),
 		"base":      b.rev,
 		"head":      h.rev,
 	}
@@ -148,9 +163,9 @@ func (o options) run() error {
 	wrec := map[string]any{}
 	trec := map[string]any{}
 	for _, w := range names {
-		runs := o.pairsOf(sides, w, o.pairs, false)
+		runs := o.pairsOf(sides, w, o.pairs, sp.RunSeconds, false)
 		wr, wok := summarise(sp.EndToEnd, runs, w == claimW, claimM)
-		wr["pairs"], wr["seed"], wr["seconds"] = o.pairs, o.seed, o.seconds
+		wr["pairs"], wr["seed"], wr["seconds"] = o.pairs, o.seed, sp.RunSeconds
 		ok = ok && wok
 		if c, claimed := wr["claim"].(map[string]any); claimed {
 			c["workload"] = w
@@ -161,7 +176,7 @@ func (o options) run() error {
 		if o.trace == 0 {
 			continue
 		}
-		truns := o.pairsOf(sides, w, o.trace, true)
+		truns := o.pairsOf(sides, w, o.trace, sp.RunSeconds, true)
 		tr := map[string]any{"pairs": o.trace}
 		for s, name := range []string{"base", "head"} {
 			m := map[string]any{}
@@ -191,14 +206,14 @@ func (o options) run() error {
 	}
 	fmt.Printf("wrote %s\n", o.out)
 	if !ok {
-		return fmt.Errorf("a run failed, a metric left its bound or the claim was not met; see %s", o.out)
+		return fmt.Errorf("a run failed, a metric left its bound or is unresolved, or the claim was not met; see %s", o.out)
 	}
 	return nil
 }
 
 // pairsOf runs n alternating pairs of workload w, the base first on odd
 // pairs, and returns each side's runs in pair order: [0] base, [1] head.
-func (o options) pairsOf(sides [2]side, w string, n int, traced bool) [2][]run {
+func (o options) pairsOf(sides [2]side, w string, n int, seconds float64, traced bool) [2][]run {
 	var runs [2][]run
 	for p := 0; p < n; p++ {
 		order := [2]int{0, 1}
@@ -206,7 +221,7 @@ func (o options) pairsOf(sides [2]side, w string, n int, traced bool) [2][]run {
 			order = [2]int{1, 0}
 		}
 		for _, s := range order {
-			runs[s] = append(runs[s], perfbench(sides[s], w, o.seed, o.seconds, traced))
+			runs[s] = append(runs[s], perfbench(sides[s], w, o.seed, seconds, traced))
 		}
 		fmt.Fprintf(os.Stderr, "benchab: %s pair %d/%d done (traced %v)\n", w, p+1, n, traced)
 	}
@@ -347,8 +362,11 @@ func summarise(metrics []metricSpec, runs [2][]run, claimed bool, claimM string)
 		}
 		change := hq[1]/bq[1] - 1
 		within := sign*change <= ms.Bound
+		// A move of the median shows something only when neither side
+		// spreads wider than the bound or the two sides do not overlap.
+		resolved := spread(bq) <= ms.Bound && spread(hq) <= ms.Bound || beatsAll(sign, hv, bv)
 		gap := sign*(bq[1]-hq[1]) > bq[2]-bq[0] // the change is better by more than the base IQR
-		ok = ok && within
+		ok = ok && within && resolved
 		mrec[ms.Name] = map[string]any{
 			"unit": ms.Unit, "better": ms.Better, "bound": ms.Bound,
 			"base":                 side4(bq),
@@ -357,17 +375,17 @@ func summarise(metrics []metricSpec, runs [2][]run, claimed bool, claimM string)
 			"head_wins":            wins,
 			"ties":                 ties,
 			"within_bound":         within,
-			"base_iqr_over_median": round6((bq[2] - bq[0]) / bq[1]),
+			"resolved":             resolved,
 			"gap_exceeds_base_iqr": gap,
 		}
-		fmt.Printf("%-22s base %-12.6g head %-12.6g change %+7.2f%%  won %d/%d  within bound %v\n",
-			ms.Name, bq[1], hq[1], 100*change, wins, len(bv), within)
+		fmt.Printf("%-22s base %-12.6g head %-12.6g change %+7.2f%%  won %d/%d  within bound %v  resolved %v\n",
+			ms.Name, bq[1], hq[1], 100*change, wins, len(bv), within, resolved)
 		if claimed && ms.Name == claimM {
-			met := 10*wins >= 9*len(bv) && gap
+			met := len(bv) >= claimPairs && 10*wins >= 9*len(bv) && gap
 			ok = ok && met
 			wr["claim"] = map[string]any{
 				"metric": ms.Name,
-				"rule":   "the change wins at least 9 of every 10 pairs and its median beats the base's by more than the base's IQR",
+				"rule":   "over at least 10 pairs, the change wins at least 9 of every 10 and its median beats the base's by more than the base's IQR",
 				"met":    met, "head_wins": wins, "pairs": len(bv),
 			}
 		}
@@ -460,8 +478,27 @@ func quartiles(xs []float64) [3]float64 {
 
 func median(xs []float64) float64 { return quartiles(xs)[1] }
 
+// spread is a side's IQR over its median. A missing side, or one whose
+// runs all read zero, has NaN, which no bound admits.
+func spread(q [3]float64) float64 { return (q[2] - q[0]) / math.Abs(q[1]) }
+
+// beatsAll reports whether every head value beats every base value; sign
+// is +1 when lower is better and -1 when higher is. A missing value beats
+// nothing.
+func beatsAll(sign float64, hv, bv []float64) bool {
+	for _, h := range hv {
+		for _, b := range bv {
+			if !(sign*(h-b) < 0) {
+				return false
+			}
+		}
+	}
+	return len(hv) > 0 && len(bv) > 0
+}
+
 func side4(q [3]float64) map[string]any {
-	return map[string]any{"median": round6(q[1]), "q1": round6(q[0]), "q3": round6(q[2]), "iqr": round6(q[2] - q[0])}
+	return map[string]any{"median": round6(q[1]), "q1": round6(q[0]), "q3": round6(q[2]),
+		"iqr": round6(q[2] - q[0]), "iqr_over_median": round6(spread(q))}
 }
 
 // round6 keeps six significant digits. A missing value (NaN, which JSON
