@@ -23,12 +23,12 @@
 // attempted repetitions and the median host steal. A metric is resolved
 // when neither side's IQR exceeds its bound times its median, or when every
 // run of the change beats every run of the base; an unresolved metric
-// shows nothing either way. A claim (-claim) needs at least 10 pairs and is
-// met when the change wins at least 9 of every 10 pairs and its median
-// beats the base's by more than the base's IQR. With fewer pairs (a smoke)
-// the record holds no claim. With -trace N, N traced pairs per workload add
-// each side's per-layer medians. benchab exits 1 when a run fails, a
-// metric leaves its bound or is unresolved, or the claim is not met.
+// shows nothing either way. -claim is refused below 10 pairs, so a smoke
+// records no claim; a claim is met when the change wins at least 9 of
+// every 10 pairs and its median beats the base's by more than the base's
+// IQR. With -trace N, N traced pairs per workload add each side's
+// per-layer medians. benchab exits 1 when a run fails, a metric leaves its
+// bound or is unresolved, or the claim is not met.
 package main
 
 import (
