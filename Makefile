@@ -127,16 +127,24 @@ benchab:
 
 # smoke runs every entry point end to end at its defaults: each hinetsim
 # scenario, hinetbench's whole evaluation at one seed, and every program
-# under examples/. Any non-zero exit fails it.
+# under examples/. Any non-zero exit fails it, and so does any command
+# whose stdout differs from the SHA-256 digest committed for it in
+# smoke.sha256. Every output is seeded, so a changed digest means a changed
+# result; after an intended change, the diff it prints holds the new lines.
 SMOKE_SCENARIOS = fig1 fig3 hinet onel mobility
 smoke:
-	@set -e; for s in $(SMOKE_SCENARIOS); do \
-		echo "hinetsim -scenario $$s"; $(GO) run ./cmd/hinetsim -scenario $$s > /dev/null; \
-	done
-	@echo "hinetbench -all -seeds 1"; $(GO) run ./cmd/hinetbench -all -seeds 1 > /dev/null
-	@set -e; for d in examples/*/; do \
-		echo "$$d"; $(GO) run ./$$d > /dev/null; \
-	done
+	@set -e; got=$$(mktemp); out=$$(mktemp); trap 'rm -f "$$got" "$$out"' EXIT; \
+	digest() { echo "$$(sha256sum < "$$out" | cut -c1-64)  $$1" >> "$$got"; }; \
+	for s in $(SMOKE_SCENARIOS); do \
+		echo "hinetsim -scenario $$s"; $(GO) run ./cmd/hinetsim -scenario $$s > "$$out"; \
+		digest "hinetsim -scenario $$s"; \
+	done; \
+	echo "hinetbench -all -seeds 1"; $(GO) run ./cmd/hinetbench -all -seeds 1 > "$$out"; \
+	digest "hinetbench -all -seeds 1"; \
+	for d in examples/*/; do \
+		echo "$$d"; $(GO) run ./$$d > "$$out"; digest "$$d"; \
+	done; \
+	diff smoke.sha256 "$$got" || { echo "smoke: stdout differs from smoke.sha256 on the lines above"; exit 1; }
 
 # timing-smoke is CI's end-to-end determinism check for the self-profiling
 # layer: the same 1k-node scenario serial and with -workers 4, both with

@@ -81,15 +81,15 @@ func BenchmarkFig1(b *testing.B) {
 }
 
 // BenchmarkFig2 exercises the Definition 2-8 predicate tree (the Fig. 2
-// relationships) over a generated HiNet window.
+// relationships) over a generated HiNet window. The adversary generates
+// each round once, so the checker reads a snapshot recording of the phase.
 func BenchmarkFig2(b *testing.B) {
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
+	tr := ctvg.Record(adversary.NewHiNet(adversary.HiNetConfig{
 		N: 100, Theta: 30, L: 2, T: 18, Reaffiliations: 3, ChurnEdges: 10,
-	}, xrand.New(1))
-	adv.At(17) // materialise one phase
+	}, xrand.New(1)), 18)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := (hinetmodel.Model{T: 18, L: 2}).CheckWindow(adv, 0); err != nil {
+		if err := (hinetmodel.Model{T: 18, L: 2}).CheckWindow(tr, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -499,13 +499,13 @@ func BenchmarkHiNet10kAlg2K256(b *testing.B) { benchHiNet10k(b, 256, true) }
 func BenchmarkHiNet10kAlg2K4096(b *testing.B) { benchHiNet10k(b, 4096, true) }
 
 // benchHiNetStream runs the delta-streamed pipeline end to end at scale:
-// the engine pulls rounds straight from a ForwardOnly HiNet adversary, so
-// phases materialise copy-on-write as the run advances and everything
-// behind the working window is discarded. No snapshot list is ever built —
-// retained memory is O(n + window), independent of how many rounds run,
-// which the live-MB metric (live heap after the run, trace still
-// referenced) makes visible next to ns/op. workers is sim.Options.Workers:
-// 0 lets the engine choose the shard count.
+// the engine pulls rounds straight from a HiNet adversary, so phases
+// materialise as the run advances and everything behind the working window
+// is discarded. No snapshot list is ever built — retained memory is
+// O(n + window), independent of how many rounds run, which the live-MB
+// metric (live heap after the run, adversary still referenced) makes
+// visible next to ns/op. workers is sim.Options.Workers: 0 lets the engine
+// choose the shard count.
 func benchHiNetStream(b *testing.B, n, k, rounds, workers int, alg2 bool) {
 	const (
 		alpha = 2
@@ -520,7 +520,7 @@ func benchHiNetStream(b *testing.B, n, k, rounds, workers int, alg2 bool) {
 		adv := adversary.NewHiNet(adversary.HiNetConfig{
 			N: n, Theta: theta, L: l, T: T,
 			Reaffiliations: reaff, HeadChurn: 2,
-		}, xrand.New(1)).ForwardOnly()
+		}, xrand.New(1))
 		assign := token.Spread(n, k, xrand.New(2))
 		var met *sim.Metrics
 		if alg2 {
@@ -538,6 +538,9 @@ func benchHiNetStream(b *testing.B, n, k, rounds, workers int, alg2 bool) {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
+		// Without this the adversary is dead before the collection above,
+		// and live-MB measures nothing but the test harness.
+		runtime.KeepAlive(adv)
 		b.ReportMetric(float64(ms.HeapAlloc)/1e6, "live-MB")
 	}
 }

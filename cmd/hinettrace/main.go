@@ -160,15 +160,18 @@ func record(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
+	cfg := adversary.HiNetConfig{
 		N: *n, Theta: *theta, L: *l, T: *t,
 		Reaffiliations: *reaffil, ChurnEdges: *churn,
-	}, xrand.New(*seed))
+	}
+	if err := checkRecord(cfg, *rounds); err != nil {
+		return err
+	}
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	rec := ctvg.RecordDeltas(adv.ForwardOnly(), *rounds)
+	rec := ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(*seed)), *rounds)
 	if *full {
 		err = trace.Write(f, rec)
 	} else {
@@ -186,6 +189,18 @@ func record(args []string) error {
 		return err
 	}
 	fmt.Printf("recorded %d rounds of a (%d, %d)-HiNet on %d nodes to %s\n", *rounds, *t, *l, *n, *out)
+	return nil
+}
+
+// checkRecord rejects record flags that no trace can be made from, before
+// the output file is created.
+func checkRecord(cfg adversary.HiNetConfig, rounds int) error {
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("-n %d, -theta %d, -l %d, -t %d: %w", cfg.N, cfg.Theta, cfg.L, cfg.T, err)
+	}
+	if rounds < 1 {
+		return fmt.Errorf("-rounds %d: need at least 1", rounds)
+	}
 	return nil
 }
 

@@ -179,23 +179,27 @@ func Theorem2Rounds(n int) int { return core.Theorem2Rounds(n) }
 // the field documentation on adversary.HiNetConfig.
 type HiNetConfig = adversary.HiNetConfig
 
+// The generators below produce their rounds once, in order; each network
+// records its generator as rounds are asked for (ctvg.Recording), so it
+// can be checked, probed and run, in any order and as often as needed.
+
 // NewHiNetNetwork returns a dynamic network satisfying the (T, L)-HiNet
 // model on aligned phase windows, driven by the given seed.
 func NewHiNetNetwork(cfg HiNetConfig, seed uint64) Network {
-	return adversary.NewHiNet(cfg, xrand.New(seed))
+	return ctvg.Recording(adversary.NewHiNet(cfg, xrand.New(seed)))
 }
 
 // NewOneIntervalNetwork returns a flat dynamic network that is 1-interval
 // connected: an independent random connected graph (m edges; 0 means a
 // bare spanning tree) every round.
 func NewOneIntervalNetwork(n, m int, seed uint64) Network {
-	return sim.NewFlat(adversary.NewOneInterval(n, m, xrand.New(seed)))
+	return ctvg.Recording(sim.NewFlat(adversary.NewOneInterval(n, m, xrand.New(seed))))
 }
 
 // NewTIntervalNetwork returns a flat dynamic network that is T-interval
 // connected on aligned windows, with `churn` extra random edges per round.
 func NewTIntervalNetwork(n, T, churn int, seed uint64) Network {
-	return sim.NewFlat(adversary.NewTInterval(n, T, churn, xrand.New(seed)))
+	return ctvg.Recording(sim.NewFlat(adversary.NewTInterval(n, T, churn, xrand.New(seed))))
 }
 
 // MobilityConfig configures the physically-driven network; see
@@ -211,7 +215,7 @@ type ClusterConfig = cluster.Config
 // NewMobilityNetwork returns a random-waypoint/unit-disk network with
 // incrementally maintained clustering.
 func NewMobilityNetwork(cfg MobilityConfig, seed uint64) Network {
-	return adversary.NewMobility(cfg, xrand.New(seed))
+	return ctvg.Recording(adversary.NewMobility(cfg, xrand.New(seed)))
 }
 
 // --- token assignments ---
@@ -380,8 +384,11 @@ func CheckConformance(net Network, p Protocol, tokens *Assignment, rounds int) [
 }
 
 // RecordNetwork freezes rounds [0, rounds) of a network into a replayable
-// trace (required by CheckConformance when the network is generated
-// lazily).
+// snapshot trace; rounds past the end repeat the last one. The networks
+// this package builds can already be re-read in any order, so they need
+// it only to be frozen: a snapshot trace is read-only and may be shared by
+// concurrent runs. A Network of your own that serves its rounds only once,
+// in order, needs it before CheckConformance, a checker or a second run.
 func RecordNetwork(net Network, rounds int) Network {
 	return ctvg.Record(net, rounds)
 }

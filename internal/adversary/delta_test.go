@@ -5,17 +5,31 @@ import (
 	"testing"
 
 	"repro/internal/ctvg"
+	"repro/internal/graph"
+	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
 // Delta equivalence: recording an adversary through the delta path must
-// reproduce the snapshot path exactly — same graphs, same hierarchies, same
-// stability windows — for churn-free and churny configurations, in both
-// memoised and forward-only (streaming) modes, and whether the deltas come
-// from the native WindowDelta implementation or the generic diff fallback.
+// reproduce its rounds exactly — same graphs, same hierarchies, same
+// stability windows — for churn-free and churny configurations, and
+// whether the deltas come from the native WindowDelta implementation or
+// the generic diff fallback. The reference is a twin adversary deep-copied
+// round by round, which shares no code with the recorder.
 
 func hiNetPair(cfg HiNetConfig, seed uint64) (*HiNet, *HiNet) {
 	return NewHiNet(cfg, xrand.New(seed)), NewHiNet(cfg, xrand.New(seed))
+}
+
+// snapshots deep-copies rounds [0, rounds) of d as they are generated into
+// a snapshot trace.
+func snapshots(d ctvg.Dynamic, rounds int) *ctvg.Trace {
+	gs := make([]*graph.Graph, rounds)
+	hs := make([]*ctvg.Hierarchy, rounds)
+	for r := range gs {
+		gs[r], hs[r] = d.At(r).DeepClone(), d.HierarchyAt(r).Clone()
+	}
+	return ctvg.NewTrace(tvg.NewTrace(gs), hs)
 }
 
 func checkCTVGEqual(t *testing.T, dt *ctvg.DeltaTrace, tr *ctvg.Trace, rounds int) {
@@ -47,7 +61,7 @@ func TestHiNetDeltaRecordingMatchesSnapshots(t *testing.T) {
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
 			snap, delt := hiNetPair(tc.cfg, 7)
-			tr := ctvg.Record(snap, tc.rounds)
+			tr := snapshots(snap, tc.rounds)
 			dt := ctvg.RecordDeltas(delt, tc.rounds)
 			checkCTVGEqual(t, dt, tr, tc.rounds)
 			if err := dt.Validate(); err != nil {
@@ -57,12 +71,12 @@ func TestHiNetDeltaRecordingMatchesSnapshots(t *testing.T) {
 	}
 }
 
-// TestHiNetForwardOnlyDeltaRecording records a forward-only HiNet, whose
-// phases and churny rounds reuse the storage of discarded ones, over at
-// least three phases with and without churn, and compares it with the
-// snapshot recording of a memoising twin. The recorded base must be a deep
-// copy (phase 0's storage is reused by phase 2), and a run of phases that
-// change nothing must not make RecordDeltas ask for a recycled phase.
+// TestHiNetForwardOnlyDeltaRecording records a HiNet, whose phases and
+// churny rounds reuse the storage of discarded ones, over at least three
+// phases with and without churn, and compares it with the deep-copied
+// rounds of a twin. The recorded base must be a deep copy (phase 0's
+// storage is reused by phase 2), and a run of phases that change nothing
+// must not make RecordDeltas ask for a recycled phase.
 func TestHiNetForwardOnlyDeltaRecording(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -78,8 +92,8 @@ func TestHiNetForwardOnlyDeltaRecording(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap, delt := hiNetPair(tc.cfg, 11)
-			tr := ctvg.Record(snap, tc.rounds)
-			dt := ctvg.RecordDeltas(delt.ForwardOnly(), tc.rounds)
+			tr := snapshots(snap, tc.rounds)
+			dt := ctvg.RecordDeltas(delt, tc.rounds)
 			checkCTVGEqual(t, dt, tr, tc.rounds)
 			if got := delt.Stats().Phases; got < 3 {
 				t.Fatalf("recorded %d phases, want at least 3", got)
@@ -108,7 +122,7 @@ func TestHiNetNativeDeltasMatchGenericDiff(t *testing.T) {
 	if ge != ne || gr != nr {
 		t.Fatalf("changes: native (%d edges, %d roles), generic (%d edges, %d roles)", ne, nr, ge, gr)
 	}
-	checkCTVGEqual(t, native, ctvg.Record(NewHiNet(cfg, xrand.New(3)), rounds), rounds)
+	checkCTVGEqual(t, native, snapshots(NewHiNet(cfg, xrand.New(3)), rounds), rounds)
 }
 
 // TestTIntervalStableUntil pins the new Stability implementation: aligned

@@ -15,25 +15,28 @@
 //     used by the examples.
 //
 // All adversaries draw exclusively from an xrand stream given at
-// construction, so runs are reproducible from a seed, and At(r) is
-// content-stable across repeated calls. The structured families (TInterval,
-// HiNet) produce their dynamics as deltas over frozen stable structures
-// rather than memoised per-round snapshots: churny rounds are assembled
-// copy-on-write in O(n + churn). HiNet also emits its window transitions
-// natively through WindowDelta (ctvg.DeltaSource), so recording a delta
-// trace never pays an O(E) clone per round. OneInterval, whose rounds share
-// nothing by design, memoises every round by default.
+// construction, so runs are reproducible from a seed. The structured
+// families (TInterval, HiNet) produce their dynamics as deltas over frozen
+// stable structures: churny rounds are assembled copy-on-write in
+// O(n + churn). HiNet also emits its window transitions natively through
+// WindowDelta (ctvg.DeltaSource), so recording a delta trace never pays an
+// O(E) clone per round.
 //
-// OneInterval, TInterval and HiNet each have a ForwardOnly mode for
-// single-pass consumers (the engine, ctvg.RecordDeltas): nothing behind the
-// working window is kept, and round storage is recycled, so a warm round
-// allocates no graph. Every rng draw stays where it is, so both modes
-// produce the same rounds. Rounds are requested in ascending order, the
-// graph and hierarchy of round r stay valid until round r+2 is generated,
-// and a consumer that keeps one longer deep-copies it. The experiment
-// harness builds every adversary forward-only; callers that need random
-// access (ctvg.Record, the hinet checkers, the hinet facade's networks)
-// keep the memoising mode.
+// Every adversary generates its rounds in one pass, for single-pass
+// consumers such as the engine and ctvg.RecordDeltas. Nothing behind the
+// working window is kept, and OneInterval, TInterval and HiNet recycle
+// their round storage, so a warm round allocates no graph. The lifetime
+// rule:
+//   - rounds are requested in ascending order; asking for a discarded
+//     round panics;
+//   - the graph and hierarchy of round r stay valid until the adversary
+//     generates round r+2;
+//   - a consumer that keeps one longer deep-copies it
+//     (graph.Graph.DeepClone, ctvg.Hierarchy.Clone).
+//
+// A caller that needs random access over the rounds reads a recording
+// instead: ctvg.Recording extends one on demand, and ctvg.RecordDeltas
+// records a fixed number of rounds.
 package adversary
 
 import (
@@ -48,18 +51,16 @@ import (
 // graph every round: the hardest legal behaviour under 1-interval
 // connectivity (no edge is guaranteed to survive to the next round).
 type OneInterval struct {
-	n     int
-	m     int
-	rng   *xrand.Rand
-	snaps []*graph.Graph
+	n   int
+	m   int
+	rng *xrand.Rand
 
-	// Forward-only mode: the last drawn round and its graph, drawn with
-	// bd's reused buffers into one of bufs.
-	forward bool
-	bd      *graph.Builder
-	bufs    graphPair
-	cur     int
-	curG    *graph.Graph
+	// The last drawn round and its graph, drawn with bd's reused buffers
+	// into one of bufs.
+	bd   *graph.Builder
+	bufs graphPair
+	cur  int
+	curG *graph.Graph
 }
 
 // NewOneInterval returns a 1-interval connected adversary on n nodes whose
@@ -75,42 +76,20 @@ func NewOneInterval(n, m int, rng *xrand.Rand) *OneInterval {
 	if m < n-1 || m > n*(n-1)/2 {
 		panic(fmt.Sprintf("adversary: infeasible edge count m=%d for n=%d", m, n))
 	}
-	return &OneInterval{n: n, m: m, rng: rng, cur: -1}
-}
-
-// ForwardOnly switches the adversary into streaming mode for single-pass
-// consumers such as the engine: rounds are no longer memoised. Each round
-// is drawn, consuming the rng exactly as the memoising mode does, into one
-// of two recycled graphs. The lifetime rule:
-//   - rounds are requested in ascending order; an earlier round panics;
-//   - the graph from At(r) stays valid until the adversary generates round
-//     r+2;
-//   - anything kept longer is deep-copied (graph.Graph.DeepClone).
-//
-// Returns the receiver for chaining.
-func (a *OneInterval) ForwardOnly() *OneInterval {
-	a.forward = true
-	a.bd = graph.NewBuilder(a.n)
-	return a
+	return &OneInterval{n: n, m: m, rng: rng, bd: graph.NewBuilder(n), cur: -1}
 }
 
 // N implements tvg.Dynamic.
 func (a *OneInterval) N() int { return a.n }
 
-// At implements tvg.Dynamic; rounds are generated on demand and memoised
-// unless the adversary is forward-only.
+// At implements tvg.Dynamic: each round is drawn on demand into one of
+// two recycled graphs.
 func (a *OneInterval) At(r int) *graph.Graph {
 	if r < 0 {
 		panic("adversary: negative round")
 	}
-	if !a.forward {
-		for len(a.snaps) <= r {
-			a.snaps = append(a.snaps, graph.RandomConnected(a.n, a.m, a.rng))
-		}
-		return a.snaps[r]
-	}
 	if r < a.cur {
-		panic(fmt.Sprintf("adversary: OneInterval round %d discarded (forward-only)", r))
+		panic(fmt.Sprintf("adversary: OneInterval round %d discarded", r))
 	}
 	for a.cur < r {
 		a.curG = a.bd.RandomConnected(a.m, a.rng, a.bufs.take())
@@ -128,21 +107,21 @@ func (a *OneInterval) At(r int) *graph.Graph {
 // Like HiNet, TInterval produces deltas, not snapshot lists: the backbone
 // of a window is drawn once, each round's effective churn additions are
 // kept as a small edge set, and At assembles the round copy-on-write over
-// the frozen backbone.
+// the frozen backbone into one of two recycled graphs. Only the newest
+// window's backbone and the churn sets of the last two requested rounds
+// are kept.
 type TInterval struct {
 	n     int
 	T     int
 	churn int // extra random edges per round
 	rng   *xrand.Rand
 
-	backbones []*graph.Graph // backbones[w-bbBase] is window w's backbone
-	bbBase    int
-	sets      churnMemo
-	curRound  int
-	curG      *graph.Graph
-
-	forward bool
-	bufs    graphPair
+	bb       *graph.Graph // window bbWin's backbone
+	bbWin    int
+	sets     churnMemo
+	curRound int
+	curG     *graph.Graph
+	bufs     graphPair
 }
 
 // NewTInterval returns a T-interval connected adversary on n nodes with
@@ -151,48 +130,24 @@ func NewTInterval(n, T, churn int, rng *xrand.Rand) *TInterval {
 	if n < 1 || T < 1 || churn < 0 {
 		panic("adversary: invalid TInterval parameters")
 	}
-	return &TInterval{n: n, T: T, churn: churn, rng: rng, curRound: -1}
-}
-
-// ForwardOnly switches the adversary into streaming mode for single-pass
-// consumers such as the engine: only the newest window's backbone and the
-// churn sets of the last two requested rounds are kept, and churny rounds
-// are assembled into one of two recycled graphs. Every rng draw stays
-// where it was. The lifetime rule:
-//   - rounds are requested in ascending order; an earlier round panics;
-//   - the graph from At(r) stays valid until the adversary generates round
-//     r+2;
-//   - anything kept longer is deep-copied (graph.Graph.DeepClone).
-//
-// Returns the receiver for chaining.
-func (a *TInterval) ForwardOnly() *TInterval {
-	a.forward = true
-	return a
+	return &TInterval{n: n, T: T, churn: churn, rng: rng, bbWin: -1, curRound: -1}
 }
 
 // N implements tvg.Dynamic.
 func (a *TInterval) N() int { return a.n }
 
-// Interval returns the stability interval T.
-func (a *TInterval) Interval() int { return a.T }
-
 // backbone returns (drawing as needed) the stable spanning backbone of
-// window w.
+// window w. A skipped window's backbone is still drawn, so the rng stream
+// does not depend on which rounds are asked for.
 func (a *TInterval) backbone(w int) *graph.Graph {
-	if w < a.bbBase {
-		panic(fmt.Sprintf("adversary: TInterval window %d discarded (forward-only)", w))
+	if w < a.bbWin {
+		panic(fmt.Sprintf("adversary: TInterval window %d discarded", w))
 	}
-	for a.bbBase+len(a.backbones) <= w {
-		bb := graph.RandomTree(a.n, a.rng)
-		if a.forward && len(a.backbones) == 1 {
-			// Forward-only mode keeps the newest backbone only.
-			a.backbones[0] = bb
-			a.bbBase++
-		} else {
-			a.backbones = append(a.backbones, bb)
-		}
+	for a.bbWin < w {
+		a.bb = graph.RandomTree(a.n, a.rng)
+		a.bbWin++
 	}
-	return a.backbones[w-a.bbBase]
+	return a.bb
 }
 
 // ensureChurn draws (and memoises) the effective churn additions of every
@@ -216,18 +171,12 @@ func (a *TInterval) At(r int) *graph.Graph {
 	if r == a.curRound {
 		return a.curG
 	}
-	if a.forward && r < a.curRound {
-		panic(fmt.Sprintf("adversary: TInterval round %d discarded (forward-only)", r))
+	if r < a.curRound {
+		panic(fmt.Sprintf("adversary: TInterval round %d discarded", r))
 	}
 	a.ensureChurn(r)
-	d := &graph.Delta{Add: a.sets.at(r)}
-	var g *graph.Graph
-	if a.forward {
-		g = a.backbone(r/a.T).ApplyDeltaInto(a.bufs.take(), d)
-		a.sets.drop(a.curRound)
-	} else {
-		g = a.backbone(r / a.T).ApplyDelta(d)
-	}
+	g := a.backbone(r/a.T).ApplyDeltaInto(a.bufs.take(), &graph.Delta{Add: a.sets.at(r)})
+	a.sets.drop(a.curRound)
 	a.curRound, a.curG = r, g
 	return g
 }

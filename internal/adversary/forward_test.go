@@ -4,22 +4,22 @@ import (
 	"testing"
 
 	"repro/internal/ctvg"
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/xrand"
 )
 
-// forwardCase pairs a forward-only adversary with a memoising one drawn
-// from the same seed. fwdH and memH are nil for the flat adversaries.
-type forwardCase struct {
-	name     string
-	rounds   int
-	fwd, mem func(r int) *graph.Graph
-	fwdH     func(r int) *ctvg.Hierarchy
-	memH     func(r int) *ctvg.Hierarchy
+// lifetimeCase is one adversary's round sequence: at returns round r's
+// graph and hier its hierarchy (nil for the flat adversaries).
+type lifetimeCase struct {
+	name   string
+	rounds int
+	at     func(r int) *graph.Graph
+	hier   func(r int) *ctvg.Hierarchy
 }
 
-func forwardCases() []forwardCase {
-	var cases []forwardCase
+func lifetimeCases() []lifetimeCase {
+	var cases []lifetimeCase
 	for _, cfg := range []HiNetConfig{
 		{N: 40, Theta: 8, L: 2, T: 1, Reaffiliations: 3, HeadChurn: 1},
 		{N: 40, Theta: 8, L: 2, T: 1, Reaffiliations: 3, HeadChurn: 1, ChurnEdges: 6},
@@ -29,69 +29,65 @@ func forwardCases() []forwardCase {
 		// gateway chains are shared from phase to phase.
 		{N: 100, Theta: 30, L: 2, T: 1, Reaffiliations: 5, ChurnEdges: 10},
 	} {
-		fwd := NewHiNet(cfg, xrand.New(5)).ForwardOnly()
-		mem := NewHiNet(cfg, xrand.New(5))
-		cases = append(cases, forwardCase{
-			name: "hinet", rounds: 6*cfg.T + 2,
-			fwd: fwd.At, mem: mem.At, fwdH: fwd.HierarchyAt, memH: mem.HierarchyAt,
-		})
+		a := NewHiNet(cfg, xrand.New(5))
+		cases = append(cases, lifetimeCase{name: "hinet", rounds: 6*cfg.T + 2, at: a.At, hier: a.HierarchyAt})
 	}
 	for _, churn := range []int{0, 7} {
-		fwd := NewTInterval(30, 4, churn, xrand.New(6)).ForwardOnly()
-		mem := NewTInterval(30, 4, churn, xrand.New(6))
-		cases = append(cases, forwardCase{name: "tinterval", rounds: 26, fwd: fwd.At, mem: mem.At})
+		cases = append(cases, lifetimeCase{name: "tinterval", rounds: 26, at: NewTInterval(30, 4, churn, xrand.New(6)).At})
 	}
 	for _, m := range []int{0, 45} {
-		fwd := NewOneInterval(30, m, xrand.New(7)).ForwardOnly()
-		mem := NewOneInterval(30, m, xrand.New(7))
-		cases = append(cases, forwardCase{name: "oneinterval", rounds: 12, fwd: fwd.At, mem: mem.At})
+		cases = append(cases, lifetimeCase{name: "oneinterval", rounds: 12, at: NewOneInterval(30, m, xrand.New(7)).At})
 	}
+	mob := NewMobility(MobilityConfig{
+		N: 30, Field: geom.Field{W: 60, H: 60}, Radius: 15,
+		MinSpeed: 1, MaxSpeed: 3, EnsureConnected: true,
+	}, xrand.New(8))
+	cases = append(cases, lifetimeCase{name: "mobility", rounds: 12, at: mob.At, hier: mob.HierarchyAt})
 	return cases
 }
 
-// TestForwardOnlyMatchesMemoising pins the recycling modes to the
-// memoising ones: over at least four windows, a forward-only adversary
-// returns graphs and hierarchies Equal to those of a memoising adversary
-// drawn from the same seed. Round r's graph and hierarchy are checked
-// again once round r+1 has been generated, which is what the lifetime
-// rule promises.
-func TestForwardOnlyMatchesMemoising(t *testing.T) {
-	for i, c := range forwardCases() {
-		var prevG *graph.Graph
-		var prevH *ctvg.Hierarchy
+// TestRoundLifetime pins the second clause of the lifetime rule on all
+// four adversaries: once round r+1 has been generated, the graph and
+// hierarchy handed out for round r still equal deep copies taken when they
+// were returned. The T = 1 HiNets start a phase every round, each on the
+// storage of a discarded one; the churny adversaries alternate two round
+// graphs.
+func TestRoundLifetime(t *testing.T) {
+	for i, c := range lifetimeCases() {
+		var prevG, keptG *graph.Graph
+		var prevH, keptH *ctvg.Hierarchy
 		for r := 0; r < c.rounds; r++ {
-			g := c.fwd(r)
-			if !g.Equal(c.mem(r)) {
-				t.Fatalf("case %d (%s): round %d graph differs", i, c.name, r)
+			g := c.at(r)
+			var h *ctvg.Hierarchy
+			if c.hier != nil {
+				h = c.hier(r)
 			}
-			if r > 0 && !prevG.Equal(c.mem(r-1)) {
+			if r > 0 && !prevG.Equal(keptG) {
 				t.Fatalf("case %d (%s): round %d graph overwritten by round %d", i, c.name, r-1, r)
 			}
-			prevG = g
-			if c.fwdH == nil {
-				continue
-			}
-			h := c.fwdH(r)
-			if !h.Equal(c.memH(r)) {
-				t.Fatalf("case %d (%s): round %d hierarchy differs", i, c.name, r)
-			}
-			if r > 0 && !prevH.Equal(c.memH(r-1)) {
+			if r > 0 && h != nil && !prevH.Equal(keptH) {
 				t.Fatalf("case %d (%s): round %d hierarchy overwritten by round %d", i, c.name, r-1, r)
 			}
-			prevH = h
+			prevG, keptG = g, g.DeepClone()
+			if h != nil {
+				prevH, keptH = h, h.Clone()
+			}
 		}
 	}
 }
 
 // TestForwardOnlyRejectsEarlierRounds pins the first clause of the
-// lifetime rule: once a later round is generated, asking a forward-only
-// adversary for a discarded one panics instead of handing out storage a
-// newer round has overwritten.
+// lifetime rule: once a later round is generated, asking an adversary for
+// a discarded one panics instead of handing out storage a newer round has
+// overwritten.
 func TestForwardOnlyRejectsEarlierRounds(t *testing.T) {
 	for name, at := range map[string]func(int) *graph.Graph{
-		"hinet":       NewHiNet(HiNetConfig{N: 30, Theta: 6, L: 2, T: 2, ChurnEdges: 4}, xrand.New(1)).ForwardOnly().At,
-		"tinterval":   NewTInterval(20, 3, 4, xrand.New(1)).ForwardOnly().At,
-		"oneinterval": NewOneInterval(20, 0, xrand.New(1)).ForwardOnly().At,
+		"hinet":       NewHiNet(HiNetConfig{N: 30, Theta: 6, L: 2, T: 2, ChurnEdges: 4}, xrand.New(1)).At,
+		"tinterval":   NewTInterval(20, 3, 4, xrand.New(1)).At,
+		"oneinterval": NewOneInterval(20, 0, xrand.New(1)).At,
+		"mobility": NewMobility(MobilityConfig{
+			N: 20, Field: geom.Field{W: 50, H: 50}, Radius: 15, MinSpeed: 1, MaxSpeed: 2,
+		}, xrand.New(1)).At,
 	} {
 		at(4)
 		func() {
@@ -105,7 +101,7 @@ func TestForwardOnlyRejectsEarlierRounds(t *testing.T) {
 	}
 }
 
-// Forward-only round allocations at n = 100, measured on warm adversaries:
+// Round allocations at n = 100, measured on warm adversaries:
 // graph storage contributes none. A (1, L)-HiNet phase round reuses the
 // dropped phase's hierarchy, graph and gateway map; with no head rotation
 // it shares the previous phase's links and gateway chains, so it allocates
@@ -116,8 +112,8 @@ const (
 	forwardOneIntervalAllocs = 0
 )
 
-// TestForwardOnlyRoundAllocs pins the allocations of one warm forward-only
-// At call at the Table 3 point: a churny HiNet round inside a phase, a
+// TestForwardOnlyRoundAllocs pins the allocations of one warm At call at
+// the Table 3 point: a churny HiNet round inside a phase, a
 // T = 1 HiNet round (a whole new phase plus its churn), and a OneInterval
 // round (a fresh spanning tree).
 func TestForwardOnlyRoundAllocs(t *testing.T) {
@@ -127,9 +123,9 @@ func TestForwardOnlyRoundAllocs(t *testing.T) {
 		at   func(int) *graph.Graph
 		r    int // the last warm-up round
 	}{
-		{"hinet-churn", forwardChurnRoundAllocs, NewHiNet(HiNetConfig{N: 100, Theta: 30, L: 2, T: 18, Reaffiliations: 20, ChurnEdges: 10}, xrand.New(1)).ForwardOnly().At, 18},
-		{"hinet-phase", forwardPhaseRoundAllocs, NewHiNet(HiNetConfig{N: 100, Theta: 30, L: 2, T: 1, Reaffiliations: 5, ChurnEdges: 10}, xrand.New(1)).ForwardOnly().At, 40},
-		{"oneinterval", forwardOneIntervalAllocs, NewOneInterval(100, 0, xrand.New(1)).ForwardOnly().At, 40},
+		{"hinet-churn", forwardChurnRoundAllocs, NewHiNet(HiNetConfig{N: 100, Theta: 30, L: 2, T: 18, Reaffiliations: 20, ChurnEdges: 10}, xrand.New(1)).At, 18},
+		{"hinet-phase", forwardPhaseRoundAllocs, NewHiNet(HiNetConfig{N: 100, Theta: 30, L: 2, T: 1, Reaffiliations: 5, ChurnEdges: 10}, xrand.New(1)).At, 40},
+		{"oneinterval", forwardOneIntervalAllocs, NewOneInterval(100, 0, xrand.New(1)).At, 40},
 	} {
 		r := 0
 		for ; r <= c.r; r++ {
@@ -142,7 +138,7 @@ func TestForwardOnlyRoundAllocs(t *testing.T) {
 			r++
 		})
 		if got != c.want {
-			t.Errorf("%s: a warm forward-only round allocates %v times, want %v", c.name, got, c.want)
+			t.Errorf("%s: a warm round allocates %v times, want %v", c.name, got, c.want)
 		}
 	}
 }

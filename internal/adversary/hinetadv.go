@@ -112,11 +112,17 @@ type HiNetStats struct {
 // graph is materialised once as a frozen CSR (member stars derived from the
 // hierarchy plus the backbone), per-round churn is kept as small effective
 // edge sets, and round snapshots are assembled copy-on-write with
-// graph.ApplyDelta — so a churny round costs O(n + ChurnEdges), not an
-// O(E) deep clone, and no per-round snapshot is ever retained beyond a
-// one-round cursor. WindowDelta additionally emits the transition between
+// graph.ApplyDeltaInto — so a churny round costs O(n + ChurnEdges), not an
+// O(E) deep clone. WindowDelta additionally emits the transition between
 // two window-start rounds directly (ctvg.DeltaSource), which is what
 // ctvg.RecordDeltas consumes.
+//
+// Two phases are kept; the phase dropping out of that window hands its
+// hierarchy, stable-graph storage and gateway map to the phase replacing
+// it. Churn sets are dropped as At and WindowDelta advance, and churny
+// rounds are assembled into one of two recycled graphs, so memory stays
+// O(E + n) no matter how many rounds are generated. The package's lifetime
+// rule applies.
 type HiNet struct {
 	cfg      HiNetConfig
 	headsPer int
@@ -129,8 +135,8 @@ type HiNet struct {
 	scratch []int32
 	bench   []int
 
-	// phases[i] describes phase phaseBase+i; forward-only mode slides the
-	// base upward and recycles older phases.
+	// phases[i] describes phase phaseBase+i; the base slides upward and
+	// older phases are recycled.
 	phases    []*phase
 	phaseBase int
 	// churn holds each round's effective churn additions: canonical sorted
@@ -140,10 +146,8 @@ type HiNet struct {
 	// One-round cursor for churny At: the last materialised snapshot.
 	curRound int
 	curG     *graph.Graph
-
-	forward bool
-	bufs    graphPair // forward-only churny rounds
-	stats   HiNetStats
+	bufs     graphPair // churny rounds
+	stats    HiNetStats
 }
 
 // NewHiNet builds the adversary; it panics on an infeasible configuration
@@ -166,29 +170,12 @@ func NewHiNet(cfg HiNetConfig, rng *xrand.Rand) *HiNet {
 	return a
 }
 
-// ForwardOnly switches the adversary into streaming mode for single-pass
-// consumers such as the engine and ctvg.RecordDeltas. Two phases are
-// kept; the phase dropping out of that window hands its hierarchy,
-// stable-graph storage and gateway map to the phase replacing it. Churn
-// sets are dropped as At and WindowDelta advance, and churny rounds are
-// assembled into one of two recycled graphs. Memory stays O(E + n) no
-// matter how many rounds are generated, and every rng draw stays where it
-// was. The lifetime rule:
-//   - rounds are requested in ascending order; a discarded round or phase
-//     panics;
-//   - the graph from At(r) and the hierarchy from HierarchyAt(r) stay
-//     valid until the adversary generates round r+2;
-//   - anything kept longer is deep-copied (graph.Graph.DeepClone,
-//     ctvg.Hierarchy.Clone).
+// ForwardOnly returns the receiver: every adversary generates its rounds
+// in one pass.
 //
-// Returns the receiver for chaining.
-func (a *HiNet) ForwardOnly() *HiNet {
-	a.forward = true
-	return a
-}
-
-// Config returns the adversary's configuration.
-func (a *HiNet) Config() HiNetConfig { return a.cfg }
+// Deprecated: the method does nothing. It stays until its one remaining
+// caller, the benchmark's stream workload, drops it.
+func (a *HiNet) ForwardOnly() *HiNet { return a }
 
 // Stats returns churn counters for the phases generated so far.
 func (a *HiNet) Stats() HiNetStats { return a.stats }
@@ -212,22 +199,16 @@ func (a *HiNet) At(r int) *graph.Graph {
 	if r == a.curRound {
 		return a.curG
 	}
-	if a.forward && r < a.curRound {
-		panic(fmt.Sprintf("adversary: HiNet round %d discarded (forward-only)", r))
+	if r < a.curRound {
+		panic(fmt.Sprintf("adversary: HiNet round %d discarded", r))
 	}
 	a.ensureChurn(r)
 	// Copy-on-write assembly: the frozen stable CSR plus this round's
 	// effective churn additions. O(n + ChurnEdges), no per-edge clone, and
-	// earlier rounds' snapshots stay valid in whoever still holds them (in
-	// forward-only mode, as long as the lifetime rule says).
-	st, d := a.phaseAt(r/a.cfg.T).stable, &graph.Delta{Add: a.churn.at(r)}
-	var g *graph.Graph
-	if a.forward {
-		g = st.ApplyDeltaInto(a.bufs.take(), d)
-		a.churn.drop(a.curRound)
-	} else {
-		g = st.ApplyDelta(d)
-	}
+	// the previous round's snapshot stays valid, as the lifetime rule says.
+	st := a.phaseAt(r / a.cfg.T).stable
+	g := st.ApplyDeltaInto(a.bufs.take(), &graph.Delta{Add: a.churn.at(r)})
+	a.churn.drop(a.curRound)
 	a.curRound, a.curG = r, g
 	return g
 }
@@ -265,15 +246,15 @@ func (a *HiNet) StableUntil(r int) int {
 }
 
 // phaseAt returns (generating as needed) the stable structure of phase i.
-// In forward-only mode, only the two most recent phases are retained, and
-// the one dropping out lends its storage to the phase replacing it.
+// Only the two most recent phases are retained, and the one dropping out
+// lends its storage to the phase replacing it.
 func (a *HiNet) phaseAt(i int) *phase {
 	if i < a.phaseBase {
-		panic(fmt.Sprintf("adversary: HiNet phase %d discarded (forward-only)", i))
+		panic(fmt.Sprintf("adversary: HiNet phase %d discarded", i))
 	}
 	for a.phaseBase+len(a.phases) <= i {
 		var spare *phase
-		if a.forward && len(a.phases) == 2 {
+		if len(a.phases) == 2 {
 			spare = a.phases[0]
 			a.phases[0], a.phases[1] = a.phases[1], nil
 			a.phases = a.phases[:1]
@@ -566,11 +547,9 @@ func (a *HiNet) WindowDelta(r0, r1 int) (*graph.Delta, ctvg.HierarchyDelta) {
 		graph.SortEdges(rem)
 		gd = &graph.Delta{Add: add, Remove: rem}
 	}
-	if a.forward {
-		// Single-pass consumption: churn sets before the previous window
-		// start can no longer be asked for.
-		a.churn.drop(r0)
-	}
+	// Single-pass consumption: churn sets before the previous window start
+	// can no longer be asked for.
+	a.churn.drop(r0)
 	return gd, hd
 }
 

@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"fmt"
+
 	"repro/internal/cluster"
 	"repro/internal/ctvg"
 	"repro/internal/geom"
@@ -34,13 +36,18 @@ type MobilityConfig struct {
 // hierarchy is incrementally maintained (lowest-ID or highest-degree
 // election, gateway re-selection). It makes no (T, L)-HiNet promise — it is
 // the "reality check" adversary for examples and robustness tests.
+//
+// Only the current round is kept: each round's snapshot and hierarchy are
+// fresh (cluster.Maintain builds a new hierarchy from the last one), so
+// nothing needs recycling and the package's lifetime rule holds trivially.
 type Mobility struct {
 	cfg MobilityConfig
 	mob *geom.Mobility
 	rng *xrand.Rand
 
-	snaps []*graph.Graph
-	hiers []*ctvg.Hierarchy
+	cur   int // the last generated round; -1 before round 0
+	curG  *graph.Graph
+	curH  *ctvg.Hierarchy
 	stats cluster.Stats
 }
 
@@ -53,6 +60,7 @@ func NewMobility(cfg MobilityConfig, rng *xrand.Rand) *Mobility {
 		cfg: cfg,
 		mob: geom.NewMobility(cfg.N, cfg.Field, cfg.MinSpeed, cfg.MaxSpeed, cfg.PauseRounds, rng.Split()),
 		rng: rng,
+		cur: -1,
 	}
 }
 
@@ -62,47 +70,46 @@ func (a *Mobility) N() int { return a.cfg.N }
 // Stats returns accumulated clustering churn over generated rounds.
 func (a *Mobility) Stats() cluster.Stats { return a.stats }
 
-// generate materialises rounds up to and including r.
+// generate advances the motion to round r, clustering every round on the
+// way.
 func (a *Mobility) generate(r int) {
-	for len(a.snaps) <= r {
-		if len(a.snaps) > 0 {
+	if r < 0 {
+		panic("adversary: negative round")
+	}
+	if r < a.cur {
+		panic(fmt.Sprintf("adversary: Mobility round %d discarded", r))
+	}
+	for a.cur < r {
+		if a.cur >= 0 {
 			a.mob.Step()
 		}
 		g := a.mob.Snapshot(a.cfg.Radius)
 		if a.cfg.EnsureConnected {
 			patchConnect(g, a.rng)
 		}
-		var h *ctvg.Hierarchy
-		if len(a.hiers) == 0 {
-			h = cluster.Form(g, a.cfg.Cluster)
+		if a.curH == nil {
+			a.curH = cluster.Form(g, a.cfg.Cluster)
 		} else {
 			var st cluster.Stats
-			h, st = cluster.Maintain(g, a.hiers[len(a.hiers)-1], a.cfg.Cluster)
+			a.curH, st = cluster.Maintain(g, a.curH, a.cfg.Cluster)
 			a.stats.Reaffiliations += st.Reaffiliations
 			a.stats.NewHeads += st.NewHeads
 			a.stats.RemovedHeads += st.RemovedHeads
 		}
-		a.snaps = append(a.snaps, g)
-		a.hiers = append(a.hiers, h)
+		a.cur, a.curG = a.cur+1, g
 	}
 }
 
 // At implements ctvg.Dynamic.
 func (a *Mobility) At(r int) *graph.Graph {
-	if r < 0 {
-		panic("adversary: negative round")
-	}
 	a.generate(r)
-	return a.snaps[r]
+	return a.curG
 }
 
 // HierarchyAt implements ctvg.Dynamic.
 func (a *Mobility) HierarchyAt(r int) *ctvg.Hierarchy {
-	if r < 0 {
-		panic("adversary: negative round")
-	}
 	a.generate(r)
-	return a.hiers[r]
+	return a.curH
 }
 
 // patchConnect links the components of g with random bridge edges until g

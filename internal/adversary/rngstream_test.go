@@ -190,3 +190,41 @@ func TestTIntervalRNGStreamUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// oneIntervalFingerprint digests `rounds` rounds of a OneInterval and the
+// post-run rng position.
+func oneIntervalFingerprint(n, m int, seed uint64, rounds int) uint64 {
+	rng := xrand.New(seed)
+	a := NewOneInterval(n, m, rng)
+	f := newFingerprint()
+	for r := 0; r < rounds; r++ {
+		f.graph(a.At(r))
+	}
+	for i := 0; i < 4; i++ {
+		f.word(rng.Uint64())
+	}
+	return f.sum()
+}
+
+// The OneInterval goldens were captured from the memoising implementation,
+// which drew each round with graph.RandomConnected: a bare spanning tree
+// (m = n-1, passed as 0 and as 29) and a denser graph (m > n-1).
+var oneIntervalGoldens = []struct {
+	name   string
+	n, m   int
+	seed   uint64
+	rounds int
+	want   uint64
+}{
+	{name: "tree", n: 30, m: 0, seed: 1, rounds: 12, want: 0x714ca57d521db1d4},
+	{name: "tree-explicit", n: 30, m: 29, seed: 1, rounds: 12, want: 0x714ca57d521db1d4},
+	{name: "dense", n: 25, m: 60, seed: 2, rounds: 9, want: 0x18fa9d2659499f50},
+}
+
+func TestOneIntervalRNGStreamUnchanged(t *testing.T) {
+	for _, g := range oneIntervalGoldens {
+		if got := oneIntervalFingerprint(g.n, g.m, g.seed, g.rounds); got != g.want {
+			t.Errorf("%s: fingerprint %#x, want %#x — OneInterval's rng draw order changed", g.name, got, g.want)
+		}
+	}
+}

@@ -9,8 +9,8 @@ import (
 
 // churnMemo holds the effective churn additions of consecutive rounds, the
 // per-round layer TInterval and HiNet put on top of a stable structure.
-// Forward-only adversaries drop the sets behind the working window and
-// draw later rounds into their storage.
+// The adversaries drop the sets behind the working window and draw later
+// rounds into their storage.
 type churnMemo struct {
 	sets  [][]graph.Edge // sets[r-base] is round r's
 	base  int
@@ -23,7 +23,7 @@ func (c *churnMemo) next() int { return c.base + len(c.sets) }
 // at returns round r's set; r must be drawn and not dropped.
 func (c *churnMemo) at(r int) []graph.Edge {
 	if r < c.base {
-		panic(fmt.Sprintf("adversary: round %d discarded (forward-only)", r))
+		panic(fmt.Sprintf("adversary: round %d discarded", r))
 	}
 	return c.sets[r-c.base]
 }
@@ -78,10 +78,10 @@ func (c *churnMemo) drop(r int) {
 	c.base += k
 }
 
-// graphPair is the storage a forward-only adversary draws its round graphs
-// into, alternately: a round's graph stays intact while the next round is
-// drawn and is overwritten by the round after that. That is the lifetime
-// rule of every ForwardOnly method.
+// graphPair is the storage an adversary draws its round graphs into,
+// alternately: a round's graph stays intact while the next round is drawn
+// and is overwritten by the round after that. That is the package's
+// lifetime rule.
 type graphPair struct {
 	g    [2]graph.Graph
 	next int

@@ -152,12 +152,15 @@ func runTheorem1(t *testing.T, seed uint64, cfg adversary.HiNetConfig, k, alpha 
 	} else {
 		phases = Theorem1Phases(cfg.Theta, alpha)
 	}
-	// Verify the adversary really is a (T, L)-HiNet for the whole run.
-	if err := (hinet.Model{T: T, L: cfg.L}).CheckValid(adv, phases); err != nil {
+	// Verify the adversary really is a (T, L)-HiNet for the whole run. The
+	// adversary generates each round once, so the check and the run read
+	// a recording of it.
+	rec := ctvg.RecordDeltas(adv, phases*T)
+	if err := (hinet.Model{T: T, L: cfg.L}).CheckValid(rec, phases); err != nil {
 		t.Fatalf("adversary violates model: %v", err)
 	}
 	assign := token.Spread(cfg.N, k, xrand.New(seed+1000))
-	return sim.MustRunProtocol(adv, Alg1{T: T, StableHeads: stable}, assign,
+	return sim.MustRunProtocol(rec, Alg1{T: T, StableHeads: stable}, assign,
 		sim.Options{MaxRounds: phases * T, StopWhenComplete: true})
 }
 

@@ -49,13 +49,15 @@ func TestTheorem2CompletionWithinNMinus1(t *testing.T) {
 	// hierarchy every single round.
 	const n, k = 30, 5
 	for seed := uint64(0); seed < 8; seed++ {
-		adv := oneLHiNet(seed, n, 6, 2, 4)
+		// The adversary generates each round once, so the hypothesis check
+		// and the run read a recording of it.
+		rec := ctvg.RecordDeltas(oneLHiNet(seed, n, 6, 2, 4), Theorem2Rounds(n))
 		// Hypothesis check: every round's snapshot is connected.
-		if !tvg.AlwaysConnected(adv, Theorem2Rounds(n)) {
+		if !tvg.AlwaysConnected(rec, Theorem2Rounds(n)) {
 			t.Fatalf("seed %d: adversary not 1-interval connected", seed)
 		}
 		assign := token.Spread(n, k, xrand.New(seed+500))
-		met := sim.MustRunProtocol(adv, Alg2{}, assign,
+		met := sim.MustRunProtocol(rec, Alg2{}, assign,
 			sim.Options{MaxRounds: Theorem2Rounds(n), StopWhenComplete: true})
 		if !met.Complete {
 			t.Fatalf("seed %d: incomplete within n-1 rounds: %v", seed, met)

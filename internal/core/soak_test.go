@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/ctvg"
 	hinetmodel "repro/internal/hinet"
 	"repro/internal/sim"
 	"repro/internal/token"
@@ -42,12 +43,13 @@ func TestSoakRandomConfigurations(t *testing.T) {
 		phases := Theorem1Phases(theta, alpha)
 		seed := rng.Uint64()
 
-		adv := adversary.NewHiNet(cfg, xrand.New(seed))
-		if err := (hinetmodel.Model{T: T, L: L}).CheckValid(adv, phases); err != nil {
+		// The check and the run read one recording of the adversary.
+		rec := ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(seed)), phases*T)
+		if err := (hinetmodel.Model{T: T, L: L}).CheckValid(rec, phases); err != nil {
 			t.Fatalf("config %d (%+v): model violated: %v", i, cfg, err)
 		}
 		assign := token.Spread(n, k, xrand.New(seed+1))
-		m1 := sim.MustRunProtocol(adv, Alg1{T: T}, assign,
+		m1 := sim.MustRunProtocol(rec, Alg1{T: T}, assign,
 			sim.Options{MaxRounds: phases * T, StopWhenComplete: true})
 		if !m1.Complete {
 			t.Fatalf("config %d (%+v): Theorem 1 violated: %v", i, cfg, m1)

@@ -325,49 +325,22 @@ func (t *Trace) StableUntil(r int) int {
 	return gs
 }
 
-// Record materialises rounds [0, rounds) of any CTVG Dynamic into a Trace.
-//
-// Stable windows are deduplicated exactly as in tvg.Record: when the source
-// advertises Stability (or hands back the identical snapshot/hierarchy
-// pointers for consecutive rounds), every round of the window shares one
-// clone of each layer. A (T, L)-stable adversary therefore records in
-// O(windows·E) memory instead of O(rounds·E), and the shared pointers let
-// the NewTrace stability precomputes hit their pointer fast-paths.
+// Record materialises rounds [0, rounds) of any CTVG Dynamic into a Trace
+// of snapshots, for replays that must not pay a window transition: it
+// records d with RecordDeltas and walks that trace's cursor forward once.
+// Every round of a stability window shares the window's graph and
+// hierarchy, so a (T, L)-stable adversary records in O(windows·n) memory
+// beyond its changes, and the shared pointers let the NewTrace stability
+// precomputes hit their pointer fast-paths.
 func Record(d Dynamic, rounds int) *Trace {
 	if rounds <= 0 {
 		panic("ctvg: Record needs rounds > 0")
 	}
-	st, _ := d.(Stability)
+	dt := RecordDeltas(d, rounds)
 	snaps := make([]*graph.Graph, rounds)
 	hier := make([]*Hierarchy, rounds)
-	var prevSrcG, prevSnapG *graph.Graph
-	var prevSrcH, prevSnapH *Hierarchy
-	for r := 0; r < rounds; {
-		srcG, srcH := d.At(r), d.HierarchyAt(r)
-		snapG := prevSnapG
-		if srcG != prevSrcG || snapG == nil {
-			snapG = srcG.Clone()
-		}
-		snapH := prevSnapH
-		if srcH != prevSrcH || snapH == nil {
-			snapH = srcH.Clone()
-		}
-		end := r
-		if st != nil {
-			if s := st.StableUntil(r); s > end {
-				end = s
-				if end > rounds-1 {
-					end = rounds - 1
-				}
-			}
-		}
-		for w := r; w <= end; w++ {
-			snaps[w] = snapG
-			hier[w] = snapH
-		}
-		prevSrcG, prevSnapG = srcG, snapG
-		prevSrcH, prevSnapH = srcH, snapH
-		r = end + 1
+	for r := range snaps {
+		snaps[r], hier[r] = dt.At(r), dt.HierarchyAt(r)
 	}
 	return NewTrace(tvg.NewTrace(snaps), hier)
 }

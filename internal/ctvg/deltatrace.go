@@ -96,6 +96,10 @@ type DeltaSource interface {
 // over which BOTH layers are constant, matching Trace's combined
 // StableUntil. Rounds beyond the recorded range repeat the final window.
 //
+// A trace made by Recording is still attached to its source: asking it for
+// a round past what it holds records further windows first, so it has no
+// recorded range to run past.
+//
 // At materialises the requested window on a cursor via copy-on-write
 // Apply/Unapply, so a transition costs O(n + |changes|) regardless of |E|.
 // The cursor makes this type stateful: a DeltaTrace must not be shared by
@@ -109,12 +113,26 @@ type DeltaTrace struct {
 	starts  []int // starts[i] is the first round of window i; starts[0] == 0
 	gdeltas []*graph.Delta
 	hdeltas []HierarchyDelta
+	rec     *recorder // non-nil while the trace still reads its source
 
 	cur   int
 	curG  *graph.Graph
 	curH  *Hierarchy
 	baseG *graph.Graph
 	baseH *Hierarchy
+}
+
+// recorder is what an attached trace knows of its source: the source
+// itself and the last source window it visited.
+type recorder struct {
+	d      Dynamic
+	st     Stability   // nil unless d advertises its windows
+	native DeltaSource // nil unless d emits its transitions
+	// The last visited window's start and, for a source without native
+	// deltas, its state.
+	prevStart int
+	prevG     *graph.Graph
+	prevH     *Hierarchy
 }
 
 // NewDeltaTrace assembles a clustered delta trace. starts must be strictly
@@ -155,10 +173,78 @@ func NewDeltaTrace(baseG *graph.Graph, baseH *Hierarchy, starts []int, gdeltas [
 	}
 }
 
+// Recording returns a trace that records d on demand. Nothing is read
+// until a round is asked for; asking for round r records every window of d
+// up to the one holding r. The source is read once, in ascending order,
+// and no round's graph or hierarchy is held past the next window start, so
+// d may be an adversary that recycles its storage. The trace answers At,
+// HierarchyAt and StableUntil for any round, earlier ones included, so it
+// gives random access over a single-pass source.
+func Recording(d Dynamic) *DeltaTrace {
+	st, _ := d.(Stability)
+	native, _ := d.(DeltaSource)
+	return &DeltaTrace{
+		n:       d.N(),
+		starts:  []int{0},
+		gdeltas: []*graph.Delta{{}},
+		hdeltas: []HierarchyDelta{nil},
+		rec:     &recorder{d: d, st: st, native: native},
+	}
+}
+
+// extend records windows of the source until the trace holds round r. It
+// is the one place that reads rounds from a source: native DeltaSource
+// transitions are consumed when offered; otherwise consecutive window
+// states are diffed. Transitions that change neither layer are merged into
+// the preceding window. The base is a deep copy: a clone of a frozen graph
+// would share lists the source overwrites later.
+func (t *DeltaTrace) extend(r int) {
+	for rc := t.rec; rc != nil && t.length <= r; {
+		s := t.length // the next source window start
+		var g *graph.Graph
+		var h *Hierarchy
+		if s == 0 || rc.native == nil {
+			g, h = rc.d.At(s), rc.d.HierarchyAt(s)
+		}
+		if s == 0 {
+			t.baseG, t.baseH = g.DeepClone(), h.Clone()
+			t.curG, t.curH = t.baseG, t.baseH
+		} else {
+			// Each transition is taken from the previous window start,
+			// even when that one changed nothing: its state equals the
+			// last recorded window's, so the delta is the same, and the
+			// source never has to serve a round behind its working window.
+			var gd *graph.Delta
+			var hd HierarchyDelta
+			if rc.native != nil {
+				gd, hd = rc.native.WindowDelta(rc.prevStart, s)
+			} else {
+				gd, hd = graph.DeltaBetween(rc.prevG, g), HierarchyDeltaBetween(rc.prevH, h)
+			}
+			if !gd.Empty() || len(hd) > 0 {
+				t.starts = append(t.starts, s)
+				t.gdeltas = append(t.gdeltas, gd)
+				t.hdeltas = append(t.hdeltas, hd)
+			}
+		}
+		rc.prevStart, rc.prevG, rc.prevH = s, g, h
+		t.length = s + 1
+		if rc.st != nil {
+			if e := rc.st.StableUntil(s); e == math.MaxInt {
+				// The source never changes again: the trace is complete.
+				t.length, t.rec, rc = math.MaxInt, nil, nil
+			} else if e > s {
+				t.length = e + 1
+			}
+		}
+	}
+}
+
 // N implements Dynamic.
 func (t *DeltaTrace) N() int { return t.n }
 
-// Len returns the number of recorded rounds.
+// Len returns the number of recorded rounds. A trace still attached to its
+// source holds the rounds asked for so far.
 func (t *DeltaTrace) Len() int { return t.length }
 
 // Windows returns the number of stability windows.
@@ -206,10 +292,13 @@ func (t *DeltaTrace) seek(w int) {
 	}
 }
 
+// clamp records up to round r if the trace still reads its source, and
+// maps a round past a detached trace's end onto its last round.
 func (t *DeltaTrace) clamp(r int) int {
 	if r < 0 {
 		panic("ctvg: negative round")
 	}
+	t.extend(r)
 	if r >= t.length {
 		r = t.length - 1
 	}
@@ -229,80 +318,39 @@ func (t *DeltaTrace) HierarchyAt(r int) *Hierarchy {
 }
 
 // StableUntil implements Stability over both layers: windows are maximal
-// runs where neither the snapshot nor the hierarchy changes.
+// runs where neither the snapshot nor the hierarchy changes. A trace still
+// reading its source does not look past the source window it has recorded
+// last, so it may under-report the last window, as Stability allows: a
+// source that repeats one window forever would make such a search endless.
 func (t *DeltaTrace) StableUntil(r int) int {
 	if r < 0 {
 		panic("ctvg: negative round")
 	}
+	t.extend(r)
 	if r >= t.length {
 		return math.MaxInt
 	}
 	w := t.windowOf(r)
-	if w == len(t.starts)-1 {
-		return math.MaxInt
+	if w < len(t.starts)-1 {
+		return t.starts[w+1] - 1
 	}
-	return t.starts[w+1] - 1
+	if t.rec != nil {
+		return t.length - 1
+	}
+	return math.MaxInt
 }
 
-// RecordDeltas materialises rounds [0, rounds) of any CTVG Dynamic into a
-// DeltaTrace: the streaming counterpart of Record. Native DeltaSource
-// transitions are consumed when offered; otherwise consecutive window
-// states are diffed. Transitions that change neither layer are merged into
-// the preceding window, matching Record's dedup.
-//
-// Rounds are visited once, in ascending order, and no round's graph or
-// hierarchy is held past the next window start, so d may be a forward-only
-// adversary that recycles its storage. The base is a deep copy for the
-// same reason: a clone of a frozen graph would share lists the source
-// overwrites later.
+// RecordDeltas records rounds [0, rounds) of any CTVG Dynamic into a
+// DeltaTrace: a Recording of d extended to rounds and then detached from
+// d, so rounds past the end repeat the last window.
 func RecordDeltas(d Dynamic, rounds int) *DeltaTrace {
 	if rounds <= 0 {
 		panic("ctvg: RecordDeltas needs rounds > 0")
 	}
-	st, _ := d.(Stability)
-	src, native := d.(DeltaSource)
-
-	prevG, prevH := d.At(0), d.HierarchyAt(0)
-	baseG, baseH := prevG.DeepClone(), prevH.Clone()
-	var starts []int
-	var gdeltas []*graph.Delta
-	var hdeltas []HierarchyDelta
-	prevStart := 0
-	next := func(r int) int {
-		if st != nil {
-			if s := st.StableUntil(r); s > r {
-				if s >= rounds-1 {
-					return rounds // this window covers the rest
-				}
-				return s + 1
-			}
-		}
-		return r + 1
-	}
-	for r := next(0); r < rounds; r = next(r) {
-		// Each transition is taken from the previous window start, even
-		// when that one changed nothing: its state equals the last
-		// recorded window's, so the delta is the same, and a forward-only
-		// source never has to serve a round behind its working window.
-		var gd *graph.Delta
-		var hd HierarchyDelta
-		if native {
-			gd, hd = src.WindowDelta(prevStart, r)
-		} else {
-			curG, curH := d.At(r), d.HierarchyAt(r)
-			gd = graph.DeltaBetween(prevG, curG)
-			hd = HierarchyDeltaBetween(prevH, curH)
-			prevG, prevH = curG, curH
-		}
-		prevStart = r
-		if gd.Empty() && len(hd) == 0 {
-			continue
-		}
-		starts = append(starts, r)
-		gdeltas = append(gdeltas, gd)
-		hdeltas = append(hdeltas, hd)
-	}
-	return NewDeltaTrace(baseG, baseH, starts, gdeltas, hdeltas, rounds)
+	t := Recording(d)
+	t.extend(rounds - 1)
+	t.length, t.rec = rounds, nil
+	return t
 }
 
 // Validate checks each window's hierarchy against its graph (one check per

@@ -169,3 +169,112 @@ func TestCTVGDeltaTraceHierarchyOnlyWindow(t *testing.T) {
 		t.Fatal("hierarchy windows wrong")
 	}
 }
+
+// TestRecordDedupsWithoutStability checks that a source handing back the
+// same graph and hierarchy for consecutive rounds without implementing
+// Stability still records one shared snapshot per run of equal rounds.
+func TestRecordDedupsWithoutStability(t *testing.T) {
+	g0, h0 := starCluster()
+	g1 := g0.Clone()
+	g1.AddEdge(1, 2)
+	d := struct{ Dynamic }{phasedDynamic{g0: g0, g1: g1, h0: h0, h1: h0}}
+	if _, ok := d.Dynamic.(Stability); !ok {
+		t.Fatal("test setup: phasedDynamic must advertise Stability")
+	}
+	var dyn Dynamic = d
+	if _, ok := dyn.(Stability); ok {
+		t.Fatal("test setup: wrapper must not advertise Stability")
+	}
+	tr := Record(dyn, 6)
+	if tr.At(0) != tr.At(1) {
+		t.Error("equal rounds were recorded separately")
+	}
+	if tr.At(1) == tr.At(2) {
+		t.Error("different rounds share a snapshot")
+	}
+	// Rounds 4-5 are the trace tail, which repeats forever.
+	for r, want := range []int{1, 1, 3, 3, math.MaxInt, math.MaxInt} {
+		if got := tr.StableUntil(r); got != want {
+			t.Errorf("StableUntil(%d) = %d want %d", r, got, want)
+		}
+	}
+}
+
+// ascending serves a trace's rounds only in ascending order, as the
+// adversaries do, and remembers the highest round asked for.
+type ascending struct {
+	*Trace
+	last int
+}
+
+func (s *ascending) at(r int) int {
+	if r < s.last {
+		panic("ascending: round asked for twice out of order")
+	}
+	s.last = r
+	return r
+}
+
+func (s *ascending) At(r int) *graph.Graph        { return s.Trace.At(s.at(r)) }
+func (s *ascending) HierarchyAt(r int) *Hierarchy { return s.Trace.HierarchyAt(s.at(r)) }
+func (s *ascending) StableUntil(r int) int        { return s.Trace.StableUntil(s.at(r)) }
+
+// TestRecordingExtendsOnDemand reads a single-pass source through a
+// Recording in random order: each request records only up to the window
+// holding it, and earlier rounds are served from the recording.
+func TestRecordingExtendsOnDemand(t *testing.T) {
+	tr := buildClusteredTrace(t, 6, 4, 3)
+	src := &ascending{Trace: tr}
+	rec := Recording(src)
+	if rec.Len() != 0 || src.last != 0 {
+		t.Fatalf("a fresh recording read its source (len %d)", rec.Len())
+	}
+	for _, r := range []int{9, 2, 0, 9, 17, 5, 23, 1, 30, 12} {
+		if !rec.At(r).Equal(tr.At(r)) || !rec.HierarchyAt(r).Equal(tr.HierarchyAt(r)) {
+			t.Fatalf("round %d: content mismatch", r)
+		}
+		if want := tr.StableUntil(r); rec.StableUntil(r) != want && r < 20 {
+			t.Fatalf("round %d: StableUntil %d, want %d", r, rec.StableUntil(r), want)
+		}
+	}
+	// Round 30 is past the source's last change, which the source reports
+	// as stable forever: the recording is then complete.
+	if rec.Len() != math.MaxInt || rec.Windows() != 6 {
+		t.Fatalf("after round 30: len %d, %d windows", rec.Len(), rec.Windows())
+	}
+}
+
+// repeating presents one graph and hierarchy forever but advertises
+// T-round windows, like a HiNet with no re-affiliation, head churn or
+// churn edges.
+type repeating struct {
+	g *graph.Graph
+	h *Hierarchy
+	T int
+}
+
+func (d repeating) N() int                     { return d.g.N() }
+func (d repeating) At(int) *graph.Graph        { return d.g }
+func (d repeating) HierarchyAt(int) *Hierarchy { return d.h }
+func (d repeating) StableUntil(r int) int      { return (r/d.T+1)*d.T - 1 }
+
+// TestRecordingStableUntilDoesNotSearchAhead pins the hazard of a lazily
+// extended trace: over a source whose windows never change anything,
+// StableUntil reports the end of the source window recorded last instead
+// of searching for a change that never comes.
+func TestRecordingStableUntilDoesNotSearchAhead(t *testing.T) {
+	g, h := starCluster()
+	rec := Recording(repeating{g: g, h: h, T: 4})
+	for _, c := range []struct{ r, want int }{{0, 3}, {2, 3}, {4, 7}, {41, 43}, {1, 43}} {
+		if got := rec.StableUntil(c.r); got != c.want {
+			t.Errorf("StableUntil(%d) = %d, want %d", c.r, got, c.want)
+		}
+	}
+	if rec.Windows() != 1 || rec.Len() != 44 {
+		t.Fatalf("%d windows over %d rounds, want 1 over 44", rec.Windows(), rec.Len())
+	}
+	// Detached at a fixed length, the same source is stable forever.
+	if got := RecordDeltas(repeating{g: g, h: h, T: 4}, 10).StableUntil(0); got != math.MaxInt {
+		t.Fatalf("recorded StableUntil(0) = %d, want MaxInt", got)
+	}
+}

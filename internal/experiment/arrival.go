@@ -147,8 +147,6 @@ func ArrivalLoad(cfg ArrivalConfig) (ArrivalResult, error) {
 		stall = drain
 	}
 
-	// The engine reads the adversary once, round by round, so it is built
-	// forward-only and recycles its round storage.
 	rng := xrand.New(cfg.Seed)
 	var d ctvg.Dynamic
 	var proto sim.Protocol
@@ -158,15 +156,15 @@ func ArrivalLoad(cfg ArrivalConfig) (ArrivalResult, error) {
 		name = "alg2"
 		d = adversary.NewHiNet(adversary.HiNetConfig{
 			N: n, Theta: p.Theta, L: p.L, T: 1, ChurnEdges: cfg.ChurnEdges,
-		}, rng).ForwardOnly()
+		}, rng)
 		proto = core.Alg2{}
 	case "alg1":
 		d = adversary.NewHiNet(adversary.HiNetConfig{
 			N: n, Theta: p.Theta, L: p.L, T: T, ChurnEdges: cfg.ChurnEdges,
-		}, rng).ForwardOnly()
+		}, rng)
 		proto = core.Alg1{T: T}
 	case "flood":
-		d = sim.NewFlat(adversary.NewOneInterval(n, 0, rng).ForwardOnly())
+		d = sim.NewFlat(adversary.NewOneInterval(n, 0, rng))
 		proto = baseline.Flood{}
 	default:
 		return ArrivalResult{}, fmt.Errorf("experiment: unknown arrival protocol %q (want alg2, alg1 or flood)", cfg.Proto)

@@ -545,9 +545,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 	T := p.T()
 
 	// Every row shares the point's plumbing; only the model, output slug,
-	// phase length, budget and build function differ. A replication's
-	// engine reads its adversary once, round by round, so every adversary
-	// is built forward-only and recycles its round storage.
+	// phase length, budget and build function differ.
 	row := func(model, slug string, phaseLen, budget int, build func(seed uint64) (ctvg.Dynamic, sim.Protocol)) runSpec {
 		return runSpec{
 			model: model, slug: slug, phaseLen: phaseLen, budget: budget, build: build,
@@ -562,7 +560,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 	kloTPhases := baseline.KLOTPhases(n, T, k)
 	jobKLOT := rowJob{spec: row("(k+α*L)-interval connected [7]", "klo_t", T, kloTPhases*T,
 		func(seed uint64) (ctvg.Dynamic, sim.Protocol) {
-			adv := adversary.NewTInterval(n, T, cfg.ChurnEdges, xrand.New(seed)).ForwardOnly()
+			adv := adversary.NewTInterval(n, T, cfg.ChurnEdges, xrand.New(seed))
 			return sim.NewFlat(adv), baseline.KLOT{T: T}
 		}), analytic: analysis.KLOTInterval(p)}
 
@@ -575,7 +573,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 				N: n, Theta: theta, L: L, T: T,
 				Reaffiliations: distribute(nrTotalT, alg1Phases-1),
 				ChurnEdges:     cfg.ChurnEdges,
-			}, xrand.New(seed)).ForwardOnly()
+			}, xrand.New(seed))
 			return adv, core.Alg1{T: T}
 		}), analytic: func() analysis.Cost { pp := p; pp.NR = cfg.NRT; return analysis.HiNetTInterval(pp) }()}
 	jobAlg1.spec.paceBudget = &provenance.Budget{PhaseLen: T, Phases: alg1Phases, Alpha: alpha, Theta: theta}
@@ -583,7 +581,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 	// Row 3: KLO 1-interval flooding.
 	jobFlood := rowJob{spec: row("1-interval connected [7]", "flood", 1, baseline.FloodRounds(n),
 		func(seed uint64) (ctvg.Dynamic, sim.Protocol) {
-			adv := adversary.NewOneInterval(n, 0, xrand.New(seed)).ForwardOnly()
+			adv := adversary.NewOneInterval(n, 0, xrand.New(seed))
 			return sim.NewFlat(adv), baseline.Flood{}
 		}), analytic: analysis.KLOOneInterval(p)}
 
@@ -596,7 +594,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 				N: n, Theta: theta, L: L, T: 1,
 				Reaffiliations: distribute(nrTotal1, budget1-1),
 				ChurnEdges:     cfg.ChurnEdges,
-			}, xrand.New(seed)).ForwardOnly()
+			}, xrand.New(seed))
 			return adv, core.Alg2{}
 		}), analytic: func() analysis.Cost { pp := p; pp.NR = cfg.NR1; return analysis.HiNetOneInterval(pp) }()}
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/ctvg"
 	"repro/internal/geom"
 	"repro/internal/hinet"
 	"repro/internal/parallel"
@@ -62,10 +63,12 @@ func MobilityCampaign(n, k int, speeds []float64, seeds int) ([]MobilityPoint, e
 			}
 			assign := token.Spread(n, k, xrand.New(seed+31))
 
-			adv := adversary.NewMobility(cfg, xrand.New(seed))
-			m2 := sim.MustRunProtocol(adv, core.Alg2{}, assign,
+			// The adversary generates each round once; the run and the
+			// probe read the same recording of it.
+			net := ctvg.Recording(adversary.NewMobility(cfg, xrand.New(seed)))
+			m2 := sim.MustRunProtocol(net, core.Alg2{}, assign,
 				sim.Options{MaxRounds: horizon, StopWhenComplete: true})
-			rep := hinet.Probe(adv, m2.Rounds)
+			rep := hinet.Probe(net, m2.Rounds)
 
 			// Flooding on the identical physical topology: the mobility
 			// adversary satisfies tvg.Dynamic, so NewFlat strips its

@@ -223,7 +223,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 }
 
 // TestApplyDeltaIntoRecycles alternates ApplyDeltaInto between two
-// recycled targets, as a forward-only adversary does: every result equals
+// recycled targets, as the adversaries do: every result equals
 // ApplyDelta's, the previous result survives the next call intact, and
 // once both targets are warm a call allocates nothing.
 func TestApplyDeltaIntoRecycles(t *testing.T) {

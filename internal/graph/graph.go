@@ -169,7 +169,7 @@ func (g *Graph) Clone() *Graph {
 // CSR backing array holding every adjacency list. It costs O(n + E), where
 // Clone of a frozen graph is an O(n) header copy sharing g's lists, so it
 // is what a consumer keeps when g's storage is recycled later (a graph
-// handed out by a forward-only adversary).
+// handed out by an adversary).
 func (g *Graph) DeepClone() *Graph {
 	c := &Graph{n: g.n, m: g.m, adj: make([][]int, g.n), frozen: true}
 	back := make([]int, 0, 2*g.m)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/ctvg"
 	"repro/internal/hinet"
 	"repro/internal/xrand"
 )
@@ -12,15 +13,15 @@ import (
 // model (Definition 8) and then asks the probe what model the network
 // actually satisfies.
 func Example() {
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
+	// The adversary generates each round once; the checks read a recording.
+	net := ctvg.RecordDeltas(adversary.NewHiNet(adversary.HiNetConfig{
 		N: 30, Theta: 5, L: 2, T: 6, Reaffiliations: 2, ChurnEdges: 3,
-	}, xrand.New(11))
-	adv.At(17) // materialise three phases
+	}, xrand.New(11)), 18)
 
-	err := hinet.Model{T: 6, L: 2}.Check(adv, 3)
+	err := hinet.Model{T: 6, L: 2}.Check(net, 3)
 	fmt.Println("claimed (6, 2)-HiNet:", err == nil)
 
-	err = hinet.Model{T: 6, L: 1}.Check(adv, 3)
+	err = hinet.Model{T: 6, L: 1}.Check(net, 3)
 	fmt.Println("claimed (6, 1)-HiNet:", err == nil)
 	// Output:
 	// claimed (6, 2)-HiNet: true
@@ -29,10 +30,10 @@ func Example() {
 
 // ExampleProbe infers the stability parameters of a recorded network.
 func ExampleProbe() {
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
+	net := ctvg.RecordDeltas(adversary.NewHiNet(adversary.HiNetConfig{
 		N: 30, Theta: 5, L: 2, T: 6, Reaffiliations: 2, ChurnEdges: 0,
-	}, xrand.New(11))
-	rep := hinet.Probe(adv, 18)
+	}, xrand.New(11)), 18)
+	rep := hinet.Probe(net, 18)
 	fmt.Println(rep)
 	// Output:
 	// probe over 18 rounds: (6, 2)-HiNet with ∞-interval stable head set (Remark 1 applies); n_m≈21, measured n_r=0.14

@@ -57,11 +57,15 @@ func TestStabilityCacheEquivalence(t *testing.T) {
 	T := core.Theorem1T(k, alpha, L)
 	rounds := core.Theorem1Phases(theta, alpha) * T
 
-	adv := adversary.NewHiNet(adversary.HiNetConfig{
-		N: n, Theta: theta, L: L, T: T,
-		Reaffiliations: 6, HeadChurn: 2, // churn-heavy: every boundary moves nodes and replaces heads
-	}, xrand.New(1))
-	trace := ctvg.Record(adv, rounds)
+	// An adversary generates its rounds once, so every live run gets a
+	// fresh one.
+	hiNet := func() ctvg.Dynamic {
+		return adversary.NewHiNet(adversary.HiNetConfig{
+			N: n, Theta: theta, L: L, T: T,
+			Reaffiliations: 6, HeadChurn: 2, // churn-heavy: every boundary moves nodes and replaces heads
+		}, xrand.New(1))
+	}
+	trace := ctvg.Record(hiNet(), rounds)
 	if s := trace.StableUntil(0); s <= 0 {
 		t.Fatalf("trace advertises no stable window (StableUntil(0)=%d); the cache would never engage", s)
 	}
@@ -73,14 +77,14 @@ func TestStabilityCacheEquivalence(t *testing.T) {
 
 	dynamics := []struct {
 		name string
-		d    ctvg.Dynamic
+		d    func() ctvg.Dynamic
 	}{
-		{"recorded-trace", trace}, // ctvg.Trace.StableUntil (precomputed windows)
-		{"live-hinet", adv},       // adversary.HiNet.StableUntil (phase arithmetic)
+		{"recorded-trace", func() ctvg.Dynamic { return trace }}, // ctvg.Trace.StableUntil (precomputed windows)
+		{"live-hinet", hiNet}, // adversary.HiNet.StableUntil (phase arithmetic)
 	}
 	for _, dyn := range dynamics {
 		t.Run(dyn.name, func(t *testing.T) {
-			refMet, refJSON := runCollected(t, dyn.d, assign, T, rounds, 1, crashAt)
+			refMet, refJSON := runCollected(t, dyn.d(), assign, T, rounds, 1, crashAt)
 			if len(refJSON) == 0 {
 				t.Fatal("reference run produced no events")
 			}
@@ -93,7 +97,7 @@ func TestStabilityCacheEquivalence(t *testing.T) {
 				{"parallel-cached", 4, false},
 				{"parallel-uncached", 4, true},
 			} {
-				d := dyn.d
+				d := dyn.d()
 				if tc.uncached {
 					d = hiddenStability{d}
 				}

@@ -371,11 +371,10 @@ func (s *StallReport) String() string {
 type Observer struct {
 	// RoundStart is called before messages are collected. g and h alias
 	// the dynamic network's storage and are read-only. Rounds arrive in
-	// ascending order, and a forward-only adversary (the ForwardOnly
-	// methods in internal/adversary) keeps round r's graph and hierarchy
-	// intact only until it generates round r+2, so an observer that keeps
-	// either longer deep-copies it (graph.Graph.DeepClone,
-	// ctvg.Hierarchy.Clone).
+	// ascending order, and an adversary (internal/adversary) keeps round
+	// r's graph and hierarchy intact only until it generates round r+2, so
+	// an observer that keeps either longer deep-copies it
+	// (graph.Graph.DeepClone, ctvg.Hierarchy.Clone).
 	RoundStart func(r int, g *graph.Graph, h *ctvg.Hierarchy)
 	// Sent is called for every non-nil message of round r.
 	Sent func(r int, msg *Message)

@@ -135,13 +135,14 @@ func FuzzRead(f *testing.F) {
 	adv := adversary.NewHiNet(adversary.HiNetConfig{
 		N: 8, Theta: 3, L: 2, T: 3, ChurnEdges: 1,
 	}, xrand.New(1))
+	short := ctvg.Record(adv, 4)
 	var buf bytes.Buffer
-	if err := Write(&buf, ctvg.Record(adv, 4)); err != nil {
+	if err := Write(&buf, short); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	var dbuf bytes.Buffer
-	if err := WriteDelta(&dbuf, ctvg.Record(adv, 4)); err != nil {
+	if err := WriteDelta(&dbuf, short); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(dbuf.Bytes())

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/ctvg"
+	"repro/internal/graph"
+	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -41,11 +43,22 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// snapshotsOf deep-copies rounds [0, rounds) of d as they are generated
+// into a snapshot trace, without going through any recorder.
+func snapshotsOf(d ctvg.Dynamic, rounds int) *ctvg.Trace {
+	gs := make([]*graph.Graph, rounds)
+	hs := make([]*ctvg.Hierarchy, rounds)
+	for r := range gs {
+		gs[r], hs[r] = d.At(r).DeepClone(), d.HierarchyAt(r).Clone()
+	}
+	return ctvg.NewTrace(tvg.NewTrace(gs), hs)
+}
+
 // TestStreamedRecordingMatchesSnapshotBytes pins the path `hinettrace
-// record` takes: a forward-only adversary streamed through
-// ctvg.RecordDeltas must encode, in both formats, to exactly the bytes the
-// snapshot recorder's trace encodes to — across edge churn,
-// re-affiliations and head churn — and decode to a valid trace.
+// record` takes: an adversary streamed through ctvg.RecordDeltas must
+// encode, in both formats, to exactly the bytes a round-by-round deep copy
+// of its twin encodes to — across edge churn, re-affiliations and head
+// churn — and decode to a valid trace.
 func TestStreamedRecordingMatchesSnapshotBytes(t *testing.T) {
 	const rounds = 60
 	for _, cfg := range []adversary.HiNetConfig{
@@ -60,10 +73,10 @@ func TestStreamedRecordingMatchesSnapshotBytes(t *testing.T) {
 			write func(io.Writer, Recorded) error
 		}{{"full", Write}, {"delta", WriteDelta}} {
 			var snap, streamed bytes.Buffer
-			if err := enc.write(&snap, ctvg.Record(adversary.NewHiNet(cfg, xrand.New(9)), rounds)); err != nil {
+			if err := enc.write(&snap, snapshotsOf(adversary.NewHiNet(cfg, xrand.New(9)), rounds)); err != nil {
 				t.Fatal(err)
 			}
-			if err := enc.write(&streamed, ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(9)).ForwardOnly(), rounds)); err != nil {
+			if err := enc.write(&streamed, ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(9)), rounds)); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(streamed.Bytes(), snap.Bytes()) {

@@ -7,10 +7,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Append's in-place stability repair and StableUntil's boundary behaviour
-// carry the engine's window cache; these tests pin the edge cases: the last
-// round of a window, single-snapshot traces, and the invalidation of a
-// previously-infinite trailing window after an Append.
+// StableUntil's boundary behaviour carries the engine's window cache; these
+// tests pin the edge cases: the last round of a window and single-snapshot
+// traces.
 
 func chain(n int, extra ...graph.Edge) *graph.Graph {
 	g := graph.New(n)
@@ -21,49 +20,6 @@ func chain(n int, extra ...graph.Edge) *graph.Graph {
 		g.AddEdge(e.U, e.V)
 	}
 	return g
-}
-
-func TestTraceAppendRepairsTrailingWindow(t *testing.T) {
-	a := chain(5)
-	b := chain(5, graph.Edge{U: 0, V: 4})
-	tr := NewTrace([]*graph.Graph{a, a, a})
-	// The whole trace is one window extending past the end.
-	for r := 0; r < 3; r++ {
-		if got := tr.StableUntil(r); got != math.MaxInt {
-			t.Fatalf("pre-append StableUntil(%d) = %d, want MaxInt", r, got)
-		}
-	}
-
-	// Appending an equal snapshot must keep the window infinite.
-	tr.Append(a.Clone())
-	if got := tr.StableUntil(0); got != math.MaxInt {
-		t.Fatalf("append-equal: StableUntil(0) = %d, want MaxInt", got)
-	}
-
-	// Appending a different snapshot must cut the old window at the old end
-	// and open a new infinite one.
-	tr.Append(b)
-	for r := 0; r < 4; r++ {
-		if got := tr.StableUntil(r); got != 3 {
-			t.Fatalf("append-diff: StableUntil(%d) = %d, want 3", r, got)
-		}
-	}
-	if got := tr.StableUntil(4); got != math.MaxInt {
-		t.Fatalf("append-diff: StableUntil(4) = %d, want MaxInt", got)
-	}
-
-	// The repair sweep must not disturb windows before the trailing one:
-	// append more of b, then check the a-window is still [0, 3].
-	tr.Append(b.Clone())
-	if got := tr.StableUntil(2); got != 3 {
-		t.Fatalf("second append: StableUntil(2) = %d, want 3", got)
-	}
-	if got := tr.StableUntil(4); got != math.MaxInt {
-		t.Fatalf("second append: StableUntil(4) = %d, want MaxInt", got)
-	}
-	if tr.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", tr.Len())
-	}
 }
 
 func TestTraceStableUntilLastRoundOfWindow(t *testing.T) {
@@ -97,44 +53,13 @@ func TestTraceSingleSnapshot(t *testing.T) {
 	if tr.At(7) != a {
 		t.Fatal("past-end At must repeat the single snapshot")
 	}
-	// Appending a different snapshot to a single-snapshot trace must
-	// invalidate round 0's infinite window.
+	// A different second snapshot closes round 0's window at round 0.
 	b := chain(3, graph.Edge{U: 0, V: 2})
-	tr.Append(b)
+	tr = NewTrace([]*graph.Graph{a, b})
 	if got := tr.StableUntil(0); got != 0 {
-		t.Fatalf("post-append StableUntil(0) = %d, want 0", got)
+		t.Fatalf("two snapshots: StableUntil(0) = %d, want 0", got)
 	}
 	if got := tr.StableUntil(1); got != math.MaxInt {
-		t.Fatalf("post-append StableUntil(1) = %d, want MaxInt", got)
-	}
-}
-
-func TestTraceAppendMatchesRebuild(t *testing.T) {
-	// Incremental Append must agree with NewTrace over the full snapshot
-	// list, whatever the window structure.
-	a := chain(4)
-	b := chain(4, graph.Edge{U: 0, V: 2})
-	c := chain(4, graph.Edge{U: 1, V: 3})
-	seqs := [][]*graph.Graph{
-		{a, a, b, b, b, c},
-		{a, b, c, a, b, c},
-		{a, a, a, a},
-		{a, b, b.Clone(), b},
-	}
-	for si, seq := range seqs {
-		inc := NewTrace(seq[:1])
-		for _, g := range seq[1:] {
-			inc.Append(g)
-		}
-		full := NewTrace(seq)
-		for r := 0; r < len(seq)+2; r++ {
-			if inc.StableUntil(r) != full.StableUntil(r) {
-				t.Fatalf("seq %d round %d: incremental %d, rebuilt %d",
-					si, r, inc.StableUntil(r), full.StableUntil(r))
-			}
-			if inc.At(r) != full.At(r) {
-				t.Fatalf("seq %d round %d: snapshots differ", si, r)
-			}
-		}
+		t.Fatalf("two snapshots: StableUntil(1) = %d, want MaxInt", got)
 	}
 }

@@ -109,100 +109,6 @@ func (t *Trace) StableUntil(r int) int {
 	return t.stable[r]
 }
 
-// Append adds a snapshot to the end of the trace. The stability index is
-// repaired in place: only the trailing window that previously extended past
-// the end can change, so the backward sweep stops at the first self-limited
-// round.
-func (t *Trace) Append(g *graph.Graph) {
-	if g.N() != t.n {
-		panic("tvg: appended snapshot has wrong vertex count")
-	}
-	t.snaps = append(t.snaps, g)
-	t.stable = append(t.stable, math.MaxInt)
-	for r := len(t.snaps) - 2; r >= 0 && t.stable[r] > r; r-- {
-		if t.snaps[r].Equal(t.snaps[r+1]) {
-			t.stable[r] = t.stable[r+1]
-		} else {
-			t.stable[r] = r
-		}
-	}
-}
-
-// Record materialises rounds [0, rounds) of any Dynamic into a Trace.
-//
-// Stable windows are deduplicated: when the source advertises Stability (or
-// returns the identical *graph.Graph pointer for consecutive rounds), the
-// whole window shares one clone instead of storing a copy per round, so a
-// T-stable trace costs O(windows·E) memory rather than O(rounds·E). The
-// shared pointers also let NewTrace's stability precompute hit the Equal
-// pointer fast-path.
-func Record(d Dynamic, rounds int) *Trace {
-	if rounds <= 0 {
-		panic("tvg: Record needs rounds > 0")
-	}
-	st, _ := d.(Stability)
-	snaps := make([]*graph.Graph, rounds)
-	var prevSrc, prevSnap *graph.Graph
-	for r := 0; r < rounds; {
-		src := d.At(r)
-		snap := prevSnap
-		if src != prevSrc || snap == nil {
-			snap = src.Clone()
-		}
-		end := r
-		if st != nil {
-			if s := st.StableUntil(r); s > end {
-				end = s
-				if end > rounds-1 {
-					end = rounds - 1
-				}
-			}
-		}
-		for w := r; w <= end; w++ {
-			snaps[w] = snap
-		}
-		prevSrc, prevSnap = src, snap
-		r = end + 1
-	}
-	return NewTrace(snaps)
-}
-
-// TVG is the explicit (V, E, Γ, ρ, ζ) presentation of a recorded dynamic
-// network, matching Definition 1 of the paper minus the cluster extensions.
-type TVG struct {
-	// N is the number of vertices.
-	N int
-	// Footprint contains every edge that exists in at least one round.
-	Footprint *graph.Graph
-	// Lifetime is the number of recorded rounds.
-	Lifetime int
-	// Rho is the presence function: Rho(e, t) reports whether edge e is
-	// available in round t.
-	Rho func(e graph.Edge, t int) bool
-	// Zeta is the latency function; in the synchronous round model every
-	// present edge is crossed in exactly one round.
-	Zeta func(e graph.Edge, t int) int
-}
-
-// FromTrace derives the explicit TVG view of a trace.
-func FromTrace(t *Trace) *TVG {
-	foot := graph.New(t.n)
-	for _, s := range t.snaps {
-		for _, e := range s.Edges() {
-			foot.AddEdge(e.U, e.V)
-		}
-	}
-	return &TVG{
-		N:         t.n,
-		Footprint: foot,
-		Lifetime:  len(t.snaps),
-		Rho: func(e graph.Edge, r int) bool {
-			return t.At(r).HasEdge(e.U, e.V)
-		},
-		Zeta: func(e graph.Edge, r int) int { return 1 },
-	}
-}
-
 // StableSubgraph returns the intersection of the snapshots of rounds
 // [from, from+T): the maximal subgraph present throughout the window.
 // When the dynamic advertises Stability, rounds inside a stability window

@@ -54,24 +54,6 @@ func TestNewTraceEmptyPanics(t *testing.T) {
 	NewTrace(nil)
 }
 
-func TestAppend(t *testing.T) {
-	tr := NewTrace([]*graph.Graph{path(3)})
-	tr.Append(graph.Ring(3))
-	if tr.Len() != 2 || tr.At(1).M() != 3 {
-		t.Fatal("Append failed")
-	}
-}
-
-func TestAppendWrongSizePanics(t *testing.T) {
-	tr := NewTrace([]*graph.Graph{path(3)})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Append wrong size did not panic")
-		}
-	}()
-	tr.Append(path(4))
-}
-
 func TestStableSubgraphIsIntersection(t *testing.T) {
 	// Round 0: path 0-1-2-3; round 1: same path plus chord 0-2; round 2:
 	// path only again. Stable subgraph over all three rounds is the path.
@@ -152,39 +134,6 @@ func TestStatic(t *testing.T) {
 	}
 }
 
-func TestRecord(t *testing.T) {
-	s := Static{G: graph.Ring(5)}
-	tr := Record(s, 3)
-	if tr.Len() != 3 || tr.N() != 5 {
-		t.Fatalf("record len=%d n=%d", tr.Len(), tr.N())
-	}
-	// Recorded snapshots are deep copies.
-	tr.At(0).AddEdge(0, 2)
-	if s.G.HasEdge(0, 2) {
-		t.Fatal("Record aliased source graph")
-	}
-}
-
-func TestFromTrace(t *testing.T) {
-	g0 := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}})
-	g1 := graph.FromEdges(3, []graph.Edge{{U: 1, V: 2}})
-	tr := NewTrace([]*graph.Graph{g0, g1})
-	v := FromTrace(tr)
-	if v.N != 3 || v.Lifetime != 2 {
-		t.Fatalf("N=%d lifetime=%d", v.N, v.Lifetime)
-	}
-	if !v.Footprint.HasEdge(0, 1) || !v.Footprint.HasEdge(1, 2) || v.Footprint.M() != 2 {
-		t.Fatalf("footprint %v", v.Footprint.Edges())
-	}
-	e01 := graph.NormEdge(0, 1)
-	if !v.Rho(e01, 0) || v.Rho(e01, 1) {
-		t.Fatal("presence function wrong")
-	}
-	if v.Zeta(e01, 0) != 1 {
-		t.Fatal("latency must be one round")
-	}
-}
-
 func TestWindowConnectedSingleRound(t *testing.T) {
 	tr := NewTrace([]*graph.Graph{path(4)})
 	if !WindowConnected(tr, 0, 1) {
@@ -220,107 +169,9 @@ func TestStableUntilNegativePanics(t *testing.T) {
 	tr.StableUntil(-1)
 }
 
-func TestAppendRepairsStability(t *testing.T) {
-	a := path(4)
-	b := graph.Ring(4)
-	tr := NewTrace([]*graph.Graph{a, b, b.Clone()})
-	// The trailing window currently extends forever: [0, MaxInt, MaxInt].
-	if got := tr.StableUntil(1); got != math.MaxInt {
-		t.Fatalf("pre-append StableUntil(1) = %d want MaxInt", got)
-	}
-	// Appending a different snapshot must close rounds 1-2 at 2 and open a
-	// fresh forever-window at round 3.
-	tr.Append(a.Clone())
-	for r, w := range []int{0, 2, 2, math.MaxInt} {
-		if got := tr.StableUntil(r); got != w {
-			t.Errorf("post-append StableUntil(%d) = %d want %d", r, got, w)
-		}
-	}
-	// Appending an equal snapshot extends the trailing window.
-	tr.Append(a.Clone())
-	if got := tr.StableUntil(3); got != math.MaxInt {
-		t.Errorf("equal append broke the trailing window: StableUntil(3) = %d", got)
-	}
-}
-
 func TestStaticStableForever(t *testing.T) {
 	s := Static{G: path(3)}
 	if got := s.StableUntil(0); got != math.MaxInt {
 		t.Fatalf("Static.StableUntil(0) = %d want MaxInt", got)
-	}
-}
-
-// windowedDynamic alternates between two snapshots in 3-round stable
-// windows, advertising exactly those windows through Stability.
-type windowedDynamic struct {
-	a, b *graph.Graph
-}
-
-func (d windowedDynamic) N() int { return d.a.N() }
-
-func (d windowedDynamic) At(r int) *graph.Graph {
-	if (r/3)%2 == 0 {
-		return d.a
-	}
-	return d.b
-}
-
-func (d windowedDynamic) StableUntil(r int) int { return (r/3+1)*3 - 1 }
-
-func TestRecordDedupsStableWindows(t *testing.T) {
-	d := windowedDynamic{a: path(5), b: graph.Ring(5)}
-	tr := Record(d, 8)
-
-	// The satellite contract: stability windows survive recording…
-	for r, want := range []int{2, 2, 2, 5, 5, 5, math.MaxInt, math.MaxInt} {
-		if got := tr.StableUntil(r); got != want {
-			t.Errorf("StableUntil(%d) = %d want %d", r, got, want)
-		}
-	}
-	// …and a window stores ONE snapshot, not one clone per round.
-	if tr.At(0) != tr.At(1) || tr.At(1) != tr.At(2) {
-		t.Error("rounds of the first stable window do not share a snapshot")
-	}
-	if tr.At(3) != tr.At(4) || tr.At(4) != tr.At(5) {
-		t.Error("rounds of the second stable window do not share a snapshot")
-	}
-	if tr.At(2) == tr.At(3) {
-		t.Error("distinct windows share a snapshot")
-	}
-	// Recorded snapshots are still copies, not aliases of the source.
-	if tr.At(0) == d.a || tr.At(3) == d.b {
-		t.Error("Record aliased the source graphs")
-	}
-	for r := 0; r < 8; r++ {
-		if !tr.At(r).Equal(d.At(r)) {
-			t.Fatalf("round %d content mismatch", r)
-		}
-	}
-}
-
-// TestRecordPointerDedupWithoutStability checks the fallback: a source that
-// hands back the same *graph.Graph for consecutive rounds without
-// implementing Stability still records one shared clone per run.
-func TestRecordPointerDedupWithoutStability(t *testing.T) {
-	type bare struct{ windowedDynamic } // embeds At/N, hides StableUntil
-	d := bare{windowedDynamic{a: path(4), b: graph.Ring(4)}}
-	var dyn Dynamic = struct {
-		Dynamic
-	}{d}
-	if _, ok := dyn.(Stability); ok {
-		t.Fatal("test setup: wrapper must not advertise Stability")
-	}
-	tr := Record(dyn, 6)
-	if tr.At(0) != tr.At(2) {
-		t.Error("same-pointer rounds were cloned separately")
-	}
-	if tr.At(2) == tr.At(3) {
-		t.Error("different-pointer rounds share a clone")
-	}
-	// Rounds 3-5 are the trace tail, which repeats forever.
-	for r, want := range []int{2, 2, 2, math.MaxInt, math.MaxInt, math.MaxInt} {
-		if got := tr.StableUntil(r); got != want {
-			t.Errorf("StableUntil(%d) = %d want %d", r, got, want)
-		}
 	}
 }
