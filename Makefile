@@ -23,12 +23,15 @@ test:
 # The packages whose code runs on more than one goroutine: the engine's
 # shard fan-out (sim, parallel) and what runs on its shards (the fault
 # injector, the provenance tracer, the self-stabilizing clustering in
-# cluster), the observability layer, the protocols' chaos and soak tests
-# with Workers above 1 (core), and RunGrid's replication pool
-# (experiment).
+# cluster, and every sim.Node implementation: the protocols in core and
+# baseline, the conformance kit's audit node, the facade's example node in
+# hinet), the observability layer, the protocols' chaos and soak tests
+# with Workers above 1 (core), the conformance kit's 8192-node check
+# (conformance), and RunGrid's replication pool (experiment).
 race:
 	$(GO) test -race ./internal/sim/... ./internal/parallel/... ./internal/obs/... ./internal/faults/... ./internal/provenance/... \
-		./internal/core/... ./internal/cluster/... ./internal/experiment/...
+		./internal/core/... ./internal/baseline/... ./internal/conformance/... ./internal/cluster/... \
+		./internal/experiment/... ./hinet/...
 
 # Coverage floors for the observability surfaces — the metrics/event layer
 # and the provenance tracer are pure bookkeeping, so low coverage there

@@ -356,7 +356,7 @@ func BenchmarkHiNet10kRecorded(b *testing.B) {
 // benchmark: exactly BenchmarkHiNet1k's allocs/op. Growing it means the
 // timing layer (or anything else) leaked allocations into the disabled
 // path.
-const hiNet1kAllocBudget = 7390
+const hiNet1kAllocBudget = 393
 
 // TestTimingOffAllocParity pins the zero-cost contract of Options.Timing:
 // the exact BenchmarkHiNet1k workload, timing off, must stay within

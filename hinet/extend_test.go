@@ -29,7 +29,7 @@ type lazyNode struct {
 	dirty bool
 }
 
-func (n *lazyNode) Send(v hinet.NodeView) *hinet.Message {
+func (n *lazyNode) Send(v *hinet.NodeView) *hinet.Message {
 	if !n.dirty {
 		return nil
 	}
@@ -41,7 +41,7 @@ func (n *lazyNode) Send(v hinet.NodeView) *hinet.Message {
 	}
 }
 
-func (n *lazyNode) Deliver(v hinet.NodeView, msgs []*hinet.Message) {
+func (n *lazyNode) Deliver(v *hinet.NodeView, msgs []*hinet.Message) {
 	before := n.ta.Len()
 	for _, m := range msgs {
 		n.ta.UnionWith(m.Tokens)

@@ -85,7 +85,9 @@ type ProtocolNode = sim.Node
 // Message is one transmission (see sim.Message).
 type Message = sim.Message
 
-// NodeView is a node's per-round local view (see sim.View).
+// NodeView is a node's per-round local view (see sim.View). Send and
+// Deliver get a pointer into engine storage: read it during the call,
+// never write it, and never keep it past the call.
 type NodeView = sim.View
 
 // TokenSet is the dense token-set type protocols exchange.

@@ -34,23 +34,31 @@ func (Flood) Name() string { return "klo-flood" }
 
 // Nodes implements sim.Protocol.
 func (Flood) Nodes(assign *token.Assignment) []sim.Node {
-	nodes := make([]sim.Node, assign.N())
-	for v := range nodes {
-		nodes[v] = &floodNode{ta: assign.Initial[v].Clone()}
+	w := words(assign.K)
+	slab := make([]floodNode, assign.N())
+	buf := make([]uint64, w*len(slab))
+	nodes := make([]sim.Node, len(slab))
+	for v := range slab {
+		slab[v].ta = bitset.Within(buf[w*v : w*(v+1)])
+		slab[v].ta.CopyFrom(assign.Initial[v])
+		nodes[v] = &slab[v]
 	}
 	return nodes
 }
+
+// words is the number of 64-bit words a set of k tokens fills.
+func words(k int) int { return (k + 63) / 64 }
 
 // FloodRounds is the completion bound under 1-interval connectivity: n-1.
 func FloodRounds(n int) int { return n - 1 }
 
 type floodNode struct {
-	ta *bitset.Set
+	ta bitset.Set
 }
 
-func (n *floodNode) Send(v sim.View) *sim.Message {
+func (n *floodNode) Send(v *sim.View) *sim.Message {
 	payload := v.NewSet()
-	payload.CopyFrom(n.ta)
+	payload.CopyFrom(&n.ta)
 	m := v.NewMessage()
 	m.To = sim.NoAddr
 	m.Kind = sim.KindBroadcast
@@ -58,13 +66,13 @@ func (n *floodNode) Send(v sim.View) *sim.Message {
 	return m
 }
 
-func (n *floodNode) Deliver(v sim.View, msgs []*sim.Message) {
+func (n *floodNode) Deliver(v *sim.View, msgs []*sim.Message) {
 	for _, m := range msgs {
 		n.ta.UnionWith(m.Tokens)
 	}
 }
 
-func (n *floodNode) Tokens() *bitset.Set { return n.ta }
+func (n *floodNode) Tokens() *bitset.Set { return &n.ta }
 
 // Inject implements sim.Injector: the next broadcast carries the arrival.
 func (n *floodNode) Inject(r, tok int) { n.ta.Add(tok) }
@@ -89,13 +97,19 @@ func (p KLOT) Nodes(assign *token.Assignment) []sim.Node {
 	if p.T <= 0 {
 		panic("baseline: KLOT requires T > 0")
 	}
-	nodes := make([]sim.Node, assign.N())
-	for v := range nodes {
-		nodes[v] = &klotNode{
+	w := words(assign.K)
+	slab := make([]klotNode, assign.N())
+	buf := make([]uint64, 2*w*len(slab))
+	nodes := make([]sim.Node, len(slab))
+	for v := range slab {
+		sets := buf[2*w*v : 2*w*(v+1)]
+		slab[v] = klotNode{
 			T:  p.T,
-			ta: assign.Initial[v].Clone(),
-			ts: bitset.New(assign.K),
+			ta: bitset.Within(sets[:w]),
+			ts: bitset.Within(sets[w:]),
 		}
+		slab[v].ta.CopyFrom(assign.Initial[v])
+		nodes[v] = &slab[v]
 	}
 	return nodes
 }
@@ -114,15 +128,15 @@ func KLOTPhases(n, T, k int) int {
 
 type klotNode struct {
 	T  int
-	ta *bitset.Set
-	ts *bitset.Set // tokens broadcast in the current phase
+	ta bitset.Set
+	ts bitset.Set // tokens broadcast in the current phase
 }
 
-func (n *klotNode) Send(v sim.View) *sim.Message {
+func (n *klotNode) Send(v *sim.View) *sim.Message {
 	if v.Round%n.T == 0 {
 		n.ts.Clear()
 	}
-	t := n.ta.MinNotIn(n.ts)
+	t := n.ta.MinNotIn(&n.ts)
 	if t < 0 {
 		return nil
 	}
@@ -136,13 +150,13 @@ func (n *klotNode) Send(v sim.View) *sim.Message {
 	return m
 }
 
-func (n *klotNode) Deliver(v sim.View, msgs []*sim.Message) {
+func (n *klotNode) Deliver(v *sim.View, msgs []*sim.Message) {
 	for _, m := range msgs {
 		n.ta.UnionWith(m.Tokens)
 	}
 }
 
-func (n *klotNode) Tokens() *bitset.Set { return n.ta }
+func (n *klotNode) Tokens() *bitset.Set { return &n.ta }
 
 // Inject implements sim.Injector.
 func (n *klotNode) Inject(r, tok int) {

@@ -28,6 +28,15 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// Within returns an empty set stored in buf, with room for 64·len(buf)
+// elements. Its capacity is capped at len(buf): a set that grows past buf
+// moves to storage of its own, so sets carved side by side from one buffer
+// never write into each other's words.
+func Within(buf []uint64) Set {
+	clear(buf)
+	return Set{words: buf[:len(buf):len(buf)]}
+}
+
 // FromSlice returns a set containing exactly the given elements.
 func FromSlice(elems []int) *Set {
 	s := &Set{}

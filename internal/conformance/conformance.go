@@ -8,6 +8,9 @@
 //     outrun the dynamic graph — checked against tvg.InfluenceTimes);
 //   - monotonicity: TA never shrinks;
 //   - domain safety: no token outside {0..k-1} ever appears;
+//   - a read-only view: Send and Deliver leave the sim.View they are
+//     handed as they found it (it is engine storage, reused for the rest
+//     of the stability window);
 //   - determinism: two runs from identical inputs produce identical
 //     metrics and final states.
 //
@@ -18,6 +21,8 @@ package conformance
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/ctvg"
@@ -94,8 +99,8 @@ func Check(d ctvg.Dynamic, p sim.Protocol, assign *token.Assignment, rounds int)
 	return out
 }
 
-// auditNode wraps a protocol node and audits its token set after every
-// delivery.
+// auditNode wraps a protocol node, checks that the node leaves its view
+// alone, and audits its token set after every delivery.
 type auditNode struct {
 	id       int
 	inner    sim.Node
@@ -103,35 +108,68 @@ type auditNode struct {
 	earliest [][]int
 	prev     *bitset.Set
 	report   func(Violation)
+
+	// view and nbrs hold the view as handed to the inner node, and the
+	// neighbour IDs behind it, for the check after the call.
+	view sim.View
+	nbrs []int
 }
 
-func (a *auditNode) Send(v sim.View) *sim.Message { return a.inner.Send(v) }
+func (a *auditNode) Send(v *sim.View) *sim.Message {
+	a.keepView(v)
+	msg := a.inner.Send(v)
+	a.checkView(v, "Send")
+	return msg
+}
 
-func (a *auditNode) Deliver(v sim.View, msgs []*sim.Message) {
+// keepView copies the view, and its neighbour IDs, before the inner call.
+func (a *auditNode) keepView(v *sim.View) {
+	a.view = *v
+	a.nbrs = append(a.nbrs[:0], v.Neighbors...)
+}
+
+// checkView reports a violation when the inner call changed any field of
+// the view, or a neighbour ID behind it.
+func (a *auditNode) checkView(v *sim.View, call string) {
+	if !reflect.DeepEqual(a.view, *v) || !slices.Equal(a.nbrs, v.Neighbors) {
+		a.report(Violation{Round: a.view.Round, Node: a.id,
+			Desc: fmt.Sprintf("%s wrote its View: was %s, now %s",
+				call, viewString(&a.view, a.nbrs), viewString(v, v.Neighbors))})
+	}
+}
+
+// viewString formats a view's fields, with nbrs as its neighbour IDs.
+func viewString(v *sim.View, nbrs []int) string {
+	return fmt.Sprintf("{Round:%d Role:%v Head:%d Neighbors:%v}", v.Round, v.Role, v.Head, nbrs)
+}
+
+func (a *auditNode) Deliver(v *sim.View, msgs []*sim.Message) {
+	a.keepView(v)
 	a.inner.Deliver(v, msgs)
-	ta := a.inner.Tokens()
+	a.checkView(v, "Deliver")
+	r, ta := a.view.Round, a.inner.Tokens()
 
 	// Monotonicity.
 	if !a.prev.SubsetOf(ta) {
-		a.report(Violation{Round: v.Round, Node: a.id,
+		a.report(Violation{Round: r, Node: a.id,
 			Desc: fmt.Sprintf("token set shrank: had %v, now %v", a.prev, ta)})
 	}
 	// Domain safety.
 	if max := ta.Max(); max >= a.k {
-		a.report(Violation{Round: v.Round, Node: a.id,
+		a.report(Violation{Round: r, Node: a.id,
 			Desc: fmt.Sprintf("out-of-domain token %d (k=%d)", max, a.k)})
 	}
-	// Causality: token t present => reachable by round v.Round+1.
+	// Causality: token t present => reachable by round r+1.
 	ta.Range(func(t int) bool {
-		if t < a.k && a.earliest[t][a.id] > v.Round+1 {
-			a.report(Violation{Round: v.Round, Node: a.id,
+		if t < a.k && a.earliest[t][a.id] > r+1 {
+			a.report(Violation{Round: r, Node: a.id,
 				Desc: fmt.Sprintf("holds token %d before causal reachability (earliest %d)",
 					t, a.earliest[t][a.id])})
 			return false
 		}
 		return true
 	})
-	a.prev = ta.Clone()
+	a.prev.CopyFrom(ta)
 }
 
 func (a *auditNode) Tokens() *bitset.Set { return a.inner.Tokens() }

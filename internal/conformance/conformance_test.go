@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -65,9 +66,9 @@ func (cheatProto) Nodes(a *token.Assignment) []sim.Node {
 
 type cheatNode struct{ ta *bitset.Set }
 
-func (c *cheatNode) Send(v sim.View) *sim.Message            { return nil }
-func (c *cheatNode) Deliver(v sim.View, msgs []*sim.Message) {}
-func (c *cheatNode) Tokens() *bitset.Set                     { return c.ta }
+func (c *cheatNode) Send(v *sim.View) *sim.Message            { return nil }
+func (c *cheatNode) Deliver(v *sim.View, msgs []*sim.Message) {}
+func (c *cheatNode) Tokens() *bitset.Set                      { return c.ta }
 
 func TestKitCatchesCausalityCheat(t *testing.T) {
 	tr, assign := recordedNet(2, 10)
@@ -91,10 +92,10 @@ func (shrinkProto) Nodes(a *token.Assignment) []sim.Node {
 
 type shrinkNode struct{ ta *bitset.Set }
 
-func (s *shrinkNode) Send(v sim.View) *sim.Message {
+func (s *shrinkNode) Send(v *sim.View) *sim.Message {
 	return &sim.Message{To: sim.NoAddr, Kind: sim.KindBroadcast, Tokens: s.ta.Clone()}
 }
-func (s *shrinkNode) Deliver(v sim.View, msgs []*sim.Message) {
+func (s *shrinkNode) Deliver(v *sim.View, msgs []*sim.Message) {
 	for _, m := range msgs {
 		s.ta.UnionWith(m.Tokens)
 	}
@@ -134,6 +135,45 @@ func TestKitCatchesDomainViolation(t *testing.T) {
 	}
 }
 
+// headWriterProto violates the read-only View: from round 2 every node
+// points its View at itself as head, which would leave the engine's frozen
+// view wrong for the rest of the stability window.
+type headWriterProto struct{}
+
+func (headWriterProto) Name() string { return "head-writer" }
+func (headWriterProto) Nodes(a *token.Assignment) []sim.Node {
+	nodes := make([]sim.Node, a.N())
+	for v := range nodes {
+		nodes[v] = &headWriterNode{cheatNode{ta: a.Initial[v].Clone()}, v}
+	}
+	return nodes
+}
+
+type headWriterNode struct {
+	cheatNode
+	id int
+}
+
+func (h *headWriterNode) Send(v *sim.View) *sim.Message {
+	if v.Round >= 2 {
+		v.Head = h.id
+	}
+	return nil
+}
+
+func TestKitCatchesViewWrite(t *testing.T) {
+	tr, assign := recordedNet(5, 10)
+	vs := Check(tr, headWriterProto{}, assign, 4)
+	if len(vs) == 0 {
+		t.Fatal("a Send that rewrites its View was not caught")
+	}
+	for _, vio := range vs {
+		if vio.Round < 2 || !strings.HasPrefix(vio.Desc, "Send wrote its View") {
+			t.Fatalf("unexpected violation %v", vio)
+		}
+	}
+}
+
 // loudRogueProto broadcasts every round while holding the out-of-domain
 // token k, so every node that hears anything reports one violation per
 // round.
@@ -152,7 +192,7 @@ func (loudRogueProto) Nodes(a *token.Assignment) []sim.Node {
 
 type loudRogueNode struct{ cheatNode }
 
-func (r *loudRogueNode) Send(v sim.View) *sim.Message {
+func (r *loudRogueNode) Send(v *sim.View) *sim.Message {
 	m := v.NewMessage()
 	m.To, m.Kind, m.Tokens = sim.NoAddr, sim.KindBroadcast, v.NewSet()
 	return m

@@ -85,20 +85,31 @@ func (p Alg1) Nodes(assign *token.Assignment) []sim.Node {
 	if p.Failover != nil {
 		p.Failover.window() // validate up front
 	}
-	nodes := make([]sim.Node, assign.N())
-	for v := range nodes {
-		nodes[v] = &alg1Node{
+	// One slab of node structs and one of set words: three sets of w
+	// words a node, side by side.
+	w := words(assign.K)
+	slab := make([]alg1Node, assign.N())
+	buf := make([]uint64, 3*w*len(slab))
+	nodes := make([]sim.Node, len(slab))
+	for v := range slab {
+		sets := buf[3*w*v : 3*w*(v+1)]
+		slab[v] = alg1Node{
 			id:       v,
 			proto:    p,
 			fo:       p.Failover,
-			ta:       assign.Initial[v].Clone(),
-			ts:       bitset.New(assign.K),
-			tr:       bitset.New(assign.K),
+			ta:       bitset.Within(sets[:w]),
+			ts:       bitset.Within(sets[w : 2*w]),
+			tr:       bitset.Within(sets[2*w:]),
 			lastHead: ctvg.NoCluster,
 		}
+		slab[v].ta.CopyFrom(assign.Initial[v])
+		nodes[v] = &slab[v]
 	}
 	return nodes
 }
+
+// words is the number of 64-bit words a set of k tokens fills.
+func words(k int) int { return (k + 63) / 64 }
 
 // Theorem1T returns the phase length Theorem 1 requires: T = k + α·L.
 func Theorem1T(k, alpha, L int) int { return k + alpha*L }
@@ -122,6 +133,7 @@ func ceilDiv(a, b int) int {
 // are exactly the paper's: ta — tokens ever collected (TA); ts — tokens
 // sent in the current phase (relay) or sent to the current head (member)
 // (TS); tr — tokens received from the current head (TR, members only).
+// The sets are held by value, so their words sit one hop from the node.
 //
 // The failover fields are volatile repair state: sinceHead / sinceAnyRelay
 // count consecutive rounds of relay silence, acting marks a member serving
@@ -131,14 +143,14 @@ type alg1Node struct {
 	proto Alg1
 	fo    *Failover
 
-	ta *bitset.Set
-	ts *bitset.Set
-	tr *bitset.Set
+	ta bitset.Set
+	ts bitset.Set
+	tr bitset.Set
 
 	lastHead int
 
-	// The silence counters are int32 to keep the node compact: the
-	// 1000-node benchmark allocates one per vertex per run.
+	// The silence counters are int32 to keep the node compact: Nodes
+	// lays one node per vertex side by side in one slab.
 	sinceHead     int32
 	sinceAnyRelay int32
 	wasRelay      bool
@@ -148,7 +160,7 @@ type alg1Node struct {
 }
 
 // Send implements sim.Node.
-func (n *alg1Node) Send(v sim.View) *sim.Message {
+func (n *alg1Node) Send(v *sim.View) *sim.Message {
 	relay := v.Role == ctvg.Head || v.Role == ctvg.Gateway
 
 	// Role transitions invalidate the bookkeeping sets: a promoted member
@@ -184,7 +196,7 @@ func (n *alg1Node) Send(v sim.View) *sim.Message {
 // memberFailover runs the resilient member's repair state machine before
 // the normal Fig. 4 member logic. It returns handled = true when the node
 // acted as a stand-in (or escalated) this round.
-func (n *alg1Node) memberFailover(v sim.View) (msg *sim.Message, handled bool) {
+func (n *alg1Node) memberFailover(v *sim.View) (msg *sim.Message, handled bool) {
 	if v.Head == ctvg.NoCluster {
 		return nil, false
 	}
@@ -228,11 +240,11 @@ func (n *alg1Node) memberFailover(v sim.View) (msg *sim.Message, handled bool) {
 // min-ID token not yet sent this phase; TS is emptied at each phase
 // boundary. In failover mode an idle relay broadcasts an empty heartbeat
 // (cost 0) so that silence always means failure.
-func (n *alg1Node) sendRelay(v sim.View) *sim.Message {
+func (n *alg1Node) sendRelay(v *sim.View) *sim.Message {
 	if v.Round%n.proto.T == 0 {
 		n.ts.Clear()
 	}
-	t := n.ta.MinNotIn(n.ts)
+	t := n.ta.MinNotIn(&n.ts)
 	if t < 0 {
 		if n.fo == nil {
 			return nil
@@ -259,13 +271,13 @@ func (n *alg1Node) sendRelay(v sim.View) *sim.Message {
 // failover mode each phase boundary drops unacknowledged uploads from TS
 // (TS ∩= TR), so a token whose upload was lost is retransmitted instead of
 // being marked sent forever.
-func (n *alg1Node) sendMember(v sim.View) *sim.Message {
+func (n *alg1Node) sendMember(v *sim.View) *sim.Message {
 	if v.Head != n.lastHead {
 		n.ts.Clear()
 		n.tr.Clear()
 		n.lastHead = v.Head
 	} else if n.fo != nil && v.Round%n.proto.T == 0 {
-		n.ts.IntersectWith(n.tr)
+		n.ts.IntersectWith(&n.tr)
 	}
 	if v.Head == ctvg.NoCluster {
 		return nil
@@ -276,9 +288,9 @@ func (n *alg1Node) sendMember(v sim.View) *sim.Message {
 	// TA \ (TS ∪ TR) without materialising the union.
 	var t int
 	if n.proto.UploadLowFirst {
-		t = n.ta.MinNotInUnion(n.ts, n.tr)
+		t = n.ta.MinNotInUnion(&n.ts, &n.tr)
 	} else {
-		t = n.ta.MaxNotInUnion(n.ts, n.tr)
+		t = n.ta.MaxNotInUnion(&n.ts, &n.tr)
 	}
 	if t < 0 {
 		return nil
@@ -295,9 +307,9 @@ func (n *alg1Node) sendMember(v sim.View) *sim.Message {
 
 // sendFlood broadcasts the full token set: the KLO-flooding degradation a
 // resilient node falls back to when the hierarchy around it has died.
-func (n *alg1Node) sendFlood(v sim.View) *sim.Message {
+func (n *alg1Node) sendFlood(v *sim.View) *sim.Message {
 	payload := v.NewSet()
-	payload.CopyFrom(n.ta)
+	payload.CopyFrom(&n.ta)
 	m := v.NewMessage()
 	m.To = sim.NoAddr
 	m.Kind = sim.KindBroadcast
@@ -306,7 +318,7 @@ func (n *alg1Node) sendFlood(v sim.View) *sim.Message {
 }
 
 // Deliver implements sim.Node.
-func (n *alg1Node) Deliver(v sim.View, msgs []*sim.Message) {
+func (n *alg1Node) Deliver(v *sim.View, msgs []*sim.Message) {
 	relay := v.Role == ctvg.Head || v.Role == ctvg.Gateway
 	heardHead, heardRelay, heardFlood := false, false, false
 	for _, m := range msgs {
@@ -369,7 +381,7 @@ func (n *alg1Node) Deliver(v sim.View, msgs []*sim.Message) {
 }
 
 // Tokens implements sim.Node.
-func (n *alg1Node) Tokens() *bitset.Set { return n.ta }
+func (n *alg1Node) Tokens() *bitset.Set { return &n.ta }
 
 // Inject implements sim.Injector: the arrival lands in TA like an
 // originally assigned token — a member will upload it (it is in neither TS

@@ -38,16 +38,21 @@ func (p Alg2) Nodes(assign *token.Assignment) []sim.Node {
 	if p.Failover != nil {
 		p.Failover.window() // validate up front
 	}
-	nodes := make([]sim.Node, assign.N())
-	for v := range nodes {
-		nodes[v] = &alg2Node{
+	w := words(assign.K)
+	slab := make([]alg2Node, assign.N())
+	buf := make([]uint64, w*len(slab))
+	nodes := make([]sim.Node, len(slab))
+	for v := range slab {
+		slab[v] = alg2Node{
 			id:       v,
 			fo:       p.Failover,
-			ta:       assign.Initial[v].Clone(),
+			ta:       bitset.Within(buf[w*v : w*(v+1)]),
 			lastHead: ctvg.NoCluster,
 			needSend: true,
 			uploadTo: ctvg.NoCluster,
 		}
+		slab[v].ta.CopyFrom(assign.Initial[v])
+		nodes[v] = &slab[v]
 	}
 	return nodes
 }
@@ -73,7 +78,7 @@ type alg2Node struct {
 	id int
 	fo *Failover
 
-	ta       *bitset.Set
+	ta       bitset.Set
 	lastHead int
 	needSend bool // member must (re-)send TA to its current head
 
@@ -85,7 +90,7 @@ type alg2Node struct {
 }
 
 // Send implements sim.Node.
-func (n *alg2Node) Send(v sim.View) *sim.Message {
+func (n *alg2Node) Send(v *sim.View) *sim.Message {
 	if v.Role == ctvg.Head || v.Role == ctvg.Gateway {
 		n.acting = false
 		return n.relayBroadcast(v)
@@ -132,7 +137,7 @@ func (n *alg2Node) Send(v sim.View) *sim.Message {
 		n.uploadTo = ctvg.NoCluster
 	}
 	payload := v.NewSet()
-	payload.CopyFrom(n.ta)
+	payload.CopyFrom(&n.ta)
 	m := v.NewMessage()
 	m.To = to
 	m.Kind = sim.KindUpload
@@ -144,9 +149,9 @@ func (n *alg2Node) Send(v sim.View) *sim.Message {
 // heads): broadcast the entire token set. The payload is a round-scoped
 // arena copy of TA, not an aliased pointer: TA keeps growing as deliveries
 // come in, while the transmitted snapshot must stay frozen.
-func (n *alg2Node) relayBroadcast(v sim.View) *sim.Message {
+func (n *alg2Node) relayBroadcast(v *sim.View) *sim.Message {
 	payload := v.NewSet()
-	payload.CopyFrom(n.ta)
+	payload.CopyFrom(&n.ta)
 	m := v.NewMessage()
 	m.To = sim.NoAddr
 	m.Kind = sim.KindRelay
@@ -160,7 +165,7 @@ func (n *alg2Node) relayBroadcast(v sim.View) *sim.Message {
 // relay's full-set broadcast additionally serves as an implicit NACK: a
 // member holding tokens the relay lacks schedules a re-upload (after a
 // grace window, so an in-flight upload is not repeated).
-func (n *alg2Node) Deliver(v sim.View, msgs []*sim.Message) {
+func (n *alg2Node) Deliver(v *sim.View, msgs []*sim.Message) {
 	relay := v.Role == ctvg.Head || v.Role == ctvg.Gateway
 	heardHead, heardRelay := false, false
 	for _, m := range msgs {
@@ -206,7 +211,7 @@ func (n *alg2Node) Deliver(v sim.View, msgs []*sim.Message) {
 }
 
 // Tokens implements sim.Node.
-func (n *alg2Node) Tokens() *bitset.Set { return n.ta }
+func (n *alg2Node) Tokens() *bitset.Set { return &n.ta }
 
 // Inject implements sim.Injector. needSend is re-armed: an Algorithm 2
 // member transmits nothing after its one per-affiliation upload, so without

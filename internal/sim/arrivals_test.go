@@ -92,9 +92,9 @@ func TestArrivalsValidate(t *testing.T) {
 // plainNode deliberately implements neither Injector nor Collectible.
 type plainNode struct{ ta *bitset.Set }
 
-func (n *plainNode) Send(v sim.View) *sim.Message            { return nil }
-func (n *plainNode) Deliver(v sim.View, msgs []*sim.Message) {}
-func (n *plainNode) Tokens() *bitset.Set                     { return n.ta }
+func (n *plainNode) Send(v *sim.View) *sim.Message            { return nil }
+func (n *plainNode) Deliver(v *sim.View, msgs []*sim.Message) {}
+func (n *plainNode) Tokens() *bitset.Set                      { return n.ta }
 
 func TestArrivalsRequireSupport(t *testing.T) {
 	d := staticDyn(graph.Path(3), nil)
@@ -477,6 +477,56 @@ func TestArrivalsSerialParallelIdentical(t *testing.T) {
 			met2, events2 := runArrival(t, trace, proto, assign, 160, 1, arr)
 			if !reflect.DeepEqual(met2, refMet) || !reflect.DeepEqual(events2, refEvents) {
 				t.Error("replay with identical seed diverged")
+			}
+		})
+	}
+}
+
+// TestArrivalsGrowCarvedSets pushes the live token universe past 64
+// slots, so every protocol's token sets outgrow the one word each was
+// carved with from its protocol's shared buffer. Each protocol must still
+// conserve tokens, run identically on 2 shards, and reproduce the Metrics
+// pinned before the sets shared a buffer.
+func TestArrivalsGrowCarvedSets(t *testing.T) {
+	const n, k, T, rounds = 40, 4, 12, 400
+	trace := ctvg.Record(adversary.NewHiNet(adversary.HiNetConfig{
+		N: n, Theta: 8, L: 2, T: T, Reaffiliations: 4, HeadChurn: 1,
+	}, xrand.New(9)), rounds)
+	assign := token.Spread(n, k, xrand.New(10))
+	for _, tc := range []struct {
+		proto sim.Protocol
+		want  string
+	}{
+		{core.Alg1{T: T}, "rounds=400 msgs=7082 tokens=7082 incomplete injected=406 collected=285 peak=387"},
+		{core.Alg2{}, "rounds=49 msgs=981 tokens=30169 complete@49 injected=406 collected=410 peak=100"},
+		{baseline.Flood{}, "rounds=49 msgs=1960 tokens=54289 complete@49 injected=406 collected=410 peak=100"},
+		{baseline.KLOT{T: T}, "rounds=400 msgs=15778 tokens=15778 incomplete injected=406 collected=276 peak=387"},
+	} {
+		t.Run(tc.proto.Name(), func(t *testing.T) {
+			var mets [2]*sim.Metrics
+			for i, workers := range []int{1, 2} {
+				mets[i] = sim.MustRunProtocol(trace, tc.proto, assign, sim.Options{
+					MaxRounds:        rounds,
+					StopWhenComplete: true,
+					Workers:          workers,
+					Arrivals:         &sim.Arrivals{Rate: 10, Seed: 3, Stop: 40},
+				})
+			}
+			met := mets[0]
+			if !reflect.DeepEqual(mets[1], met) {
+				t.Fatalf("2 shards diverge:\n  got  %+v\n  want %+v", mets[1], met)
+			}
+			if met.PeakOutstanding <= 64 {
+				t.Fatalf("peak of %d live tokens never widened the sets past one word", met.PeakOutstanding)
+			}
+			if k+met.TokensInjected != met.TokensCollected+int64(met.OutstandingTokens) {
+				t.Fatalf("token accounting leaks: batch %d + injected %d != collected %d + outstanding %d",
+					k, met.TokensInjected, met.TokensCollected, met.OutstandingTokens)
+			}
+			got := fmt.Sprintf("%v injected=%d collected=%d peak=%d",
+				met, met.TokensInjected, met.TokensCollected, met.PeakOutstanding)
+			if got != tc.want {
+				t.Errorf("metrics %q, want %q", got, tc.want)
 			}
 		})
 	}

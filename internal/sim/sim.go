@@ -137,6 +137,11 @@ func (k NoteKind) String() string {
 // clustering layer), and its current neighbour list — the paper's system
 // model equips every node with "the capability of probing neighbors".
 // Nodes do not see the global topology.
+//
+// The engine hands Send and Deliver a pointer into its own storage, which
+// it reuses for every round of a stability window. A node reads its View
+// during the call only: it never writes a field and never keeps the
+// pointer, or anything reached through it, past the call.
 type View struct {
 	Round int
 	Role  ctvg.Role
@@ -160,7 +165,7 @@ type View struct {
 // barrier, so protocols that build their Send result through it allocate
 // nothing in steady state. The message (like any Send result) must not be
 // retained past the round.
-func (v View) NewMessage() *Message {
+func (v *View) NewMessage() *Message {
 	if v.pool == nil {
 		return new(Message)
 	}
@@ -170,7 +175,7 @@ func (v View) NewMessage() *Message {
 // NewSet returns an empty token set with the same arena lifetime as
 // NewMessage: use it for message payloads, never for state that outlives
 // the round.
-func (v View) NewSet() *bitset.Set {
+func (v *View) NewSet() *bitset.Set {
 	if v.pool == nil {
 		return new(bitset.Set)
 	}
@@ -182,7 +187,7 @@ func (v View) NewSet() *bitset.Set {
 // the round barrier in deterministic order, so the observed stream is
 // identical under any Workers setting. Outside an engine run Note is a
 // no-op.
-func (v View) Note(kind NoteKind) {
+func (v *View) Note(kind NoteKind) {
 	if v.notes == nil {
 		return
 	}
@@ -203,14 +208,15 @@ func byNode(a, b note) int { return cmp.Compare(a.node, b.node) }
 // two or more CPUs) Send and Deliver of nodes in distinct shards run
 // concurrently, so a node may write only its own state; anything it shares
 // with other nodes must be read-only for the run. Workers: 1 keeps every
-// call on the engine goroutine.
+// call on the engine goroutine. v points into engine storage: it is read
+// only, and valid only during the call (see View).
 type Node interface {
 	// Send returns the node's transmission for this round, or nil.
-	Send(v View) *Message
+	Send(v *View) *Message
 	// Deliver hands the node every message heard this round (from its
 	// current neighbours), ordered by ascending sender ID. Under fault
 	// injection a duplicated message appears twice, back to back.
-	Deliver(v View, msgs []*Message)
+	Deliver(v *View, msgs []*Message)
 	// Tokens returns the node's collected token set (the paper's TA).
 	// The engine treats the result as read-only.
 	Tokens() *bitset.Set
@@ -628,7 +634,11 @@ type engine struct {
 	events             []int  // sorted crash/recovery IDs of the round
 	notes              []note // merged View.Note buffer of the round
 
+	// outbox holds each node's transmission of the round, nil for none;
+	// sent[v] is outbox[v] != nil, one byte a node, so delivery's
+	// neighbour scan skips silent neighbours without loading outbox.
 	outbox []*Message
+	sent   []bool
 	views  []View
 	shards []shardState
 	bounds []int // shard s owns nodes [bounds[s], bounds[s+1])
@@ -690,6 +700,7 @@ func newEngine(d ctvg.Dynamic, nodes []Node, k int, opts Options) (*engine, erro
 		duplicating:   inj.Duplicating(),
 		crashed:       make([]bool, n),
 		outbox:        make([]*Message, n),
+		sent:          make([]bool, n),
 		views:         make([]View, n),
 		cachedUntil:   -1,
 		lastDelivered: -1,
@@ -1003,7 +1014,7 @@ func (e *engine) collectShard(s, lo, hi int) {
 	acc := &e.shards[s].acc
 	acc.reset()
 	r, fresh, g, hier := e.r, e.fresh, e.g, e.hier
-	views, outbox, nodes, crashed, sizeFn := e.views, e.outbox, e.nodes, e.crashed, e.opts.SizeFn
+	views, outbox, sent, nodes, crashed, sizeFn := e.views, e.outbox, e.sent, e.nodes, e.crashed, e.opts.SizeFn
 	for v := lo; v < hi; v++ {
 		vw := &views[v]
 		vw.Round = r
@@ -1013,11 +1024,11 @@ func (e *engine) collectShard(s, lo, hi int) {
 			vw.Neighbors = g.Neighbors(v)
 		}
 		if crashed[v] {
-			outbox[v] = nil
+			outbox[v], sent[v] = nil, false
 			continue
 		}
-		msg := nodes[v].Send(*vw)
-		outbox[v] = msg
+		msg := nodes[v].Send(vw)
+		outbox[v], sent[v] = msg, msg != nil
 		if msg != nil {
 			msg.From = v
 			acc.charge(msg, hier.Role[v], sizeFn)
@@ -1058,11 +1069,12 @@ func (e *engine) deliverAll() { e.each(e.deliver) }
 // burst-channel state is keyed by receiver) stay on the shard that owns
 // the receiver. A self-stabilizing run reads the round's loss rows; any
 // other lossy run draws one Drop per sender link, since most in-links
-// (member to head) carry no message on most rounds.
+// (member to head) carry no message on most rounds. Collect's join orders
+// every shard's sent flags and outbox entries before any shard reads them.
 func (e *engine) deliverShard(s, lo, hi int) {
 	st := &e.shards[s]
 	r, inj, lossy, duplicating, rows, tracer := e.r, e.inj, e.lossy, e.duplicating, e.rows, e.tracer
-	views, outbox, nodes, crashed := e.views, e.outbox, e.nodes, e.crashed
+	views, outbox, sent, nodes, crashed := e.views, e.outbox, e.sent, e.nodes, e.crashed
 	for v := lo; v < hi; v++ {
 		if crashed[v] {
 			continue
@@ -1072,11 +1084,12 @@ func (e *engine) deliverShard(s, lo, hi int) {
 		if rows != nil {
 			lost = rows.row(v)
 		}
-		for i, u := range views[v].Neighbors {
-			msg := outbox[u]
-			if msg == nil {
+		vw := &views[v]
+		for i, u := range vw.Neighbors {
+			if !sent[u] {
 				continue
 			}
+			msg := outbox[u]
 			if lossy && (lost != nil && lost[i] || lost == nil && inj.Drop(r, u, v)) {
 				st.drops++
 				continue
@@ -1087,11 +1100,11 @@ func (e *engine) deliverShard(s, lo, hi int) {
 				st.inbox = append(st.inbox, msg)
 			}
 		}
-		nodes[v].Deliver(views[v], st.inbox)
+		nodes[v].Deliver(vw, st.inbox)
 		// A node with an empty inbox cannot have learned anything this
 		// round, so the tracer only sees non-trivial deliveries.
 		if tracer != nil && len(st.inbox) > 0 {
-			tracer.Delivered(s, v, &views[v], st.inbox, nodes[v].Tokens())
+			tracer.Delivered(s, v, vw, st.inbox, nodes[v].Tokens())
 		}
 	}
 }

@@ -17,11 +17,11 @@ type floodNode struct {
 	ta *bitset.Set
 }
 
-func (f *floodNode) Send(v View) *Message {
+func (f *floodNode) Send(v *View) *Message {
 	return &Message{To: NoAddr, Kind: KindBroadcast, Tokens: f.ta.Clone()}
 }
 
-func (f *floodNode) Deliver(v View, msgs []*Message) {
+func (f *floodNode) Deliver(v *View, msgs []*Message) {
 	for _, m := range msgs {
 		f.ta.UnionWith(m.Tokens)
 	}
@@ -44,9 +44,9 @@ func (floodProto) Nodes(a *token.Assignment) []Node {
 // silentNode never transmits; used for negative tests.
 type silentNode struct{ ta *bitset.Set }
 
-func (s *silentNode) Send(v View) *Message            { return nil }
-func (s *silentNode) Deliver(v View, msgs []*Message) {}
-func (s *silentNode) Tokens() *bitset.Set             { return s.ta }
+func (s *silentNode) Send(v *View) *Message            { return nil }
+func (s *silentNode) Deliver(v *View, msgs []*Message) {}
+func (s *silentNode) Tokens() *bitset.Set              { return s.ta }
 
 func staticPath(n int) ctvg.Dynamic {
 	return NewFlat(tvg.Static{G: graph.Path(n)})
@@ -171,8 +171,8 @@ type probeNode struct {
 	onDeliver func(msgs []*Message)
 }
 
-func (p *probeNode) Send(v View) *Message { return nil }
-func (p *probeNode) Deliver(v View, msgs []*Message) {
+func (p *probeNode) Send(v *View) *Message { return nil }
+func (p *probeNode) Deliver(v *View, msgs []*Message) {
 	p.onDeliver(msgs)
 }
 func (p *probeNode) Tokens() *bitset.Set { return p.ta }
@@ -226,12 +226,12 @@ type viewProbe struct {
 	sink *[]View
 }
 
-func (p *viewProbe) Send(v View) *Message {
-	*p.sink = append(*p.sink, v)
+func (p *viewProbe) Send(v *View) *Message {
+	*p.sink = append(*p.sink, *v)
 	return nil
 }
-func (p *viewProbe) Deliver(v View, msgs []*Message) {}
-func (p *viewProbe) Tokens() *bitset.Set             { return p.ta }
+func (p *viewProbe) Deliver(v *View, msgs []*Message) {}
+func (p *viewProbe) Tokens() *bitset.Set              { return p.ta }
 
 func TestRunValidation(t *testing.T) {
 	d := staticPath(3)
@@ -289,7 +289,7 @@ func TestMessageCost(t *testing.T) {
 // carries a coefficient vector but costs one token-equivalent.
 type codedNode struct{ floodNode }
 
-func (c *codedNode) Send(v View) *Message {
+func (c *codedNode) Send(v *View) *Message {
 	return &Message{To: NoAddr, Kind: KindCoded, Tokens: c.ta.Clone(), Units: 1}
 }
 

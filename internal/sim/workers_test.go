@@ -57,7 +57,7 @@ func TestWorkersExceedingNodes(t *testing.T) {
 // NewSet/NewMessage and die at the round barrier, like the real protocols.
 type arenaFlood struct{ ta *bitset.Set }
 
-func (f *arenaFlood) Send(v View) *Message {
+func (f *arenaFlood) Send(v *View) *Message {
 	payload := v.NewSet()
 	payload.CopyFrom(f.ta)
 	m := v.NewMessage()
@@ -67,7 +67,7 @@ func (f *arenaFlood) Send(v View) *Message {
 	return m
 }
 
-func (f *arenaFlood) Deliver(v View, msgs []*Message) {
+func (f *arenaFlood) Deliver(v *View, msgs []*Message) {
 	for _, m := range msgs {
 		f.ta.UnionWith(m.Tokens)
 	}
