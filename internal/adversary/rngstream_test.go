@@ -136,6 +136,36 @@ var hiNetGoldens = []struct {
 			Reaffiliations: 6, HeadChurn: 3},
 		seed: 4, rounds: 40, want: 0x6b7b50d354b12852,
 	},
+	{
+		// Table 3's (1, L)-HiNet row: a new phase and new churn every
+		// round, each phase derived from the one before it.
+		name: "table3-t1",
+		cfg: HiNetConfig{N: 100, Theta: 30, L: 2, T: 1,
+			Reaffiliations: 5, ChurnEdges: 10},
+		seed: 5, rounds: 48, want: 0xb4c4214010584638,
+	},
+	{
+		// 20 re-affiliations among 21 members: at every boundary some
+		// member moves twice, and some back to the head it started at.
+		name: "repeat-moves",
+		cfg:  HiNetConfig{N: 30, Theta: 5, L: 2, T: 2, Reaffiliations: 20},
+		seed: 6, rounds: 24, want: 0x5f5137c5c4bdd4db,
+	},
+	{
+		// One benched pool node and two swaps per boundary: about one
+		// boundary in three restores the head set, so phases that keep
+		// their heads and phases whose heads rotate follow each other.
+		name: "rotate-restore",
+		cfg: HiNetConfig{N: 40, Theta: 4, Heads: 3, L: 2, T: 1,
+			Reaffiliations: 3, HeadChurn: 2, ChurnEdges: 4},
+		seed: 7, rounds: 40, want: 0xa48a9437e883184b,
+	},
+	{
+		name: "rotate-restore-l3",
+		cfg: HiNetConfig{N: 40, Theta: 4, Heads: 3, L: 3, T: 2,
+			Reaffiliations: 3, HeadChurn: 2},
+		seed: 8, rounds: 40, want: 0xad944d95fb7dd68b,
+	},
 }
 
 func TestHiNetRNGStreamUnchanged(t *testing.T) {
