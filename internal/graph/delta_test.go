@@ -105,6 +105,15 @@ func TestApplyDeltaStrict(t *testing.T) {
 	mustPanic("add existing", func() { g.ApplyDelta(&Delta{Add: []Edge{{0, 1}}}) })
 	mustPanic("remove absent", func() { g.ApplyDelta(&Delta{Remove: []Edge{{1, 2}}}) })
 	mustPanic("self-loop", func() { g.ApplyDelta(&Delta{Add: []Edge{{2, 2}}}) })
+	mustPanic("out of order", func() { g.ApplyDelta(&Delta{Add: []Edge{{1, 2}, {0, 2}}}) })
+	mustPanic("repeated edge", func() { g.ApplyDelta(&Delta{Add: []Edge{{0, 2}, {0, 2}}}) })
+	mustPanic("compact add existing", func() { g.ApplyDeltaCompactInto(nil, &Delta{Add: []Edge{{0, 1}}}) })
+	mustPanic("compact remove absent", func() { g.ApplyDeltaCompactInto(nil, &Delta{Remove: []Edge{{1, 2}}}) })
+	mustPanic("compact onto itself", func() { g.ApplyDeltaCompactInto(g, &Delta{}) })
+	// An ApplyDelta result shares its untouched lists with its source, so
+	// its lists do not fill one backing array.
+	h := g.ApplyDelta(&Delta{Add: []Edge{{1, 2}}})
+	mustPanic("compact from a shared layout", func() { h.ApplyDeltaCompactInto(nil, &Delta{}) })
 }
 
 func TestDeltaInverse(t *testing.T) {
@@ -208,17 +217,60 @@ func TestApplyDeltaAllocs(t *testing.T) {
 
 // BenchmarkApplyDelta assembles one churny round the way the adversaries'
 // At does at the Table 3 point: ten churn edges added over a frozen
-// 100-vertex backbone. It explains sim.StageSnapshot on perfbench's
-// table3-grid, where the TInterval row and both HiNet rows build every
-// round this way. Run with -benchmem.
+// 100-vertex backbone, into one of two recycled graphs. It explains
+// sim.StageSnapshot on perfbench's table3-grid, where the TInterval row and
+// both HiNet rows build every round this way. Run with -benchmem.
 func BenchmarkApplyDelta(b *testing.B) {
 	rng := xrand.New(1)
 	g := RandomTree(100, rng)
 	d := randomStrictDelta(g, 10, 0, rng)
+	var bufs [2]Graph
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		appliedGraph = g.ApplyDelta(d)
+		appliedGraph = g.ApplyDeltaInto(&bufs[i%2], d)
+	}
+}
+
+// TestApplyDeltaCompactInto chains ApplyDeltaCompactInto between two
+// recycled targets, as the HiNet adversary's phases do, with deltas on
+// both sides of its 64-change stack buffer: every result equals
+// ApplyDelta's, fills one backing array (so it can be the next call's
+// source), and survives its source being overwritten, so it shares no
+// storage with it. Once both targets are warm a call allocates nothing.
+func TestApplyDeltaCompactInto(t *testing.T) {
+	rng := xrand.New(23)
+	var bufs [2]Graph
+	src := RandomConnected(120, 200, rng)
+	for i := 0; i < 40; i++ {
+		changes := 1 + rng.Intn(20)
+		if i%4 == 3 {
+			changes = 65 + rng.Intn(40)
+		}
+		removes := rng.Intn(min(changes, src.M()) + 1)
+		d := randomStrictDelta(src, changes-removes, removes, rng)
+		want := src.ApplyDelta(d)
+		got := src.ApplyDeltaCompactInto(&bufs[i%2], d)
+		if got != &bufs[i%2] || !got.Equal(want) || !got.Frozen() || len(got.own) != 2*got.M() {
+			t.Fatalf("call %d (%d changes): the compact copy differs from ApplyDelta", i, changes)
+		}
+		keep := got.DeepClone()
+		for j := range src.own {
+			src.own[j] = -1
+		}
+		if !got.Equal(keep) {
+			t.Fatalf("call %d: the compact copy shares storage with its source", i)
+		}
+		src = got
+	}
+	src = src.DeepClone() // not one of the targets
+	small := randomStrictDelta(src, 8, 8, rng)
+	large := randomStrictDelta(src, 40, 40, rng)
+	for name, d := range map[string]*Delta{"small": small, "large": large} {
+		i := 0
+		if n := testing.AllocsPerRun(20, func() { appliedGraph = src.ApplyDeltaCompactInto(&bufs[i%2], d); i++ }); n != 0 {
+			t.Errorf("%s delta: a warm ApplyDeltaCompactInto allocates %v times, want 0", name, n)
+		}
 	}
 }
 

@@ -37,6 +37,9 @@ type Graph struct {
 	// the CSR backing of a built graph, the overlay slab of a delta
 	// target. Clones never inherit it.
 	own []int
+	// edits is ApplyDeltaCompactInto's edit-key scratch for deltas too
+	// large for its stack buffer, kept for the next call into this graph.
+	edits []uint64
 }
 
 // New returns an empty graph on n vertices. It panics if n < 0.
