@@ -143,6 +143,25 @@ func TestHiNetHeadPoolRespected(t *testing.T) {
 	}
 }
 
+// TestHiNetHeadChurnNeedsBenchedPool pins HeadChurn's documented
+// condition: a rotation promotes a pool node that is not serving, so at
+// Heads = Theta (the default, and the 1k, 10k and 100k benchmark
+// instances' setting) five phases change no head, while Heads < Theta
+// rotates.
+func TestHiNetHeadChurnNeedsBenchedPool(t *testing.T) {
+	for _, c := range []struct {
+		heads   int
+		rotates bool
+	}{{0, false}, {12, false}, {10, true}} {
+		cfg := HiNetConfig{N: 120, Theta: 12, Heads: c.heads, L: 2, T: 4, Reaffiliations: 5, HeadChurn: 2}
+		a := NewHiNet(cfg, xrand.New(3))
+		a.At(5*cfg.T - 1)
+		if st := a.Stats(); st.Phases != 5 || (st.HeadChanges > 0) != c.rotates {
+			t.Errorf("Heads=%d: %d head changes over %d phases, want rotation %v", c.heads, st.HeadChanges, st.Phases, c.rotates)
+		}
+	}
+}
+
 func TestHiNetStableHeadSetWhenNoChurn(t *testing.T) {
 	cfg := HiNetConfig{N: 30, Theta: 5, L: 2, T: 6, Reaffiliations: 2, ChurnEdges: 3}
 	a := ctvg.Recording(NewHiNet(cfg, xrand.New(11)))

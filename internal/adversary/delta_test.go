@@ -57,6 +57,7 @@ func TestHiNetDeltaRecordingMatchesSnapshots(t *testing.T) {
 		{"stable", HiNetConfig{N: 60, Theta: 12, L: 2, T: 6, Reaffiliations: 4, HeadChurn: 2}, 30},
 		{"churny", HiNetConfig{N: 40, Theta: 8, L: 3, T: 5, Reaffiliations: 3, HeadChurn: 1, ChurnEdges: 6}, 25},
 		{"flat-l1", HiNetConfig{N: 30, Theta: 6, L: 1, T: 4, Reaffiliations: 2, ChurnEdges: 2}, 16},
+		{"rotating", HiNetConfig{N: 40, Theta: 8, Heads: 5, L: 3, T: 3, Reaffiliations: 3, HeadChurn: 2, ChurnEdges: 4}, 30},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,6 +90,7 @@ func TestHiNetForwardOnlyDeltaRecording(t *testing.T) {
 		{"t1-stable", HiNetConfig{N: 30, Theta: 6, L: 2, T: 1, Reaffiliations: 2, HeadChurn: 1}, 12},
 		// Every phase equals phase 0, so RecordDeltas records one window.
 		{"identical-phases", HiNetConfig{N: 30, Theta: 6, L: 2, T: 3}, 15},
+		{"t1-rotating", HiNetConfig{N: 30, Theta: 6, Heads: 4, L: 2, T: 1, Reaffiliations: 2, HeadChurn: 1, ChurnEdges: 3}, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap, delt := hiNetPair(tc.cfg, 11)
@@ -106,23 +108,27 @@ func TestHiNetForwardOnlyDeltaRecording(t *testing.T) {
 // against the generic snapshot diff: for every recorded window transition
 // the two must produce the same delta.
 func TestHiNetNativeDeltasMatchGenericDiff(t *testing.T) {
-	cfg := HiNetConfig{N: 50, Theta: 10, L: 2, T: 4, Reaffiliations: 5, HeadChurn: 2, ChurnEdges: 5}
-	a, b := hiNetPair(cfg, 3)
-	const rounds = 24
-	// Record b through a shim that hides the DeltaSource, forcing the
-	// generic DeltaBetween fallback.
-	type dynOnly struct{ ctvg.Dynamic }
-	generic := ctvg.RecordDeltas(dynOnly{b}, rounds)
-	native := ctvg.RecordDeltas(a, rounds)
-	if gw, nw := generic.Windows(), native.Windows(); gw != nw {
-		t.Fatalf("window count: native %d, generic %d", nw, gw)
+	for _, cfg := range []HiNetConfig{
+		{N: 50, Theta: 10, L: 2, T: 4, Reaffiliations: 5, HeadChurn: 2, ChurnEdges: 5},
+		{N: 50, Theta: 10, Heads: 6, L: 2, T: 4, Reaffiliations: 5, HeadChurn: 2, ChurnEdges: 5},
+	} {
+		a, b := hiNetPair(cfg, 3)
+		const rounds = 24
+		// Record b through a shim that hides the DeltaSource, forcing the
+		// generic DeltaBetween fallback.
+		type dynOnly struct{ ctvg.Dynamic }
+		generic := ctvg.RecordDeltas(dynOnly{b}, rounds)
+		native := ctvg.RecordDeltas(a, rounds)
+		if gw, nw := generic.Windows(), native.Windows(); gw != nw {
+			t.Fatalf("Heads=%d: window count: native %d, generic %d", cfg.Heads, nw, gw)
+		}
+		ge, gr := generic.Changes()
+		ne, nr := native.Changes()
+		if ge != ne || gr != nr {
+			t.Fatalf("Heads=%d: changes: native (%d edges, %d roles), generic (%d edges, %d roles)", cfg.Heads, ne, nr, ge, gr)
+		}
+		checkCTVGEqual(t, native, snapshots(NewHiNet(cfg, xrand.New(3)), rounds), rounds)
 	}
-	ge, gr := generic.Changes()
-	ne, nr := native.Changes()
-	if ge != ne || gr != nr {
-		t.Fatalf("changes: native (%d edges, %d roles), generic (%d edges, %d roles)", ne, nr, ge, gr)
-	}
-	checkCTVGEqual(t, native, snapshots(NewHiNet(cfg, xrand.New(3)), rounds), rounds)
 }
 
 // TestTIntervalStableUntil pins the new Stability implementation: aligned

@@ -18,9 +18,13 @@
 // construction, so runs are reproducible from a seed. The structured
 // families (TInterval, HiNet) produce their dynamics as deltas over frozen
 // stable structures: churny rounds are assembled copy-on-write in
-// O(n + churn). HiNet also emits its window transitions natively through
-// WindowDelta (ctvg.DeltaSource), so recording a delta trace never pays an
-// O(E) clone per round.
+// O(n + churn). HiNet builds each phase from what changed: a phase that
+// keeps its predecessor's heads is derived from it, sharing its links and
+// gateway chains read-only and swapping the moved members' star edges in
+// a compact copy of its stable graph; only phase 0 and phases whose heads
+// rotate are built from scratch. HiNet also emits its window transitions
+// natively through WindowDelta (ctvg.DeltaSource), so recording a delta
+// trace never pays an O(E) clone per round.
 //
 // Every adversary generates its rounds in one pass, for single-pass
 // consumers such as the engine and ctvg.RecordDeltas. Nothing behind the
