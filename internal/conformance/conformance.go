@@ -89,12 +89,19 @@ func Check(d ctvg.Dynamic, p sim.Protocol, assign *token.Assignment, rounds int)
 	// different shards concurrently.
 	first := sim.MustRun(d, nodes, assign, sim.Options{MaxRounds: rounds, Workers: 1})
 
-	// Determinism: replay and compare.
-	second := sim.MustRunProtocol(d, p, assign, sim.Options{MaxRounds: rounds})
-	if first.TokensSent != second.TokensSent || first.Messages != second.Messages ||
-		first.CompletionRound != second.CompletionRound {
+	// Determinism: replay on fresh nodes, then compare every metric and
+	// every node's final token set.
+	replay := p.Nodes(assign)
+	second := sim.MustRun(d, replay, assign, sim.Options{MaxRounds: rounds})
+	if !reflect.DeepEqual(first, second) {
 		out = append(out, Violation{Round: -1, Node: -1,
-			Desc: fmt.Sprintf("nondeterministic: %v vs %v", first, second)})
+			Desc: fmt.Sprintf("nondeterministic metrics: %+v vs %+v", *first, *second)})
+	}
+	for v := range inner {
+		if a, b := inner[v].Tokens(), replay[v].Tokens(); !a.Equal(b) {
+			out = append(out, Violation{Round: -1, Node: v,
+				Desc: fmt.Sprintf("nondeterministic final tokens: %v vs %v", a, b)})
+		}
 	}
 	return out
 }

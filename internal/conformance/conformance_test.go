@@ -174,6 +174,52 @@ func TestKitCatchesViewWrite(t *testing.T) {
 	}
 }
 
+// kindFlipProto is deterministic in everything but message kinds: its
+// first set of nodes broadcasts, and every later set relays the same
+// tokens to the same neighbours. Only Metrics.MessagesByKind and
+// TokensByKind tell the audited run from its replay.
+type kindFlipProto struct{ calls *int }
+
+func (kindFlipProto) Name() string { return "kind-flip" }
+func (p kindFlipProto) Nodes(a *token.Assignment) []sim.Node {
+	kind := sim.KindBroadcast
+	if *p.calls > 0 {
+		kind = sim.KindRelay
+	}
+	*p.calls++
+	nodes := make([]sim.Node, a.N())
+	for v := range nodes {
+		nodes[v] = &kindFlipNode{shrinkNode{ta: a.Initial[v].Clone()}, kind}
+	}
+	return nodes
+}
+
+type kindFlipNode struct {
+	shrinkNode
+	kind sim.MsgKind
+}
+
+func (k *kindFlipNode) Send(v *sim.View) *sim.Message {
+	return &sim.Message{To: sim.NoAddr, Kind: k.kind, Tokens: k.ta.Clone()}
+}
+func (k *kindFlipNode) Deliver(v *sim.View, msgs []*sim.Message) {
+	for _, m := range msgs {
+		k.ta.UnionWith(m.Tokens)
+	}
+}
+
+// TestKitCatchesNondeterministicKinds is the determinism check's
+// regression: a replay that matches the audited run in TokensSent,
+// Messages, CompletionRound and every final token set, and differs only
+// in the per-kind counts, must be reported.
+func TestKitCatchesNondeterministicKinds(t *testing.T) {
+	tr, assign := recordedNet(6, 10)
+	vs := Check(tr, kindFlipProto{calls: new(int)}, assign, 10)
+	if len(vs) != 1 || vs[0].Round != -1 || !strings.HasPrefix(vs[0].Desc, "nondeterministic metrics") {
+		t.Fatalf("violations %v, want one nondeterministic-metrics report", vs)
+	}
+}
+
 // loudRogueProto broadcasts every round while holding the out-of-domain
 // token k, so every node that hears anything reports one violation per
 // round.
