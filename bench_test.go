@@ -124,9 +124,10 @@ func BenchmarkFig3(b *testing.B) {
 
 // hiNet1kDynamic records the fixed-seed 1000-node HiNet instance used by
 // the hot-path benchmarks: θ=50 heads, L=2 backbone, T=k+αL=20-round
-// phases, 20 member re-affiliations and 2 head rotations per phase
-// boundary, no per-round edge churn — so every phase is a genuine
-// T-interval stable window. Recording the trace up front keeps adversary
+// phases, 20 member re-affiliations per phase boundary, no per-round edge
+// churn — so every phase is a genuine T-interval stable window. It sets
+// HeadChurn: 2, but every node of the θ pool serves as a head (Heads
+// defaults to Theta), so no head ever rotates. Recording the trace up front keeps adversary
 // generation out of the measured loop; what remains is the engine's round
 // hot path itself.
 func hiNet1kDynamic(tb testing.TB) (ctvg.Dynamic, *token.Assignment, int, int) {
