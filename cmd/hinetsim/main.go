@@ -694,9 +694,12 @@ func runHiNet(n, k, theta, alpha, l, reaffil, churn int, seed uint64, mi *instr)
 }
 
 func runOneL(n, k, theta, l, reaffil, churn int, seed uint64, mi *instr) error {
+	// Every node of the head pool serves (Heads defaults to theta), so the
+	// scenario's heads never rotate: its hierarchy changes by member
+	// re-affiliation only.
 	cfg := adversary.HiNetConfig{
 		N: n, Theta: theta, L: l, T: 1,
-		Reaffiliations: reaffil, HeadChurn: 1, ChurnEdges: churn,
+		Reaffiliations: reaffil, ChurnEdges: churn,
 	}
 	if err := checkHiNet(cfg); err != nil {
 		return err

@@ -245,9 +245,18 @@ func (h *Hierarchy) SameCluster(o *Hierarchy, k int) bool {
 }
 
 // Dynamic is a dynamic network with a cluster hierarchy: the full CTVG.
+//
+// The lifetime rule of tvg.Dynamic covers the hierarchy too, with windows
+// over both layers: a round's graph and hierarchy stay valid until the
+// dynamic has materialised two further windows, and a reader that keeps
+// one longer copies it with graph.Graph.DeepClone or Hierarchy.Clone.
+// Adversaries generate their rounds under it, DeltaTrace replays a
+// recording under it, and the checkers (internal/hinet, tvg's
+// connectivity predicates) read rounds under it.
 type Dynamic interface {
 	tvg.Dynamic
-	// HierarchyAt returns the round-r hierarchy (read-only).
+	// HierarchyAt returns the round-r hierarchy, read-only and valid under
+	// the lifetime rule above.
 	HierarchyAt(r int) *Hierarchy
 }
 
@@ -327,11 +336,13 @@ func (t *Trace) StableUntil(r int) int {
 
 // Record materialises rounds [0, rounds) of any CTVG Dynamic into a Trace
 // of snapshots, for replays that must not pay a window transition: it
-// records d with RecordDeltas and walks that trace's cursor forward once.
+// records d with RecordDeltas and chains ApplyDelta over that trace's
+// changes, since it keeps every window, which the trace's cursor does not.
 // Every round of a stability window shares the window's graph and
-// hierarchy, so a (T, L)-stable adversary records in O(windows·n) memory
-// beyond its changes, and the shared pointers let the NewTrace stability
-// precomputes hit their pointer fast-paths.
+// hierarchy, and a window's graph shares its untouched lists with the
+// previous one, so a (T, L)-stable adversary records in O(windows·n)
+// memory beyond its changes, and the shared pointers let the NewTrace
+// stability precomputes hit their pointer fast-paths.
 func Record(d Dynamic, rounds int) *Trace {
 	if rounds <= 0 {
 		panic("ctvg: Record needs rounds > 0")
@@ -339,8 +350,16 @@ func Record(d Dynamic, rounds int) *Trace {
 	dt := RecordDeltas(d, rounds)
 	snaps := make([]*graph.Graph, rounds)
 	hier := make([]*Hierarchy, rounds)
+	g, h := dt.g.base, dt.h.base
+	gv, hv := 1, 1 // the next change of each layer
 	for r := range snaps {
-		snaps[r], hier[r] = dt.At(r), dt.HierarchyAt(r)
+		if gv < len(dt.g.from) && dt.g.from[gv] == r {
+			g, gv = g.ApplyDelta(dt.g.changes[gv]), gv+1
+		}
+		if hv < len(dt.h.from) && dt.h.from[hv] == r {
+			h, hv = h.ApplyDelta(dt.h.changes[hv]), hv+1
+		}
+		snaps[r], hier[r] = g, h
 	}
 	return NewTrace(tvg.NewTrace(snaps), hier)
 }

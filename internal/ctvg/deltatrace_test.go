@@ -117,9 +117,9 @@ func TestHierarchyDeltaRoundTrip(t *testing.T) {
 	if !fwd.Equal(b) {
 		t.Fatal("ApplyDelta did not reach b")
 	}
-	back := fwd.UnapplyDelta(d)
+	back := fwd.applyInto(nil, d, true)
 	if !back.Equal(a) {
-		t.Fatal("UnapplyDelta did not rewind to a")
+		t.Fatal("undoing the delta did not rewind to a")
 	}
 	if HierarchyDeltaBetween(a, a) != nil {
 		t.Fatal("self-delta not empty")
@@ -276,5 +276,60 @@ func TestRecordingStableUntilDoesNotSearchAhead(t *testing.T) {
 	// Detached at a fixed length, the same source is stable forever.
 	if got := RecordDeltas(repeating{g: g, h: h, T: 4}, 10).StableUntil(0); got != math.MaxInt {
 		t.Fatalf("recorded StableUntil(0) = %d, want MaxInt", got)
+	}
+}
+
+// TestDeltaTraceCursor pins the cursor's costs and the lifetime rule on a
+// recording whose every round opens a window changing both layers: warm
+// steps in either direction and a rewind to round 0 allocate nothing, and
+// a window's graph and hierarchy stay equal to copies taken when they were
+// returned until two further windows have been materialised.
+func TestDeltaTraceCursor(t *testing.T) {
+	tr := buildClusteredTrace(t, 12, 1, 4)
+	last := tr.Len() - 1
+	dt := RecordDeltas(tr, tr.Len())
+	if dt.Windows() != tr.Len() {
+		t.Fatalf("%d windows over %d rounds, want one a round", dt.Windows(), tr.Len())
+	}
+	read := func(r int) { dt.At(r); dt.HierarchyAt(r) }
+	for _, c := range []struct {
+		name string
+		walk func()
+	}{
+		{"forward", func() {
+			for r := 0; r <= last; r++ {
+				read(r)
+			}
+		}},
+		{"back", func() {
+			for r := last; r >= 0; r-- {
+				read(r)
+			}
+		}},
+		{"rewind", func() { read(last); read(0) }},
+	} {
+		c.walk() // fills both buffers of each layer
+		if a := testing.AllocsPerRun(10, c.walk); a != 0 {
+			t.Errorf("%s: %.0f allocations per walk, want 0", c.name, a)
+		}
+	}
+
+	for _, step := range []int{1, -1} {
+		from, to := 0, last
+		if step < 0 {
+			from, to = last, 0
+		}
+		read(from)
+		for r := from; r != to; r += step {
+			g, h := dt.At(r), dt.HierarchyAt(r)
+			gc, hc := g.DeepClone(), h.Clone()
+			read(r + step)
+			if !g.Equal(gc) || !h.Equal(hc) {
+				t.Fatalf("step %d: round %d changed once round %d was materialised", step, r, r+step)
+			}
+			if !dt.At(r+step).Equal(tr.At(r+step)) || !dt.HierarchyAt(r+step).Equal(tr.HierarchyAt(r+step)) {
+				t.Fatalf("step %d: round %d mismatches the snapshot trace", step, r+step)
+			}
+		}
 	}
 }

@@ -20,9 +20,9 @@ func TestDeltaBetweenAndApply(t *testing.T) {
 		if got.M() != b.M() {
 			t.Fatalf("trial %d: M = %d, want %d", trial, got.M(), b.M())
 		}
-		back := got.UnapplyDelta(d)
+		back := got.ApplyDelta(d.Inverse())
 		if !back.Equal(a) {
-			t.Fatalf("trial %d: UnapplyDelta did not rewind to a", trial)
+			t.Fatalf("trial %d: applying the inverse did not rewind to a", trial)
 		}
 		// Canonical order and disjointness.
 		for i := 1; i < len(d.Add); i++ {

@@ -11,6 +11,7 @@ package hinet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ctvg"
 	"repro/internal/graph"
@@ -20,27 +21,13 @@ import (
 // HeadSetStable implements Definition 2 (T-interval Stable Cluster Head
 // Set): the head set is identical in every round of [from, from+T).
 func HeadSetStable(d ctvg.Dynamic, from, T int) bool {
-	mustWindow(from, T)
-	base := d.HierarchyAt(from)
-	for r := from + 1; r < from+T; r++ {
-		if !base.SameHeadSet(d.HierarchyAt(r)) {
-			return false
-		}
-	}
-	return true
+	return stableOver(d, from, T, (*ctvg.Hierarchy).SameHeadSet)
 }
 
 // ClusterStable implements Definition 3 (T-interval Stable Cluster): the
 // member set of cluster k is identical in every round of [from, from+T).
 func ClusterStable(d ctvg.Dynamic, k, from, T int) bool {
-	mustWindow(from, T)
-	base := d.HierarchyAt(from)
-	for r := from + 1; r < from+T; r++ {
-		if !base.SameCluster(d.HierarchyAt(r), k) {
-			return false
-		}
-	}
-	return true
+	return stableOver(d, from, T, func(a, b *ctvg.Hierarchy) bool { return a.SameCluster(b, k) })
 }
 
 // HierarchyStable implements Definition 4 (T-interval Stable Hierarchy):
@@ -51,18 +38,25 @@ func ClusterStable(d ctvg.Dynamic, k, from, T int) bool {
 // roles are derived from membership, so we compare head sets and the
 // membership function I directly.
 func HierarchyStable(d ctvg.Dynamic, from, T int) bool {
+	return stableOver(d, from, T, func(a, b *ctvg.Hierarchy) bool {
+		return a.SameHeadSet(b) && slices.Equal(a.Cluster, b.Cluster)
+	})
+}
+
+// stableOver reports whether same holds between every two consecutive
+// rounds' hierarchies in [from, from+T). Each comparison is an
+// equivalence, so this is the same as comparing every round with round
+// from, and it holds no round longer than the lifetime rule of
+// ctvg.Dynamic allows.
+func stableOver(d ctvg.Dynamic, from, T int, same func(a, b *ctvg.Hierarchy) bool) bool {
 	mustWindow(from, T)
-	base := d.HierarchyAt(from)
+	prev := d.HierarchyAt(from)
 	for r := from + 1; r < from+T; r++ {
 		h := d.HierarchyAt(r)
-		if !base.SameHeadSet(h) {
+		if !same(prev, h) {
 			return false
 		}
-		for v := 0; v < base.N(); v++ {
-			if base.Cluster[v] != h.Cluster[v] {
-				return false
-			}
-		}
+		prev = h
 	}
 	return true
 }

@@ -290,6 +290,9 @@ func (t *Tracer) RoundEnd(r int, crashed []bool) (first, redundant int) {
 			if t.cfg.Sink != nil {
 				t.buf = AppendEdgeJSON(t.buf, e)
 				t.buf = append(t.buf, '\n')
+				if len(t.buf) >= spillBytes {
+					t.writeBuf()
+				}
 			}
 			if t.log != nil {
 				t.log.Edges = append(t.log.Edges, *e)
@@ -478,6 +481,12 @@ func (t *Tracer) slaViolation(r, tok, lat int, outstanding bool) {
 		t.cfg.OnSLA(pv)
 	}
 }
+
+// spillBytes bounds the encode buffer on busy rounds: RoundEnd writes it
+// out whenever its edge records reach this size, so a round that teaches
+// thousands of pairs keeps neither a large buffer nor a large write, and
+// the bytes written do not change.
+const spillBytes = 64 << 10
 
 // writeBuf sends the encode buffer to the sink, latching the first error.
 func (t *Tracer) writeBuf() {

@@ -39,6 +39,15 @@ func TestRoundLoopAllocFree(t *testing.T) {
 	assign := token.Spread(n, k, xrand.New(3))
 	proto := core.Alg2{Failover: &core.Failover{Window: 2}}
 	crashes := func() *sim.Faults { return &sim.Faults{CrashAt: map[int]int{5: 3, 33: T + 3, 61: 2*T + 7}} }
+	// A delta recording with churn edges opens a window every round, so its
+	// cursor materialises a graph each round.
+	replay := ctvg.RecordDeltas(adversary.NewHiNet(adversary.HiNetConfig{
+		N: n, Theta: theta, L: L, T: T,
+		Reaffiliations: 6, HeadChurn: 2, Heads: theta - 2, ChurnEdges: 10,
+	}, xrand.New(4)), rounds)
+	if w := replay.Windows(); w != rounds {
+		t.Fatalf("the replayed recording has %d windows over %d rounds", w, rounds)
+	}
 
 	// Each setup builds its sinks afresh, so every run starts from the same
 	// state.
@@ -67,8 +76,13 @@ func TestRoundLoopAllocFree(t *testing.T) {
 				SelfStabilize: &sim.SelfStabilize{Watchdog: T},
 			}
 		}},
+		{"replay", func() sim.Options { return sim.Options{Faults: crashes()} }},
 	}
 	for _, c := range cases {
+		d := ctvg.Dynamic(rec)
+		if c.name == "replay" {
+			d = replay
+		}
 		t.Run(c.name, func(t *testing.T) {
 			// Garbage collection can add a few runtime allocations to any
 			// one run, never remove any, so each length keeps its least
@@ -79,7 +93,7 @@ func TestRoundLoopAllocFree(t *testing.T) {
 					least = min(least, testing.AllocsPerRun(1, func() {
 						opts := c.opts()
 						opts.MaxRounds = rounds
-						if met := sim.MustRunProtocol(rec, proto, assign, opts); met.Rounds != rounds {
+						if met := sim.MustRunProtocol(d, proto, assign, opts); met.Rounds != rounds {
 							t.Fatalf("run stopped after %d of %d rounds", met.Rounds, rounds)
 						}
 					}))

@@ -20,11 +20,22 @@ import (
 // Dynamic is a dynamic network: a sequence of static snapshots on a fixed
 // vertex set, one per round. Implementations may be recorded traces or
 // lazily generated adversaries.
+//
+// The lifetime rule covers every dynamic network, recordings included: the
+// graph of a round stays valid until the dynamic has materialised two
+// further windows (runs of rounds sharing one snapshot), and a reader that
+// keeps one longer copies it with graph.Graph.DeepClone. A Clone of a
+// frozen graph shares its lists, so it is no copy here. A reader that
+// steps one window at a time, forward or back, may therefore keep the
+// window before the one it reads; a seek across several windows
+// materialises the ones it passes. Generators (internal/adversary) also
+// serve rounds in ascending order only; a recording (ctvg.DeltaTrace)
+// serves any round. ctvg.Dynamic extends the rule to the hierarchy.
 type Dynamic interface {
 	// N returns the number of vertices (constant over the lifetime).
 	N() int
-	// At returns the communication graph of round r (r >= 0). The result
-	// must be treated as read-only.
+	// At returns the communication graph of round r (r >= 0), read-only
+	// and valid under the lifetime rule above.
 	At(r int) *graph.Graph
 }
 
@@ -113,12 +124,14 @@ func (t *Trace) StableUntil(r int) int {
 // [from, from+T): the maximal subgraph present throughout the window.
 // When the dynamic advertises Stability, rounds inside a stability window
 // are intersected once, so the cost is O(distinct snapshots), not O(T).
+// The result shares no storage with d: the first snapshot is deep-copied,
+// as the lifetime rule asks of a graph kept across the window.
 func StableSubgraph(d Dynamic, from, T int) *graph.Graph {
 	if T <= 0 {
 		panic("tvg: StableSubgraph needs T > 0")
 	}
 	st, _ := d.(Stability)
-	acc := d.At(from).Clone()
+	acc := d.At(from).DeepClone()
 	r := from + 1
 	for r < from+T {
 		if st != nil {
