@@ -29,14 +29,11 @@
 // Every adversary generates its rounds in one pass, for single-pass
 // consumers such as the engine and ctvg.RecordDeltas. Nothing behind the
 // working window is kept, and OneInterval, TInterval and HiNet recycle
-// their round storage, so a warm round allocates no graph. The lifetime
-// rule:
-//   - rounds are requested in ascending order; asking for a discarded
-//     round panics;
-//   - the graph and hierarchy of round r stay valid until the adversary
-//     generates round r+2;
-//   - a consumer that keeps one longer deep-copies it
-//     (graph.Graph.DeepClone, ctvg.Hierarchy.Clone).
+// their round storage, so a warm round allocates no graph. Rounds are
+// requested in ascending order, and asking for a discarded round panics.
+// Each round's graph and hierarchy follow the lifetime rule stated on
+// tvg.Dynamic and ctvg.Dynamic: valid until two further windows have been
+// generated, deep-copied by a consumer that keeps one longer.
 //
 // A caller that needs random access over the rounds reads a recording
 // instead: ctvg.Recording extends one on demand, and ctvg.RecordDeltas

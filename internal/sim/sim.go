@@ -377,10 +377,11 @@ func (s *StallReport) String() string {
 type Observer struct {
 	// RoundStart is called before messages are collected. g and h alias
 	// the dynamic network's storage and are read-only. Rounds arrive in
-	// ascending order, and an adversary (internal/adversary) keeps round
-	// r's graph and hierarchy intact only until it generates round r+2, so
-	// an observer that keeps either longer deep-copies it
-	// (graph.Graph.DeepClone, ctvg.Hierarchy.Clone).
+	// ascending order, and every dynamic network, adversary or recording,
+	// keeps them valid only as long as the lifetime rule of ctvg.Dynamic
+	// says: until two further windows have been materialised. An observer
+	// that keeps either longer deep-copies it (graph.Graph.DeepClone,
+	// ctvg.Hierarchy.Clone).
 	RoundStart func(r int, g *graph.Graph, h *ctvg.Hierarchy)
 	// Sent is called for every non-nil message of round r.
 	Sent func(r int, msg *Message)

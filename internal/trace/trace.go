@@ -93,7 +93,9 @@ func Write(w io.Writer, t Recorded) error {
 
 // Read deserialises a trace written by Write (version 1) or WriteDelta
 // (version 2), dispatching on the version byte. The result is a stateful
-// cursor (see ctvg.DeltaTrace): give each concurrent run its own.
+// cursor (see ctvg.DeltaTrace): give each concurrent run its own. Its
+// rounds follow the lifetime rule of ctvg.Dynamic, so a reader that keeps
+// a round's graph or hierarchy past two further windows copies it.
 func Read(r io.Reader) (*ctvg.DeltaTrace, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic)+1)
