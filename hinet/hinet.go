@@ -87,7 +87,12 @@ type Message = sim.Message
 
 // NodeView is a node's per-round local view (see sim.View). Send and
 // Deliver get a pointer into engine storage: read it during the call,
-// never write it, and never keep it past the call.
+// never write it, and never keep it past the call. Round is the current
+// round in every call. A Send that returns nil may call Idle to promise
+// that its Send would keep returning nil and leave the node's state as it
+// is until the node's Role or Head changes, or the engine calls Inject,
+// Collect or OnRecover on it; until then the engine skips its Send (see
+// sim.View.Idle). On a hand-built NodeView Idle does nothing.
 type NodeView = sim.View
 
 // TokenSet is the dense token-set type protocols exchange.
@@ -378,7 +383,8 @@ type ConformanceViolation = conformance.Violation
 // CheckConformance runs a protocol on a recorded network and verifies the
 // model-independent safety invariants every correct dissemination protocol
 // must satisfy: causal information flow, token-set monotonicity, domain
-// safety, and determinism. An empty result means conformant. Use it on
+// safety, determinism, and the idle promise (NodeView.Idle). An empty
+// result means conformant. Use it on
 // your own Protocol implementations; every protocol shipped in this
 // library passes it.
 func CheckConformance(net Network, p Protocol, tokens *Assignment, rounds int) []ConformanceViolation {

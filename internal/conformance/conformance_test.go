@@ -220,6 +220,51 @@ func TestKitCatchesNondeterministicKinds(t *testing.T) {
 	}
 }
 
+// lateProto breaks the idle promise: its nodes idle until round 3, then
+// broadcast although no wake event happened. On a static flat network
+// the engine never wakes them, so only a run that calls every Send sees
+// the broadcasts.
+type lateProto struct{}
+
+func (lateProto) Name() string { return "late" }
+func (lateProto) Nodes(a *token.Assignment) []sim.Node {
+	nodes := make([]sim.Node, a.N())
+	for v := range nodes {
+		nodes[v] = &lateNode{kindFlipNode{shrinkNode{ta: a.Initial[v].Clone()}, sim.KindBroadcast}}
+	}
+	return nodes
+}
+
+type lateNode struct{ kindFlipNode }
+
+func (l *lateNode) Send(v *sim.View) *sim.Message {
+	if v.Round < 3 {
+		v.Idle()
+		return nil
+	}
+	return l.kindFlipNode.Send(v)
+}
+
+// TestKitCatchesBrokenIdlePromise: the first broadcast, node 0's at round
+// 3, is where the two runs part, and the tokens it spreads leave the
+// final sets apart too.
+func TestKitCatchesBrokenIdlePromise(t *testing.T) {
+	const n = 6
+	d := sim.NewFlat(tvg.Static{G: graph.Ring(n)})
+	vs := Check(d, lateProto{}, token.SingleSource(n, 1, 0), 6)
+	if len(vs) == 0 {
+		t.Fatal("a node that idles and later sends was not caught")
+	}
+	if v := vs[0]; v.Round != 3 || v.Node != 0 || !strings.Contains(v.Desc, "broke the idle promise") {
+		t.Fatalf("first violation %v, want node 0's broadcast at round 3", v)
+	}
+	for _, v := range vs[1:] {
+		if v.Round != -1 || !strings.Contains(v.Desc, "broke the idle promise: final tokens") {
+			t.Fatalf("unexpected violation %v", v)
+		}
+	}
+}
+
 // loudRogueProto broadcasts every round while holding the out-of-domain
 // token k, so every node that hears anything reports one violation per
 // round.

@@ -188,9 +188,19 @@ func (n *alg1Node) Send(v *sim.View) *sim.Message {
 				return m
 			}
 		}
-		return n.sendMember(v)
+		if m := n.sendMember(v); m != nil {
+			return m
+		}
 	}
-	return nil // unaffiliated nodes are silent under Algorithm 1
+	// Unaffiliated nodes are silent under Algorithm 1, and so is a member
+	// with nothing to upload. Without failover or promiscuous absorption
+	// both stay silent until their role or head changes: a member's
+	// Deliver adds its own head's relays to TA and TR alike, so TA \ (TS ∪
+	// TR) cannot grow.
+	if n.fo == nil && !n.proto.Promiscuous {
+		v.Idle()
+	}
+	return nil
 }
 
 // memberFailover runs the resilient member's repair state machine before

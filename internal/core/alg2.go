@@ -96,6 +96,7 @@ func (n *alg2Node) Send(v *sim.View) *sim.Message {
 		return n.relayBroadcast(v)
 	}
 	if v.Role != ctvg.Member {
+		n.idle(v)
 		return nil
 	}
 	if n.fo != nil {
@@ -127,6 +128,7 @@ func (n *alg2Node) Send(v *sim.View) *sim.Message {
 		n.needSend = true
 	}
 	if !n.needSend || v.Head == ctvg.NoCluster {
+		n.idle(v)
 		return nil
 	}
 	n.needSend = false
@@ -143,6 +145,16 @@ func (n *alg2Node) Send(v *sim.View) *sim.Message {
 	m.Kind = sim.KindUpload
 	m.Tokens = payload
 	return m
+}
+
+// idle makes the promise of sim.View.Idle for a Send about to return nil
+// from a member or unaffiliated node. Without failover only a head change,
+// Inject or OnRecover sets needSend, and a member's Deliver touches TA
+// alone, so such a node stays silent until a wake event.
+func (n *alg2Node) idle(v *sim.View) {
+	if n.fo == nil {
+		v.Idle()
+	}
 }
 
 // relayBroadcast is the head/gateway side of Fig. 5 (also used by acting

@@ -295,7 +295,8 @@ func (a *arrState) liveCount() int { return a.live.Len() }
 // notify the tracer and observer in arrival-sequence order. Rounds outside
 // the window, past the MaxTokens budget, or with no live candidate inject
 // nothing (the draw is consumed either way, so later rounds are unaffected).
-func (a *arrState) inject(r int, crashed []bool, hier *ctvg.Hierarchy, obs *Observer, atr ArrivalTracer, met *Metrics) {
+// A node handed a token wakes if idle.
+func (a *arrState) inject(r int, crashed, idle []bool, hier *ctvg.Hierarchy, obs *Observer, atr ArrivalTracer, met *Metrics) {
 	count := a.count(r)
 	if count == 0 {
 		return
@@ -313,6 +314,7 @@ func (a *arrState) inject(r int, crashed []bool, hier *ctvg.Hierarchy, obs *Obse
 		a.live.Add(s)
 		a.injected++
 		met.TokensInjected++
+		idle[v] = false
 		a.injectors[v].Inject(r, s)
 		if atr != nil {
 			atr.Injected(r, v, s, seq)
@@ -417,11 +419,13 @@ func (e *engine) scanArrivalsShard(s, lo, hi int) {
 	}
 }
 
-// collectArrivalsShard is collectGarbage's pass 2 on one shard.
+// collectArrivalsShard is collectGarbage's pass 2 on one shard. Every
+// node it collects from wakes if idle.
 func (e *engine) collectArrivalsShard(s, lo, hi int) {
 	removed := 0
 	for v := lo; v < hi; v++ {
 		pre := e.nodes[v].Tokens().Len()
+		e.idle[v] = false
 		e.arr.collects[v].Collect(e.arr.gc)
 		removed += pre - e.nodes[v].Tokens().Len()
 	}

@@ -136,6 +136,9 @@ type shardState struct {
 	acc   shardAcc
 	pool  msgPool
 	inbox []*Message
+	// idle is the run's idle marks (engine.idle), indexed by node ID;
+	// View.Idle sets the mark of a node the shard owns.
+	idle []bool
 	// drops / dups count this round's injected link faults for the
 	// receivers the shard owns; the engine folds and zeroes them at the
 	// round barrier.

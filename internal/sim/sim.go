@@ -141,7 +141,9 @@ func (k NoteKind) String() string {
 // The engine hands Send and Deliver a pointer into its own storage, which
 // it reuses for every round of a stability window. A node reads its View
 // during the call only: it never writes a field and never keeps the
-// pointer, or anything reached through it, past the call.
+// pointer, or anything reached through it, past the call. Round is the
+// current round in every Send and Deliver call, also on the rounds an idle
+// node's Send is skipped (see Idle).
 type View struct {
 	Round int
 	Role  ctvg.Role
@@ -150,14 +152,12 @@ type View struct {
 	// aliases engine storage and must not be modified or retained.
 	Neighbors []int
 
-	// id is the observing node's ID; Note reports it to the observer.
+	// id is the observing node's ID; Note and Idle report it.
 	id int
-	// pool is the owning shard's message arena; nil outside an engine run
-	// (hand-built Views in tests fall back to plain allocation).
-	pool *msgPool
-	// notes is the owning shard's note buffer; nil outside an engine run
-	// (Note is then a no-op).
-	notes *[]note
+	// sh is the owning shard: its message arena, its note buffer and the
+	// run's idle marks. nil outside an engine run: hand-built Views fall
+	// back to plain allocation, and Note and Idle do nothing.
+	sh *shardState
 }
 
 // NewMessage returns a zeroed Message for this round's transmission. Inside
@@ -166,20 +166,20 @@ type View struct {
 // nothing in steady state. The message (like any Send result) must not be
 // retained past the round.
 func (v *View) NewMessage() *Message {
-	if v.pool == nil {
+	if v.sh == nil {
 		return new(Message)
 	}
-	return v.pool.message()
+	return v.sh.pool.message()
 }
 
 // NewSet returns an empty token set with the same arena lifetime as
 // NewMessage: use it for message payloads, never for state that outlives
 // the round.
 func (v *View) NewSet() *bitset.Set {
-	if v.pool == nil {
+	if v.sh == nil {
 		return new(bitset.Set)
 	}
-	return v.pool.set()
+	return v.sh.pool.set()
 }
 
 // Note reports a repair action taken by the node this round (from Send or
@@ -188,10 +188,24 @@ func (v *View) NewSet() *bitset.Set {
 // identical under any Workers setting. Outside an engine run Note is a
 // no-op.
 func (v *View) Note(kind NoteKind) {
-	if v.notes == nil {
+	if v.sh == nil {
 		return
 	}
-	*v.notes = append(*v.notes, note{node: v.id, kind: kind})
+	v.sh.notes = append(v.sh.notes, note{node: v.id, kind: kind})
+}
+
+// Idle is a promise from a Send that returns nil: until the node's Role or
+// Head changes, or the engine calls Inject, Collect or OnRecover on it,
+// its Send would keep returning nil and leave the node's state as it is.
+// The engine then skips the node's Send until one of those wake events;
+// Deliver is still called every round, so a node idles only when no
+// delivery can give its Send something to do. A Send that returns a
+// message, and Deliver, must not call Idle. Outside an engine run Idle
+// does nothing, and Send is called every round.
+func (v *View) Idle() {
+	if v.sh != nil {
+		v.sh.idle[v.id] = true
+	}
 }
 
 // note is one buffered View.Note emission.
@@ -211,7 +225,9 @@ func byNode(a, b note) int { return cmp.Compare(a.node, b.node) }
 // call on the engine goroutine. v points into engine storage: it is read
 // only, and valid only during the call (see View).
 type Node interface {
-	// Send returns the node's transmission for this round, or nil.
+	// Send returns the node's transmission for this round, or nil. A Send
+	// that returns nil may call v.Idle to have the engine skip its Send
+	// until a wake event (see View.Idle).
 	Send(v *View) *Message
 	// Deliver hands the node every message heard this round (from its
 	// current neighbours), ordered by ascending sender ID. Under fault
@@ -638,8 +654,12 @@ type engine struct {
 	// outbox holds each node's transmission of the round, nil for none;
 	// sent[v] is outbox[v] != nil, one byte a node, so delivery's
 	// neighbour scan skips silent neighbours without loading outbox.
+	// idle[v] marks a node whose Send promised nil until a wake event (see
+	// View.Idle): collect skips it, and its outbox entry and sent flag stay
+	// clear. sent and idle share one allocation.
 	outbox []*Message
 	sent   []bool
+	idle   []bool
 	views  []View
 	shards []shardState
 	bounds []int // shard s owns nodes [bounds[s], bounds[s+1])
@@ -701,12 +721,13 @@ func newEngine(d ctvg.Dynamic, nodes []Node, k int, opts Options) (*engine, erro
 		duplicating:   inj.Duplicating(),
 		crashed:       make([]bool, n),
 		outbox:        make([]*Message, n),
-		sent:          make([]bool, n),
 		views:         make([]View, n),
 		cachedUntil:   -1,
 		lastDelivered: -1,
 		needDelivered: opts.StallWindow > 0 || (opts.Observer != nil && opts.Observer.Progress != nil),
 	}
+	flags := make([]bool, 2*n)
+	e.sent, e.idle = flags[:n:n], flags[n:]
 
 	// Steady-state arrival mode: all bookkeeping hangs off one pointer.
 	if opts.Arrivals != nil {
@@ -736,7 +757,7 @@ func newEngine(d ctvg.Dynamic, nodes []Node, k int, opts Options) (*engine, erro
 	// round barrier. Shard order equals ascending node order, so merged
 	// metrics — and the observer event stream replayed from outbox — are
 	// bit-identical to a serial run's. The partition is fixed for the whole
-	// run, so each view is wired to its owning shard's arena exactly once.
+	// run, so each view is wired to its owning shard exactly once.
 	//
 	// Shards are cut at equal cumulative round-0 degree rather than equal
 	// node count: per-node round work is dominated by neighbour scans, so
@@ -756,8 +777,9 @@ func newEngine(d ctvg.Dynamic, nodes []Node, k int, opts Options) (*engine, erro
 		// Unbounded runs must not let one burst round pin the arenas'
 		// high-water capacity forever; batch runs keep the plain ratchet.
 		sh.pool.trim = e.arr != nil
+		sh.idle = e.idle
 		for v := e.bounds[s]; v < e.bounds[s+1]; v++ {
-			e.views[v] = View{id: v, pool: &sh.pool, notes: &sh.notes}
+			e.views[v] = View{id: v, sh: sh}
 		}
 	}
 
@@ -856,8 +878,8 @@ func (e *engine) each(body func(s, lo, hi int)) { parallel.ForEachBounds(e.bound
 
 // crash rejoins the nodes whose downtime window ends this round, then
 // fells the static plan's crashes. A rejoining node is up for the whole
-// round: volatile protocol state resets through the Recoverer hook, and
-// the token set (stable storage) is retained.
+// round and wakes if idle: volatile protocol state resets through the
+// Recoverer hook, and the token set (stable storage) is retained.
 func (e *engine) crash() {
 	if len(e.recovering) > 0 {
 		e.events = e.events[:0]
@@ -875,6 +897,7 @@ func (e *engine) crash() {
 		slices.Sort(e.events)
 		for _, v := range e.events {
 			e.met.Recoveries++
+			e.idle[v] = false
 			if rec, ok := e.nodes[v].(Recoverer); ok {
 				rec.OnRecover(e.r)
 			}
@@ -1002,7 +1025,7 @@ func (e *engine) traceStart() {
 // round's Send, on the engine goroutine, so serial and parallel runs
 // inject identically. Like crashes and recoveries, arrivals are externally
 // scheduled events, timed under StageFaults.
-func (e *engine) inject() { e.arr.inject(e.r, e.crashed, e.hier, e.obs, e.atr, e.met) }
+func (e *engine) inject() { e.arr.inject(e.r, e.crashed, e.idle, e.hier, e.obs, e.atr, e.met) }
 
 // collectAll runs the collect stage on every shard.
 func (e *engine) collectAll() { e.each(e.collect) }
@@ -1011,23 +1034,31 @@ func (e *engine) collectAll() { e.each(e.collect) }
 // transmission from its local view only, and the transmission is charged
 // to the shard's accumulator. Inside a stable window only the round number
 // changes; role, head and neighbour slice keep the frozen window values.
+// A window that changes a node's role or head wakes it; an idle node is
+// skipped before its View or its state is touched.
 func (e *engine) collectShard(s, lo, hi int) {
 	acc := &e.shards[s].acc
 	acc.reset()
 	r, fresh, g, hier := e.r, e.fresh, e.g, e.hier
-	views, outbox, sent, nodes, crashed, sizeFn := e.views, e.outbox, e.sent, e.nodes, e.crashed, e.opts.SizeFn
+	views, outbox, sent, idle, nodes, crashed, sizeFn := e.views, e.outbox, e.sent, e.idle, e.nodes, e.crashed, e.opts.SizeFn
 	for v := lo; v < hi; v++ {
-		vw := &views[v]
-		vw.Round = r
 		if fresh {
-			vw.Role = hier.Role[v]
-			vw.Head = hier.HeadOf(v)
-			vw.Neighbors = g.Neighbors(v)
+			vw := &views[v]
+			role, head := hier.Role[v], hier.HeadOf(v)
+			if role != vw.Role || head != vw.Head {
+				idle[v] = false
+			}
+			vw.Role, vw.Head, vw.Neighbors = role, head, g.Neighbors(v)
+		}
+		if idle[v] {
+			continue
 		}
 		if crashed[v] {
 			outbox[v], sent[v] = nil, false
 			continue
 		}
+		vw := &views[v]
+		vw.Round = r
 		msg := nodes[v].Send(vw)
 		outbox[v], sent[v] = msg, msg != nil
 		if msg != nil {
@@ -1072,6 +1103,7 @@ func (e *engine) deliverAll() { e.each(e.deliver) }
 // other lossy run draws one Drop per sender link, since most in-links
 // (member to head) carry no message on most rounds. Collect's join orders
 // every shard's sent flags and outbox entries before any shard reads them.
+// Collect skips idle nodes, so delivery writes each live view's Round.
 func (e *engine) deliverShard(s, lo, hi int) {
 	st := &e.shards[s]
 	r, inj, lossy, duplicating, rows, tracer := e.r, e.inj, e.lossy, e.duplicating, e.rows, e.tracer
@@ -1086,6 +1118,7 @@ func (e *engine) deliverShard(s, lo, hi int) {
 			lost = rows.row(v)
 		}
 		vw := &views[v]
+		vw.Round = r
 		for i, u := range vw.Neighbors {
 			if !sent[u] {
 				continue
