@@ -91,8 +91,12 @@ type Message = sim.Message
 // round in every call. A Send that returns nil may call Idle to promise
 // that its Send would keep returning nil and leave the node's state as it
 // is until the node's Role or Head changes, or the engine calls Inject,
-// Collect or OnRecover on it; until then the engine skips its Send (see
-// sim.View.Idle). On a hand-built NodeView Idle does nothing.
+// Collect or OnRecover on it; until then the engine skips its Send. The
+// promise also says that a Deliver that teaches the node no token does not
+// change what its Send returns after the wake: once every node holds every
+// token the engine skips an idle node's Deliver too, unless a tracer, loss
+// or duplication counts deliveries (see sim.View.Idle). On a hand-built
+// NodeView Idle does nothing.
 type NodeView = sim.View
 
 // TokenSet is the dense token-set type protocols exchange.

@@ -14,10 +14,13 @@
 //   - determinism: two runs from identical inputs produce identical
 //     metrics and final states;
 //   - the idle promise (see sim.View.Idle): a run in which every node gets
-//     a detached View, so Idle does nothing and Send is called every round,
-//     sends the same messages (sender, addressee, kind and payload, in
-//     order) and ends with the same token sets as the plain replay. Note
-//     counts are not compared: a detached View drops notes.
+//     a detached View, so Idle does nothing and Send and Deliver are called
+//     every round, sends the same messages (sender, addressee, kind and
+//     payload, in order) and ends with the same token sets as the plain
+//     replay. It audits both clauses: a skipped Send that would have sent,
+//     and a Deliver skipped after completion that would have changed a
+//     later Send. Note counts are not compared: a detached View drops
+//     notes.
 //
 // The kit exists for downstream protocol authors: a new protocol that
 // passes Check on the standard scenarios is at least not cheating the
@@ -111,8 +114,8 @@ func Check(d ctvg.Dynamic, p sim.Protocol, assign *token.Assignment, rounds int)
 		}
 	}
 
-	// The idle promise: with detached Views every Send is called, and the
-	// run must send and end as the replay did. The streams part at the
+	// The idle promise: with detached Views every Send and Deliver is
+	// called, and the run must send and end as the replay did. The streams part at the
 	// earlier of their first two differing messages.
 	called := p.Nodes(assign)
 	detached := make([]sim.Node, len(called))
@@ -186,7 +189,8 @@ func recordSent(out *[]sentMsg) *sim.Observer {
 
 // detachedNode hands its node a detached copy of each View, with only
 // Round, Role, Head and Neighbors set. The copy belongs to no engine run,
-// so View.Idle does nothing on it and the engine calls Send every round.
+// so View.Idle does nothing on it and the engine calls Send and Deliver
+// every round.
 type detachedNode struct {
 	sim.Node
 	view sim.View

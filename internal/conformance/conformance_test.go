@@ -265,6 +265,93 @@ func TestKitCatchesBrokenIdlePromise(t *testing.T) {
 	}
 }
 
+// tallyProto breaks the idle promise's delivery clause: node 0 floods
+// its token every round, and every other node idles, counts the messages
+// it hears and, after its next wake, sends the count as its payload. Once
+// the run is complete the engine hands an idle node no deliveries, so
+// only a run that calls every Deliver counts the later floods.
+type tallyProto struct{}
+
+func (tallyProto) Name() string { return "tally" }
+func (tallyProto) Nodes(a *token.Assignment) []sim.Node {
+	nodes := make([]sim.Node, a.N())
+	for v := range nodes {
+		c := cheatNode{ta: a.Initial[v].Clone()}
+		if v == 0 {
+			nodes[v] = &sourceNode{c}
+		} else {
+			nodes[v] = &tallyNode{cheatNode: c}
+		}
+	}
+	return nodes
+}
+
+// sourceNode broadcasts its token set every round and ignores what it
+// hears.
+type sourceNode struct{ cheatNode }
+
+func (s *sourceNode) Send(v *sim.View) *sim.Message {
+	return &sim.Message{To: sim.NoAddr, Kind: sim.KindBroadcast, Tokens: s.ta.Clone()}
+}
+
+type tallyNode struct {
+	cheatNode
+	heard   int
+	started bool
+	role    ctvg.Role
+	head    int
+}
+
+func (n *tallyNode) Send(v *sim.View) *sim.Message {
+	woke := n.started && (v.Role != n.role || v.Head != n.head)
+	n.started, n.role, n.head = true, v.Role, v.Head
+	if !woke {
+		v.Idle()
+		return nil
+	}
+	count := bitset.New(n.heard + 1)
+	count.Add(n.heard)
+	return &sim.Message{To: sim.NoAddr, Kind: sim.KindRelay, Tokens: count}
+}
+
+func (n *tallyNode) Deliver(v *sim.View, msgs []*sim.Message) {
+	n.heard += len(msgs)
+	for _, m := range msgs {
+		if m.Kind == sim.KindBroadcast {
+			n.ta.UnionWith(m.Tokens)
+		}
+	}
+}
+
+// TestKitCatchesIdleNodeCountingDeliveries: node 0's first flood completes
+// the run at round 0, and every other node turns member at round 4, which
+// wakes it. Node 1's count, 1 in the replay and 4 with every Deliver
+// called, is where the two runs part.
+func TestKitCatchesIdleNodeCountingDeliveries(t *testing.T) {
+	const n, rounds = 5, 6
+	flat, star := ctvg.NewHierarchy(n), ctvg.NewHierarchy(n)
+	star.SetHead(0)
+	for v := 1; v < n; v++ {
+		star.SetMember(v, 0)
+	}
+	graphs := make([]*graph.Graph, rounds)
+	hiers := make([]*ctvg.Hierarchy, rounds)
+	for r := range graphs {
+		graphs[r], hiers[r] = graph.Complete(n), flat
+		if r >= 4 {
+			hiers[r] = star
+		}
+	}
+	d := ctvg.NewTrace(tvg.NewTrace(graphs), hiers)
+	vs := Check(d, tallyProto{}, token.SingleSource(n, 1, 0), rounds)
+	if len(vs) != 1 {
+		t.Fatalf("violations %v, want one report of node 1's count", vs)
+	}
+	if v := vs[0]; v.Round != 4 || v.Node != 1 || !strings.Contains(v.Desc, "broke the idle promise") {
+		t.Fatalf("violation %v, want node 1's count at round 4", v)
+	}
+}
+
 // loudRogueProto broadcasts every round while holding the out-of-domain
 // token k, so every node that hears anything reports one violation per
 // round.

@@ -150,7 +150,9 @@ func (n *alg2Node) Send(v *sim.View) *sim.Message {
 // idle makes the promise of sim.View.Idle for a Send about to return nil
 // from a member or unaffiliated node. Without failover only a head change,
 // Inject or OnRecover sets needSend, and a member's Deliver touches TA
-// alone, so such a node stays silent until a wake event.
+// alone, so such a node stays silent until a wake event, and a Deliver
+// that teaches it no token leaves its state, and so its later Send, as it
+// was.
 func (n *alg2Node) idle(v *sim.View) {
 	if n.fo == nil {
 		v.Idle()

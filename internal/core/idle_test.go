@@ -14,16 +14,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// wrappedNode forwards every call to its node and counts its Send calls.
-// With detached set it hands the node a detached copy of each View, with
-// only Round, Role, Head and Neighbors set. The copy belongs to no engine
-// run, so Idle on it does nothing and the engine calls Send every round:
-// the reference an idling run must match.
+// wrappedNode forwards every call to its node and counts its Send and
+// Deliver calls. With detached set it hands the node a detached copy of
+// each View, with only Round, Role, Head and Neighbors set. The copy
+// belongs to no engine run, so Idle on it does nothing and the engine
+// calls Send and Deliver every round: the reference an idling run must
+// match.
 type wrappedNode struct {
 	inner    sim.Node
 	detached bool
 	view     sim.View
 	calls    int
+	delivers int
 }
 
 func (w *wrappedNode) viewFor(v *sim.View) *sim.View {
@@ -39,6 +41,7 @@ func (w *wrappedNode) Send(v *sim.View) *sim.Message {
 	return w.inner.Send(w.viewFor(v))
 }
 func (w *wrappedNode) Deliver(v *sim.View, msgs []*sim.Message) {
+	w.delivers++
 	w.inner.Deliver(w.viewFor(v), msgs)
 }
 func (w *wrappedNode) Tokens() *bitset.Set    { return w.inner.Tokens() }
@@ -47,12 +50,14 @@ func (w *wrappedNode) Collect(gc *bitset.Set) { w.inner.(sim.Collectible).Collec
 func (w *wrappedNode) OnRecover(r int)        { w.inner.(sim.Recoverer).OnRecover(r) }
 
 // idleRun is one run's outputs: its Metrics, its Sent stream rendered one
-// message a line, every node's final token set, and its Send calls.
+// message a line, every node's final token set, and its Send and Deliver
+// calls.
 type idleRun struct {
-	met    *sim.Metrics
-	sent   []string
-	tokens []string
-	calls  int
+	met      *sim.Metrics
+	sent     []string
+	tokens   []string
+	calls    int
+	delivers int
 }
 
 func runWrapped(d ctvg.Dynamic, p sim.Protocol, assign *token.Assignment, opts sim.Options, detached bool) idleRun {
@@ -68,6 +73,7 @@ func runWrapped(d ctvg.Dynamic, p sim.Protocol, assign *token.Assignment, opts s
 	for _, nd := range nodes {
 		out.tokens = append(out.tokens, nd.Tokens().String())
 		out.calls += nd.(*wrappedNode).calls
+		out.delivers += nd.(*wrappedNode).delivers
 	}
 	return out
 }
@@ -76,9 +82,15 @@ func runWrapped(d ctvg.Dynamic, p sim.Protocol, assign *token.Assignment, opts s
 // (Algorithm 1 without failover, in each variant, and Algorithm 2 without
 // failover) to it: a run in which the engine skips idle nodes must match,
 // in Metrics, Sent stream and final token sets, a run in which every Send
-// is called, under crash-recovery, i.i.d. and burst loss, arrivals and
-// self-stabilizing clustering, serially and on 4 shards. Each run of an
-// idling variant must also skip some Sends, or it tests nothing.
+// and Deliver is called, under crash-recovery, i.i.d. and burst loss,
+// duplication, arrivals and self-stabilizing clustering, serially and on 4
+// shards. Each run of an idling variant must also skip some Sends, or it
+// tests nothing. Its Deliver calls must be fewer where the run completes
+// early with nothing counting single deliveries (crash-recovery at round
+// 36 for Algorithm 1 and 16 for Algorithm 2, self-stabilizing at 30 and
+// 8), and exactly as many where loss or duplication counts them; arrivals
+// complete before the last round for some variants only, so they are not
+// compared.
 func TestIdleMatchesAlwaysCalled(t *testing.T) {
 	const n, k, rounds = 60, 8, 72
 	T := Theorem1T(k, 2, 2)
@@ -100,11 +112,13 @@ func TestIdleMatchesAlwaysCalled(t *testing.T) {
 		{Alg1{T: T, Promiscuous: true}, false},
 		{Alg2{}, true},
 	}
+	const fewer, same = "fewer", "same"
 	conditions := []struct {
-		name string
-		opts func() sim.Options
+		name     string
+		delivers string // an idling run's Deliver calls against the always-called run's
+		opts     func() sim.Options
 	}{
-		{"crash-recovery", func() sim.Options {
+		{"crash-recovery", fewer, func() sim.Options {
 			return sim.Options{Faults: &sim.Faults{
 				CrashAt:           map[int]int{7: 5, 19: T + 4, 33: 2*T + 6, 45: 3},
 				RecoverAfter:      map[int]int{7: 3, 19: 5, 33: 2, 45: T},
@@ -112,14 +126,15 @@ func TestIdleMatchesAlwaysCalled(t *testing.T) {
 				HeadCrashDowntime: 4,
 			}}
 		}},
-		{"iid-loss", func() sim.Options { return sim.Options{Faults: &sim.Faults{Seed: 3, DropProb: 0.2}} }},
-		{"burst-loss", func() sim.Options {
+		{"iid-loss", same, func() sim.Options { return sim.Options{Faults: &sim.Faults{Seed: 3, DropProb: 0.2}} }},
+		{"burst-loss", same, func() sim.Options {
 			return sim.Options{Faults: &sim.Faults{Seed: 4, Burst: &faults.GilbertElliott{PGoodBad: 0.1, PBadGood: 0.4, DropBad: 1}}}
 		}},
-		{"arrivals", func() sim.Options {
+		{"duplication", same, func() sim.Options { return sim.Options{Faults: &sim.Faults{Seed: 6, DupProb: 0.2}} }},
+		{"arrivals", "", func() sim.Options {
 			return sim.Options{Arrivals: &sim.Arrivals{Rate: 0.4, Seed: 5, Stop: rounds * 2 / 3}}
 		}},
-		{"selfstab", func() sim.Options {
+		{"selfstab", fewer, func() sim.Options {
 			return sim.Options{
 				SelfStabilize: &sim.SelfStabilize{},
 				Faults:        &sim.Faults{CrashAt: map[int]int{2: T}, RecoverAfter: map[int]int{2: 3}},
@@ -140,6 +155,13 @@ func TestIdleMatchesAlwaysCalled(t *testing.T) {
 				always := runWrapped(d, p, assign, opts(), true)
 				if skipped := idling.calls < always.calls; skipped != pc.idles {
 					t.Fatalf("%s: %d Send calls, %d when always called", name, idling.calls, always.calls)
+				}
+				want := c.delivers
+				if !pc.idles {
+					want = same
+				}
+				if want == fewer && idling.delivers >= always.delivers || want == same && idling.delivers != always.delivers {
+					t.Fatalf("%s: %d Deliver calls, %d when always called; want %s", name, idling.delivers, always.delivers, want)
 				}
 				if !reflect.DeepEqual(idling.met, always.met) {
 					t.Fatalf("%s: metrics differ from the always-called run:\n%+v\n%+v", name, *idling.met, *always.met)

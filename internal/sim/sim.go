@@ -197,11 +197,18 @@ func (v *View) Note(kind NoteKind) {
 // Idle is a promise from a Send that returns nil: until the node's Role or
 // Head changes, or the engine calls Inject, Collect or OnRecover on it,
 // its Send would keep returning nil and leave the node's state as it is.
-// The engine then skips the node's Send until one of those wake events;
-// Deliver is still called every round, so a node idles only when no
-// delivery can give its Send something to do. A Send that returns a
-// message, and Deliver, must not call Idle. Outside an engine run Idle
-// does nothing, and Send is called every round.
+// The engine then skips the node's Send until one of those wake events.
+// Deliver is still called, so a node idles only when no delivery can give
+// its Send something to do. The promise has a second clause: a Deliver
+// whose messages teach the node no token must not change what its Send
+// returns after a later wake event. Once the run is complete (every
+// counted node holds every token, or in arrival mode every token is
+// collected and no more arrive) no message can teach a node a token, so
+// the engine skips an idle node's Deliver as well, unless something
+// counts single deliveries: a Tracer, link loss or duplication. A Send
+// that returns a message, and Deliver, must not call Idle. Outside an
+// engine run Idle does nothing, and Send and Deliver are called every
+// round.
 func (v *View) Idle() {
 	if v.sh != nil {
 		v.sh.idle[v.id] = true
@@ -231,7 +238,9 @@ type Node interface {
 	Send(v *View) *Message
 	// Deliver hands the node every message heard this round (from its
 	// current neighbours), ordered by ascending sender ID. Under fault
-	// injection a duplicated message appears twice, back to back.
+	// injection a duplicated message appears twice, back to back. Once
+	// the run is complete an idle node is not handed its deliveries,
+	// unless a Tracer, loss or duplication counts them (see View.Idle).
 	Deliver(v *View, msgs []*Message)
 	// Tokens returns the node's collected token set (the paper's TA).
 	// The engine treats the result as read-only.
@@ -656,7 +665,8 @@ type engine struct {
 	// neighbour scan skips silent neighbours without loading outbox.
 	// idle[v] marks a node whose Send promised nil until a wake event (see
 	// View.Idle): collect skips it, and its outbox entry and sent flag stay
-	// clear. sent and idle share one allocation.
+	// clear; once skipIdle is set, delivery skips it too. sent and idle
+	// share one allocation.
 	outbox []*Message
 	sent   []bool
 	idle   []bool
@@ -672,10 +682,11 @@ type engine struct {
 	tst  *timingState
 
 	// Round state: the round number, whether it opens a new stability
-	// window (graph, hierarchy and views refetched), and the round's graph
-	// and hierarchy.
+	// window (graph, hierarchy and views refetched), whether delivery
+	// skips idle nodes, and the round's graph and hierarchy.
 	r           int
 	fresh       bool
+	skipIdle    bool
 	cachedUntil int
 	g           *graph.Graph
 	hier        *ctvg.Hierarchy
@@ -1089,8 +1100,14 @@ func (e *engine) observeSent() {
 	}
 }
 
-// deliverAll runs the deliver stage on every shard.
-func (e *engine) deliverAll() { e.each(e.deliver) }
+// deliverAll runs the deliver stage on every shard. Once the run is
+// complete no message can teach a node a token, so delivery skips idle
+// nodes (see View.Idle) unless something counts single deliveries: the
+// tracer, or the loss and duplication counts.
+func (e *engine) deliverAll() {
+	e.skipIdle = e.met.Complete && e.tracer == nil && !e.lossy && !e.duplicating
+	e.each(e.deliver)
+}
 
 // deliverShard is the deliver stage on one shard: each live node hears its
 // neighbours' messages, ordered by ascending sender ID (Neighbors is
@@ -1103,13 +1120,14 @@ func (e *engine) deliverAll() { e.each(e.deliver) }
 // other lossy run draws one Drop per sender link, since most in-links
 // (member to head) carry no message on most rounds. Collect's join orders
 // every shard's sent flags and outbox entries before any shard reads them.
-// Collect skips idle nodes, so delivery writes each live view's Round.
+// Collect skips idle nodes, so delivery writes each live view's Round;
+// after completion it skips them too, unless deliveries are counted.
 func (e *engine) deliverShard(s, lo, hi int) {
 	st := &e.shards[s]
-	r, inj, lossy, duplicating, rows, tracer := e.r, e.inj, e.lossy, e.duplicating, e.rows, e.tracer
-	views, outbox, sent, nodes, crashed := e.views, e.outbox, e.sent, e.nodes, e.crashed
+	r, inj, lossy, duplicating, rows, tracer, skipIdle := e.r, e.inj, e.lossy, e.duplicating, e.rows, e.tracer, e.skipIdle
+	views, outbox, sent, idle, nodes, crashed := e.views, e.outbox, e.sent, e.idle, e.nodes, e.crashed
 	for v := lo; v < hi; v++ {
-		if crashed[v] {
+		if crashed[v] || skipIdle && idle[v] {
 			continue
 		}
 		st.inbox = st.inbox[:0]
