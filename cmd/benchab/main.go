@@ -7,8 +7,9 @@
 //	    [-claim workload:metric] [-trace 3]
 //
 // or `make benchab BASE=<rev> PR=<n>`. The base, and the head when -head
-// is given, are exported with git archive under .bench_build/benchab/;
-// without -head the change is this checkout as it stands. Every run is
+// is given, are exported with git archive under .bench_build/benchab/,
+// where the exports of any other commits are removed; without -head the
+// change is this checkout as it stands. Every run is
 // `bash perfbench/run.sh --workload W --seed S --seconds T` inside the
 // side's tree, with T the run_seconds BENCHMARK.json fixes, so each binary
 // is built from its own sources and run exactly as the benchmark runs it.
@@ -154,6 +155,9 @@ func (o options) run() error {
 			return err
 		}
 	}
+	if err := prune(exports, b.rev, h.rev); err != nil {
+		return err
+	}
 	sides := [2]side{b, h}
 
 	rec := map[string]any{
@@ -235,15 +239,18 @@ func (o options) pairsOf(sides [2]side, w string, n int, seconds float64, traced
 	return runs
 }
 
-// export writes rev's tree under .bench_build/benchab/<hash> with git
-// archive, unless a previous export is there.
+// exports is the directory export writes its trees under.
+var exports = filepath.Join(".bench_build", "benchab")
+
+// export writes rev's tree under exports/<hash> with git archive, unless
+// a previous export is there.
 func export(name, rev string) (side, error) {
 	hash, err := exec.Command("git", "rev-parse", "--short", rev+"^{commit}").Output()
 	if err != nil {
 		return side{}, fmt.Errorf("-%s %s: %w", name, rev, err)
 	}
 	s := side{name: name, rev: strings.TrimSpace(string(hash))}
-	s.dir = filepath.Join(".bench_build", "benchab", s.rev)
+	s.dir = filepath.Join(exports, s.rev)
 	if _, err := os.Stat(filepath.Join(s.dir, "BENCHMARK.json")); err == nil {
 		return s, nil
 	}
@@ -270,6 +277,24 @@ func export(name, rev string) (side, error) {
 		return s, fmt.Errorf("extracting %s: %w", s.rev, err)
 	}
 	return s, nil
+}
+
+// prune removes every entry of dir but the named ones: each export keeps
+// its build cache, about 100 MB, so the trees of earlier passes would
+// otherwise pile up.
+func prune(dir string, keep ...string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !slices.Contains(keep, e.Name()) {
+			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 var (

@@ -2,6 +2,9 @@ package main
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -176,5 +179,35 @@ func TestSummariseLoad1(t *testing.T) {
 	}
 	if wr, _ := summarise(metrics, runs, false, ""); wr["load1_median"] != nil {
 		t.Fatalf("load1_median %v without a load read", wr["load1_median"])
+	}
+}
+
+// TestPrune: only the named trees survive, whatever their contents, and
+// pruning a directory that holds nothing else is a no-op.
+func TestPrune(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"aaa1111", "bbb2222", "ccc3333"} {
+		if err := os.MkdirAll(filepath.Join(dir, name, "perfbench"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name, "BENCHMARK.json"), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		if err := prune(dir, "aaa1111", "ccc3333", "working tree"); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if !slices.Equal(got, []string{"aaa1111", "ccc3333"}) {
+			t.Fatalf("left %v, want [aaa1111 ccc3333]", got)
+		}
 	}
 }

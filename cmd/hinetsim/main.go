@@ -85,7 +85,6 @@ import (
 	"repro/internal/render"
 	"repro/internal/sim"
 	"repro/internal/token"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -628,7 +627,7 @@ func runFig3(mi *instr) error {
 	h.SetMember(1, 0)
 	h.SetGateway(2, 0)
 	h.SetMember(4, 3)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(5, 1, 1)
 
 	fmt.Println("Fig. 3 — Algorithm 1 walkthrough: token 0 starts at member node 1")

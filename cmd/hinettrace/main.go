@@ -171,7 +171,7 @@ func record(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec := ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(*seed)), *rounds)
+	rec := ctvg.Record(adversary.NewHiNet(cfg, xrand.New(*seed)), *rounds)
 	if *full {
 		err = trace.Write(f, rec)
 	} else {

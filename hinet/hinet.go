@@ -396,11 +396,12 @@ func CheckConformance(net Network, p Protocol, tokens *Assignment, rounds int) [
 }
 
 // RecordNetwork freezes rounds [0, rounds) of a network into a replayable
-// snapshot trace; rounds past the end repeat the last one. The networks
-// this package builds can already be re-read in any order, so they need
-// it only to be frozen: a snapshot trace is read-only and may be shared by
-// concurrent runs. A Network of your own that serves its rounds only once,
-// in order, needs it before CheckConformance, a checker or a second run.
+// recording; rounds past the end repeat the last one. The networks this
+// package builds can already be re-read in any order, so they need it
+// only to be frozen. A Network of your own that serves its rounds only
+// once, in order, needs it before CheckConformance, a checker or a second
+// run. The recording is a stateful cursor: give each concurrent run its
+// own.
 func RecordNetwork(net Network, rounds int) Network {
 	return ctvg.Record(net, rounds)
 }

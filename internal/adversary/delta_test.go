@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ctvg"
 	"repro/internal/graph"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -21,29 +20,43 @@ func hiNetPair(cfg HiNetConfig, seed uint64) (*HiNet, *HiNet) {
 	return NewHiNet(cfg, xrand.New(seed)), NewHiNet(cfg, xrand.New(seed))
 }
 
-// snapshots deep-copies rounds [0, rounds) of d as they are generated into
-// a snapshot trace.
-func snapshots(d ctvg.Dynamic, rounds int) *ctvg.Trace {
-	gs := make([]*graph.Graph, rounds)
-	hs := make([]*ctvg.Hierarchy, rounds)
-	for r := range gs {
-		gs[r], hs[r] = d.At(r).DeepClone(), d.HierarchyAt(r).Clone()
-	}
-	return ctvg.NewTrace(tvg.NewTrace(gs), hs)
+// copies holds one deep-copied graph and hierarchy per round.
+type copies struct {
+	gs []*graph.Graph
+	hs []*ctvg.Hierarchy
 }
 
-func checkCTVGEqual(t *testing.T, dt *ctvg.DeltaTrace, tr *ctvg.Trace, rounds int) {
+// snapshots deep-copies rounds [0, rounds) of d as they are generated.
+func snapshots(d ctvg.Dynamic, rounds int) copies {
+	c := copies{make([]*graph.Graph, rounds), make([]*ctvg.Hierarchy, rounds)}
+	for r := range c.gs {
+		c.gs[r], c.hs[r] = d.At(r).DeepClone(), d.HierarchyAt(r).Clone()
+	}
+	return c
+}
+
+// stableUntil is the last round of r's stability window, found by
+// comparing the rounds after r with r; past the last copy it never ends.
+func (c copies) stableUntil(r int) int {
+	for e := r; e < len(c.gs)-1; e++ {
+		if !c.gs[e+1].Equal(c.gs[r]) || !c.hs[e+1].Equal(c.hs[r]) {
+			return e
+		}
+	}
+	return math.MaxInt
+}
+
+func checkCTVGEqual(t *testing.T, dt *ctvg.DeltaTrace, want copies, rounds int) {
 	t.Helper()
 	for r := 0; r < rounds; r++ {
-		if !dt.At(r).Equal(tr.At(r)) {
+		if !dt.At(r).Equal(want.gs[r]) {
 			t.Fatalf("round %d: snapshot mismatch", r)
 		}
-		if !dt.HierarchyAt(r).Equal(tr.HierarchyAt(r)) {
+		if !dt.HierarchyAt(r).Equal(want.hs[r]) {
 			t.Fatalf("round %d: hierarchy mismatch", r)
 		}
-		ds, ts := dt.StableUntil(r), tr.StableUntil(r)
-		if ds != ts && !(ds == math.MaxInt && ts >= rounds-1) {
-			t.Fatalf("round %d: StableUntil %d, want %d", r, ds, ts)
+		if ds, ws := dt.StableUntil(r), want.stableUntil(r); ds != ws {
+			t.Fatalf("round %d: StableUntil %d, want %d", r, ds, ws)
 		}
 	}
 }
@@ -63,7 +76,7 @@ func TestHiNetDeltaRecordingMatchesSnapshots(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			snap, delt := hiNetPair(tc.cfg, 7)
 			tr := snapshots(snap, tc.rounds)
-			dt := ctvg.RecordDeltas(delt, tc.rounds)
+			dt := ctvg.Record(delt, tc.rounds)
 			checkCTVGEqual(t, dt, tr, tc.rounds)
 			if err := dt.Validate(); err != nil {
 				t.Fatalf("delta trace fails model validation: %v", err)
@@ -77,7 +90,7 @@ func TestHiNetDeltaRecordingMatchesSnapshots(t *testing.T) {
 // phases with and without churn, and compares it with the deep-copied
 // rounds of a twin. The recorded base must be a deep copy (phase 0's
 // storage is reused by phase 2), and a run of phases that change nothing
-// must not make RecordDeltas ask for a recycled phase.
+// must not make ctvg.Record ask for a recycled phase.
 func TestHiNetForwardOnlyDeltaRecording(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -88,14 +101,14 @@ func TestHiNetForwardOnlyDeltaRecording(t *testing.T) {
 		{"stable", HiNetConfig{N: 40, Theta: 8, L: 3, T: 4, Reaffiliations: 3, HeadChurn: 2}, 24},
 		{"t1-churny", HiNetConfig{N: 30, Theta: 6, L: 2, T: 1, Reaffiliations: 2, ChurnEdges: 3}, 12},
 		{"t1-stable", HiNetConfig{N: 30, Theta: 6, L: 2, T: 1, Reaffiliations: 2, HeadChurn: 1}, 12},
-		// Every phase equals phase 0, so RecordDeltas records one window.
+		// Every phase equals phase 0, so ctvg.Record records one window.
 		{"identical-phases", HiNetConfig{N: 30, Theta: 6, L: 2, T: 3}, 15},
 		{"t1-rotating", HiNetConfig{N: 30, Theta: 6, Heads: 4, L: 2, T: 1, Reaffiliations: 2, HeadChurn: 1, ChurnEdges: 3}, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			snap, delt := hiNetPair(tc.cfg, 11)
 			tr := snapshots(snap, tc.rounds)
-			dt := ctvg.RecordDeltas(delt, tc.rounds)
+			dt := ctvg.Record(delt, tc.rounds)
 			checkCTVGEqual(t, dt, tr, tc.rounds)
 			if got := delt.Stats().Phases; got < 3 {
 				t.Fatalf("recorded %d phases, want at least 3", got)
@@ -117,8 +130,8 @@ func TestHiNetNativeDeltasMatchGenericDiff(t *testing.T) {
 		// Record b through a shim that hides the DeltaSource, forcing the
 		// generic DeltaBetween fallback.
 		type dynOnly struct{ ctvg.Dynamic }
-		generic := ctvg.RecordDeltas(dynOnly{b}, rounds)
-		native := ctvg.RecordDeltas(a, rounds)
+		generic := ctvg.Record(dynOnly{b}, rounds)
+		native := ctvg.Record(a, rounds)
 		if gw, nw := generic.Windows(), native.Windows(); gw != nw {
 			t.Fatalf("Heads=%d: window count: native %d, generic %d", cfg.Heads, nw, gw)
 		}

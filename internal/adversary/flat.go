@@ -27,7 +27,7 @@
 // trace never pays an O(E) clone per round.
 //
 // Every adversary generates its rounds in one pass, for single-pass
-// consumers such as the engine and ctvg.RecordDeltas. Nothing behind the
+// consumers such as the engine and ctvg.Record. Nothing behind the
 // working window is kept, and OneInterval, TInterval and HiNet recycle
 // their round storage, so a warm round allocates no graph. Rounds are
 // requested in ascending order, and asking for a discarded round panics.
@@ -36,8 +36,8 @@
 // generated, deep-copied by a consumer that keeps one longer.
 //
 // A caller that needs random access over the rounds reads a recording
-// instead: ctvg.Recording extends one on demand, and ctvg.RecordDeltas
-// records a fixed number of rounds.
+// instead: ctvg.Recording extends one on demand, and ctvg.Record records
+// a fixed number of rounds.
 package adversary
 
 import (

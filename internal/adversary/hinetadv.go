@@ -123,7 +123,7 @@ type HiNetStats struct {
 // graph.ApplyDeltaInto — so a churny round costs O(n + ChurnEdges), not an
 // O(E) deep clone. WindowDelta additionally emits the transition between
 // two window-start rounds directly (ctvg.DeltaSource), which is what
-// ctvg.RecordDeltas consumes.
+// ctvg.Record consumes.
 //
 // Two phases are kept; the phase dropping out of that window hands its
 // hierarchy and stable-graph storage to the phase replacing it. Links,

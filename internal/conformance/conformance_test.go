@@ -18,7 +18,7 @@ import (
 
 // recordedNet freezes a HiNet adversary so causal reachability and the
 // protocol run see identical snapshots.
-func recordedNet(seed uint64, T int) (*ctvg.Trace, *token.Assignment) {
+func recordedNet(seed uint64, T int) (*ctvg.DeltaTrace, *token.Assignment) {
 	adv := adversary.NewHiNet(adversary.HiNetConfig{
 		N: 30, Theta: 6, L: 2, T: T, Reaffiliations: 2, HeadChurn: 1, Heads: 4, ChurnEdges: 4,
 	}, xrand.New(seed))
@@ -342,7 +342,7 @@ func TestKitCatchesIdleNodeCountingDeliveries(t *testing.T) {
 			hiers[r] = star
 		}
 	}
-	d := ctvg.NewTrace(tvg.NewTrace(graphs), hiers)
+	d := ctvg.NewTrace(graphs, hiers)
 	vs := Check(d, tallyProto{}, token.SingleSource(n, 1, 0), rounds)
 	if len(vs) != 1 {
 		t.Fatalf("violations %v, want one report of node 1's count", vs)

@@ -9,7 +9,6 @@ import (
 	hinetmodel "repro/internal/hinet"
 	"repro/internal/sim"
 	"repro/internal/token"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -29,7 +28,7 @@ func TestPromiscuousAbsorbsForeignRelay(t *testing.T) {
 	h.SetHead(0)
 	h.SetHead(1)
 	h.SetMember(2, 0)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(3, 1, 1)
 	nodes := Alg1{T: 4, Promiscuous: true}.Nodes(assign)
 	sim.MustRun(d, nodes, assign, sim.Options{MaxRounds: 8})
@@ -105,7 +104,7 @@ func TestAlg1FailsWithoutBackbone(t *testing.T) {
 	h.SetHead(2)
 	h.SetMember(1, 0)
 	h.SetMember(3, 2)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	if err := (hinetmodel.Model{T: 4, L: 2}).Check(d, 1); err == nil {
 		t.Fatal("checker accepted a backbone-less network")
 	}

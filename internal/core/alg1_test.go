@@ -10,7 +10,6 @@ import (
 	"repro/internal/hinet"
 	"repro/internal/sim"
 	"repro/internal/token"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -70,7 +69,7 @@ func scriptedTwoClusters() (ctvg.Dynamic, *token.Assignment) {
 	h.SetMember(1, 0)
 	h.SetGateway(2, 0)
 	h.SetMember(4, 3)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	return d, token.SingleSource(5, 1, 1)
 }
 
@@ -116,7 +115,7 @@ func TestAlg1MemberDoesNotReuploadKnownTokens(t *testing.T) {
 	h.SetHead(0)
 	h.SetMember(1, 0)
 	h.SetMember(2, 0)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(3, 2, 0)
 	uploads := 0
 	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
@@ -155,7 +154,7 @@ func runTheorem1(t *testing.T, seed uint64, cfg adversary.HiNetConfig, k, alpha 
 	// Verify the adversary really is a (T, L)-HiNet for the whole run. The
 	// adversary generates each round once, so the check and the run read
 	// a recording of it.
-	rec := ctvg.RecordDeltas(adv, phases*T)
+	rec := ctvg.Record(adv, phases*T)
 	if err := (hinet.Model{T: T, L: cfg.L}).CheckValid(rec, phases); err != nil {
 		t.Fatalf("adversary violates model: %v", err)
 	}
@@ -267,7 +266,7 @@ func TestRemark1ReducesMemberUploads(t *testing.T) {
 func TestAlg1UnaffiliatedNodesSilent(t *testing.T) {
 	g := graph.Path(3)
 	h := ctvg.NewHierarchy(3) // everyone unaffiliated
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(3, 1, 0)
 	met := sim.MustRunProtocol(d, Alg1{T: 4}, assign, sim.Options{MaxRounds: 8})
 	if met.Messages != 0 {
@@ -289,7 +288,7 @@ func TestAlg1RoleTransitionResetsState(t *testing.T) {
 	h2.SetMember(0, 1)
 	snaps := []*graph.Graph{g, g, g, g, g, g, g, g}
 	hier := []*ctvg.Hierarchy{h1, h1, h1, h1, h2, h2, h2, h2}
-	d := ctvg.NewTrace(tvg.NewTrace(snaps), hier)
+	d := ctvg.NewTrace(snaps, hier)
 
 	// Token 0 starts at node 1.
 	assign := token.SingleSource(2, 1, 1)
@@ -318,7 +317,7 @@ func TestAlg1MemberIgnoresForeignHeads(t *testing.T) {
 	h.SetHead(0)
 	h.SetHead(1)
 	h.SetMember(2, 0)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(3, 1, 1)
 	nodes := Alg1{T: 4}.Nodes(assign)
 	sim.MustRun(d, nodes, assign, sim.Options{MaxRounds: 8})
@@ -334,7 +333,7 @@ func TestAlg1RelayPipelineOrder(t *testing.T) {
 	h := ctvg.NewHierarchy(2)
 	h.SetHead(0)
 	h.SetMember(1, 0)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(2, 3, 0)
 	var order []int
 	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
@@ -354,7 +353,7 @@ func TestAlg1MemberUploadsDescendingOrder(t *testing.T) {
 	h := ctvg.NewHierarchy(2)
 	h.SetHead(0)
 	h.SetMember(1, 0)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(2, 3, 1)
 	var order []int
 	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {

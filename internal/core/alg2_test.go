@@ -51,7 +51,7 @@ func TestTheorem2CompletionWithinNMinus1(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		// The adversary generates each round once, so the hypothesis check
 		// and the run read a recording of it.
-		rec := ctvg.RecordDeltas(oneLHiNet(seed, n, 6, 2, 4), Theorem2Rounds(n))
+		rec := ctvg.Record(oneLHiNet(seed, n, 6, 2, 4), Theorem2Rounds(n))
 		// Hypothesis check: every round's snapshot is connected.
 		if !tvg.AlwaysConnected(rec, Theorem2Rounds(n)) {
 			t.Fatalf("seed %d: adversary not 1-interval connected", seed)
@@ -92,7 +92,7 @@ func TestAlg2MemberSendsOncePerAffiliation(t *testing.T) {
 	for v := 1; v < 4; v++ {
 		h.SetMember(v, 0)
 	}
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.Spread(4, 4, xrand.New(3))
 	uploads := 0
 	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
@@ -125,10 +125,7 @@ func TestAlg2ReuploadOnHeadChange(t *testing.T) {
 	h1.SetMember(2, 0)
 	h2 := h1.Clone()
 	h2.SetMember(2, 1)
-	d := ctvg.NewTrace(
-		tvg.NewTrace([]*graph.Graph{g, g, g, g}),
-		[]*ctvg.Hierarchy{h1, h1, h2, h2},
-	)
+	d := ctvg.NewTrace([]*graph.Graph{g, g, g, g}, []*ctvg.Hierarchy{h1, h1, h2, h2})
 	assign := token.SingleSource(3, 2, 2)
 	var uploadTargets []int
 	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
@@ -148,7 +145,7 @@ func TestAlg2RelaysBroadcastFullSetEveryRound(t *testing.T) {
 	h.SetHead(0)
 	h.SetMember(1, 0)
 	h.SetMember(2, 0)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(3, 3, 0)
 	headBroadcasts := 0
 	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
@@ -178,7 +175,7 @@ func TestAlg2MemberOverhearsAnyRelay(t *testing.T) {
 	h.SetHead(3)
 	h.SetGateway(1, 3)
 	h.SetMember(2, 0)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(4, 1, 1) // gateway holds the token
 	nodes := Alg2{}.Nodes(assign)
 	sim.MustRun(d, nodes, assign, sim.Options{MaxRounds: 1})
@@ -190,7 +187,7 @@ func TestAlg2MemberOverhearsAnyRelay(t *testing.T) {
 func TestAlg2UnaffiliatedSilent(t *testing.T) {
 	g := graph.Path(3)
 	h := ctvg.NewHierarchy(3)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(3, 1, 0)
 	met := sim.MustRunProtocol(d, Alg2{}, assign, sim.Options{MaxRounds: 5})
 	if met.Messages != 0 {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/token"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -28,7 +27,7 @@ func staticCliqueCluster(n int) ctvg.Dynamic {
 	for v := 1; v < n; v++ {
 		h.SetMember(v, 0)
 	}
-	return ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	return ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 }
 
 func TestFailoverWindowValidation(t *testing.T) {

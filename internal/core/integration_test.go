@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/token"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -25,7 +24,7 @@ func clusteredStatic(t *testing.T, n, m int, rule cluster.Election, seed uint64)
 	if err := h.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	return d, h, g
 }
 
@@ -110,7 +109,7 @@ func TestAlg2OnMaintainedClusters(t *testing.T) {
 		hiers[r] = h
 		prev = h
 	}
-	d := ctvg.NewTrace(tvg.NewTrace(snaps), hiers)
+	d := ctvg.NewTrace(snaps, hiers)
 	assign := token.Spread(n, k, xrand.New(22))
 	met := sim.MustRunProtocol(d, Alg2{}, assign,
 		sim.Options{MaxRounds: rounds, StopWhenComplete: true})

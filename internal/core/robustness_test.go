@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/token"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -32,7 +31,7 @@ func staticCluster(n int) ctvg.Dynamic {
 	for v := 1; v < n; v++ {
 		h.SetMember(v, 0)
 	}
-	return ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	return ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 }
 
 func TestAlg2RelayTokensSurviveLoss(t *testing.T) {

@@ -44,7 +44,7 @@ func TestSoakRandomConfigurations(t *testing.T) {
 		seed := rng.Uint64()
 
 		// The check and the run read one recording of the adversary.
-		rec := ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(seed)), phases*T)
+		rec := ctvg.Record(adversary.NewHiNet(cfg, xrand.New(seed)), phases*T)
 		if err := (hinetmodel.Model{T: T, L: L}).CheckValid(rec, phases); err != nil {
 			t.Fatalf("config %d (%+v): model violated: %v", i, cfg, err)
 		}

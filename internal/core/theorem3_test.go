@@ -8,7 +8,6 @@ import (
 	hinetmodel "repro/internal/hinet"
 	"repro/internal/sim"
 	"repro/internal/token"
-	"repro/internal/tvg"
 )
 
 // chainBackboneNetwork builds a static clustered network whose heads form a
@@ -39,7 +38,7 @@ func chainBackboneNetwork(c int) (ctvg.Dynamic, int) {
 			h.SetMember(gw, head)
 		}
 	}
-	return ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h}), n
+	return ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h}), n
 }
 
 // TestTheorem3BoundFailsOnChainBackbones documents a REPRODUCTION FINDING:
@@ -120,7 +119,7 @@ func TestTheorem3HoldsOnStarBackbones(t *testing.T) {
 		g.AddEdge(heads[i], member)
 		h.SetMember(member, heads[i])
 	}
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 
 	assign := token.SingleSource(n, 1, n-1) // a member's token
 	met := sim.MustRunProtocol(d, Alg2{}, assign, sim.Options{

@@ -10,7 +10,6 @@ package ctvg
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/tvg"
@@ -265,116 +264,3 @@ type Dynamic interface {
 // [r, StableUntil(r)] the snapshot AND the hierarchy are content-identical
 // to round r's.
 type Stability = tvg.Stability
-
-// Trace is a recorded CTVG: parallel snapshot and hierarchy sequences.
-// Rounds beyond the recorded range repeat the final entries.
-type Trace struct {
-	graphs *tvg.Trace
-	hier   []*Hierarchy
-	// stable[r] bounds the hierarchy's stability window at round r,
-	// precomputed eagerly so shared traces stay read-only under concurrent
-	// runs. The graph layer keeps its own index inside graphs.
-	stable []int
-}
-
-// NewTrace pairs a graph trace with per-round hierarchies of equal length.
-func NewTrace(graphs *tvg.Trace, hier []*Hierarchy) *Trace {
-	if graphs.Len() != len(hier) {
-		panic(fmt.Sprintf("ctvg: %d graph rounds but %d hierarchy rounds", graphs.Len(), len(hier)))
-	}
-	for r, h := range hier {
-		if h.N() != graphs.N() {
-			panic(fmt.Sprintf("ctvg: hierarchy %d has wrong node count", r))
-		}
-	}
-	t := &Trace{graphs: graphs, hier: hier}
-	t.stable = make([]int, len(hier))
-	t.stable[len(hier)-1] = math.MaxInt // past-the-end rounds repeat it
-	for r := len(hier) - 2; r >= 0; r-- {
-		if hier[r] == hier[r+1] || hier[r].Equal(hier[r+1]) {
-			t.stable[r] = t.stable[r+1]
-		} else {
-			t.stable[r] = r
-		}
-	}
-	return t
-}
-
-// N implements Dynamic.
-func (t *Trace) N() int { return t.graphs.N() }
-
-// Len returns the number of recorded rounds.
-func (t *Trace) Len() int { return len(t.hier) }
-
-// At implements Dynamic.
-func (t *Trace) At(r int) *graph.Graph { return t.graphs.At(r) }
-
-// HierarchyAt implements Dynamic.
-func (t *Trace) HierarchyAt(r int) *Hierarchy {
-	if r < 0 {
-		panic("ctvg: negative round")
-	}
-	if r >= len(t.hier) {
-		r = len(t.hier) - 1
-	}
-	return t.hier[r]
-}
-
-// StableUntil implements Stability: the window end is the tighter of the
-// graph trace's and the hierarchy sequence's stability bounds.
-func (t *Trace) StableUntil(r int) int {
-	gs := t.graphs.StableUntil(r)
-	hs := math.MaxInt
-	if r < len(t.stable) {
-		hs = t.stable[r]
-	}
-	if hs < gs {
-		return hs
-	}
-	return gs
-}
-
-// Record materialises rounds [0, rounds) of any CTVG Dynamic into a Trace
-// of snapshots, for replays that must not pay a window transition: it
-// records d with RecordDeltas and chains ApplyDelta over that trace's
-// changes, since it keeps every window, which the trace's cursor does not.
-// Every round of a stability window shares the window's graph and
-// hierarchy, and a window's graph shares its untouched lists with the
-// previous one, so a (T, L)-stable adversary records in O(windows·n)
-// memory beyond its changes, and the shared pointers let the NewTrace
-// stability precomputes hit their pointer fast-paths.
-func Record(d Dynamic, rounds int) *Trace {
-	if rounds <= 0 {
-		panic("ctvg: Record needs rounds > 0")
-	}
-	dt := RecordDeltas(d, rounds)
-	snaps := make([]*graph.Graph, rounds)
-	hier := make([]*Hierarchy, rounds)
-	g, h := dt.g.base, dt.h.base
-	gv, hv := 1, 1 // the next change of each layer
-	for r := range snaps {
-		if gv < len(dt.g.from) && dt.g.from[gv] == r {
-			g, gv = g.ApplyDelta(dt.g.changes[gv]), gv+1
-		}
-		if hv < len(dt.h.from) && dt.h.from[hv] == r {
-			h, hv = h.ApplyDelta(dt.h.changes[hv]), hv+1
-		}
-		snaps[r], hier[r] = g, h
-	}
-	return NewTrace(tvg.NewTrace(snaps), hier)
-}
-
-// Validate checks every recorded round's hierarchy against its graph.
-func (t *Trace) Validate() error {
-	for r := 0; r < t.Len(); r++ {
-		if err := t.hier[r].Validate(t.At(r)); err != nil {
-			return fmt.Errorf("round %d: %w", r, err)
-		}
-	}
-	return nil
-}
-
-var (
-	_ Dynamic   = (*Trace)(nil)
-	_ Stability = (*Trace)(nil)
-)

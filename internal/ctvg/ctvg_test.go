@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/tvg"
 )
 
 // starCluster builds a 5-node graph where 0 is a head with members 1,2 and
@@ -187,14 +186,14 @@ func TestTraceRoundTrip(t *testing.T) {
 	g2.AddEdge(0, 4)
 	h2 := h.Clone()
 	h2.SetMember(4, 0)
-	tr := NewTrace(tvg.NewTrace([]*graph.Graph{g, g2}), []*Hierarchy{h, h2})
+	tr := NewTrace([]*graph.Graph{g, g2}, []*Hierarchy{h, h2})
 	if tr.N() != 5 || tr.Len() != 2 {
 		t.Fatalf("N=%d Len=%d", tr.N(), tr.Len())
 	}
-	if tr.HierarchyAt(0) != h || tr.HierarchyAt(1) != h2 {
+	if !tr.HierarchyAt(0).Equal(h) || !tr.HierarchyAt(1).Equal(h2) {
 		t.Fatal("HierarchyAt wrong")
 	}
-	if tr.HierarchyAt(7) != h2 {
+	if !tr.HierarchyAt(7).Equal(h2) {
 		t.Fatal("HierarchyAt past end should repeat last")
 	}
 	if err := tr.Validate(); err != nil {
@@ -204,7 +203,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestTraceHierarchyNegativePanics(t *testing.T) {
 	g, h := starCluster()
-	tr := NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*Hierarchy{h})
+	tr := NewTrace([]*graph.Graph{g}, []*Hierarchy{h})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative round did not panic")
@@ -220,14 +219,14 @@ func TestNewTraceLengthMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch did not panic")
 		}
 	}()
-	NewTrace(tvg.NewTrace([]*graph.Graph{g, g.Clone()}), []*Hierarchy{h})
+	NewTrace([]*graph.Graph{g, g.Clone()}, []*Hierarchy{h})
 }
 
 func TestTraceValidateCatchesBadRound(t *testing.T) {
 	g, h := starCluster()
 	badH := h.Clone()
 	badH.SetMember(4, 2) // 2 is not a head
-	tr := NewTrace(tvg.NewTrace([]*graph.Graph{g, g.Clone()}), []*Hierarchy{h, badH})
+	tr := NewTrace([]*graph.Graph{g, g.Clone()}, []*Hierarchy{h, badH})
 	if err := tr.Validate(); err == nil {
 		t.Fatal("Validate accepted bad round")
 	}
@@ -235,7 +234,7 @@ func TestTraceValidateCatchesBadRound(t *testing.T) {
 
 func TestRecord(t *testing.T) {
 	g, h := starCluster()
-	src := NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*Hierarchy{h})
+	src := NewTrace([]*graph.Graph{g}, []*Hierarchy{h})
 	rec := Record(src, 3)
 	if rec.Len() != 3 {
 		t.Fatalf("Len=%d", rec.Len())
@@ -253,7 +252,7 @@ func TestTraceStableUntilIsMinOfGraphAndHierarchy(t *testing.T) {
 	h2.SetHead(4) // different hierarchy, same graph
 
 	// Constant graph, hierarchy changes at round 2: hierarchy limits.
-	graphs := tvg.NewTrace([]*graph.Graph{g, g.Clone(), g.Clone(), g.Clone()})
+	graphs := []*graph.Graph{g, g.Clone(), g.Clone(), g.Clone()}
 	tr := NewTrace(graphs, []*Hierarchy{h, h.Clone(), h2, h2.Clone()})
 	for r, w := range []int{1, 1, math.MaxInt, math.MaxInt} {
 		if got := tr.StableUntil(r); got != w {
@@ -263,7 +262,7 @@ func TestTraceStableUntilIsMinOfGraphAndHierarchy(t *testing.T) {
 
 	// Constant hierarchy, graph changes at round 1: graph limits.
 	ring := graph.Ring(5)
-	graphs2 := tvg.NewTrace([]*graph.Graph{g, ring, ring.Clone()})
+	graphs2 := []*graph.Graph{g, ring, ring.Clone()}
 	tr2 := NewTrace(graphs2, []*Hierarchy{h, h.Clone(), h.Clone()})
 	for r, w := range []int{0, math.MaxInt, math.MaxInt} {
 		if got := tr2.StableUntil(r); got != w {
@@ -340,7 +339,7 @@ func TestRecordDedupsStableWindows(t *testing.T) {
 
 func TestRecordNonPositiveRoundsPanics(t *testing.T) {
 	g, h := starCluster()
-	src := NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*Hierarchy{h})
+	src := NewTrace([]*graph.Graph{g}, []*Hierarchy{h})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Record(d, 0) did not panic")

@@ -47,15 +47,11 @@ func HierarchyDeltaBetween(a, b *Hierarchy) HierarchyDelta {
 	return d
 }
 
-// ApplyDelta returns a fresh hierarchy equal to h with the delta applied.
-// Applying to a hierarchy that does not match the delta's old state panics,
-// so forward/backward replays cannot silently drift.
-func (h *Hierarchy) ApplyDelta(d HierarchyDelta) *Hierarchy { return h.applyInto(nil, d, false) }
-
 // applyInto writes h with d applied, or with d undone when back is set,
 // into dst and returns it. dst's storage is reused when large enough, so a
 // warm call allocates nothing; a nil dst allocates. A node whose state in
-// h is not the one the delta edits from panics.
+// h is not the one the delta edits from panics, so forward and backward
+// replays cannot silently drift.
 func (h *Hierarchy) applyInto(dst *Hierarchy, d HierarchyDelta, back bool) *Hierarchy {
 	if dst == nil {
 		dst = &Hierarchy{}
@@ -91,10 +87,9 @@ type DeltaSource interface {
 
 // DeltaTrace is a recorded CTVG stored as one base snapshot/hierarchy pair
 // plus the change that opens each later stability window: a graph delta,
-// a hierarchy delta or both. It is the O(changes) counterpart of Trace.
-// Windows are the rounds over which BOTH layers are constant, matching
-// Trace's combined StableUntil. Rounds beyond the recorded range repeat
-// the final window.
+// a hierarchy delta or both, so it costs O(n + E + changes) memory.
+// Windows are the rounds over which BOTH layers are constant. Rounds
+// beyond the recorded range repeat the final window.
 //
 // A trace made by Recording is still attached to its source: asking it for
 // a round past what it holds records further windows first, so it has no
@@ -117,8 +112,9 @@ type DeltaSource interface {
 // change.
 //
 // The cursor makes this type stateful: a DeltaTrace must not be shared by
-// concurrent runs (the engine's own worker parallelism is fine — snapshots
-// are fetched by the coordinating goroutine only).
+// concurrent runs, so each records or decodes its own (the engine's own
+// worker parallelism is fine — snapshots are fetched by the coordinating
+// goroutine only).
 type DeltaTrace struct {
 	n      int
 	length int
@@ -393,16 +389,39 @@ func (t *DeltaTrace) StableUntil(r int) int {
 	return math.MaxInt
 }
 
-// RecordDeltas records rounds [0, rounds) of any CTVG Dynamic into a
-// DeltaTrace: a Recording of d extended to rounds and then detached from
-// d, so rounds past the end repeat the last window.
-func RecordDeltas(d Dynamic, rounds int) *DeltaTrace {
+// Record records rounds [0, rounds) of any CTVG Dynamic: a Recording of d
+// extended to rounds and then detached from d, so rounds past the end
+// repeat the last window.
+func Record(d Dynamic, rounds int) *DeltaTrace {
 	if rounds <= 0 {
-		panic("ctvg: RecordDeltas needs rounds > 0")
+		panic("ctvg: Record needs rounds > 0")
 	}
 	t := Recording(d)
 	t.extend(rounds - 1)
 	t.length, t.rec = rounds, nil
+	return t
+}
+
+// NewTrace records a CTVG given as one graph and one hierarchy per round,
+// on a common node count, by diffing consecutive rounds; rounds past the
+// end repeat the last pair. The trace copies the first round and keeps no
+// other, so the caller may edit or reuse the lists afterwards.
+func NewTrace(gs []*graph.Graph, hs []*Hierarchy) *DeltaTrace {
+	if len(gs) == 0 || len(gs) != len(hs) {
+		panic(fmt.Sprintf("ctvg: %d graph rounds but %d hierarchy rounds", len(gs), len(hs)))
+	}
+	n := gs[0].N()
+	for r := range gs {
+		if gs[r].N() != n || hs[r].N() != n {
+			panic(fmt.Sprintf("ctvg: round %d has %d vertices and %d nodes, want %d", r, gs[r].N(), hs[r].N(), n))
+		}
+	}
+	t := newDeltaTrace(n)
+	t.length = len(gs)
+	t.g.base, t.h.base = gs[0].DeepClone(), hs[0].Clone()
+	for r := 1; r < len(gs); r++ {
+		t.window(r, graph.DeltaBetween(gs[r-1], gs[r]), HierarchyDeltaBetween(hs[r-1], hs[r]))
+	}
 	return t
 }
 

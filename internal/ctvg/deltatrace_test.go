@@ -5,13 +5,36 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
-// buildClusteredTrace assembles a small clustered trace whose windows
+// snapshots is a CTVG given as one graph and one hierarchy per round,
+// served as listed; rounds past the end repeat the last. It is the oracle
+// recordings are checked against, so it keeps every round and advertises
+// no windows: stableUntil finds them by comparing rounds.
+type snapshots struct {
+	gs []*graph.Graph
+	hs []*Hierarchy
+}
+
+func (s snapshots) N() int                       { return s.gs[0].N() }
+func (s snapshots) Len() int                     { return len(s.gs) }
+func (s snapshots) At(r int) *graph.Graph        { return s.gs[min(r, len(s.gs)-1)] }
+func (s snapshots) HierarchyAt(r int) *Hierarchy { return s.hs[min(r, len(s.hs)-1)] }
+
+// stableUntil is StableUntil found by comparing the rounds after r with r.
+func (s snapshots) stableUntil(r int) int {
+	for e := r; e < len(s.gs)-1; e++ {
+		if !s.gs[e+1].Equal(s.gs[r]) || !s.hs[e+1].Equal(s.hs[r]) {
+			return e
+		}
+	}
+	return math.MaxInt
+}
+
+// buildClusteredTrace assembles a small clustered CTVG whose windows
 // change a few member edges and roles each, exercising both delta layers.
-func buildClusteredTrace(t *testing.T, windows, winLen int, seed uint64) *Trace {
+func buildClusteredTrace(t *testing.T, windows, winLen int, seed uint64) snapshots {
 	t.Helper()
 	const n = 20
 	rng := xrand.New(seed)
@@ -46,44 +69,49 @@ func buildClusteredTrace(t *testing.T, windows, winLen int, seed uint64) *Trace 
 			hier = append(hier, h)
 		}
 	}
-	return NewTrace(tvg.NewTrace(snaps), hier)
+	return snapshots{snaps, hier}
 }
 
+// TestCTVGDeltaTraceMatchesTrace checks both ways of recording a snapshot
+// list, Record over it and NewTrace from it, against the list itself.
 func TestCTVGDeltaTraceMatchesTrace(t *testing.T) {
 	tr := buildClusteredTrace(t, 6, 4, 1)
-	dt := RecordDeltas(tr, tr.Len())
-
-	for r := 0; r < tr.Len()+5; r++ {
-		if !dt.At(r).Equal(tr.At(r)) {
-			t.Fatalf("round %d: snapshot mismatch", r)
+	for name, dt := range map[string]*DeltaTrace{
+		"Record":   Record(tr, tr.Len()),
+		"NewTrace": NewTrace(tr.gs, tr.hs),
+	} {
+		for r := 0; r < tr.Len()+5; r++ {
+			if !dt.At(r).Equal(tr.At(r)) {
+				t.Fatalf("%s: round %d: snapshot mismatch", name, r)
+			}
+			if !dt.HierarchyAt(r).Equal(tr.HierarchyAt(r)) {
+				t.Fatalf("%s: round %d: hierarchy mismatch", name, r)
+			}
+			if got, want := dt.StableUntil(r), tr.stableUntil(r); got != want {
+				t.Fatalf("%s: round %d: StableUntil %d, want %d", name, r, got, want)
+			}
 		}
-		if !dt.HierarchyAt(r).Equal(tr.HierarchyAt(r)) {
-			t.Fatalf("round %d: hierarchy mismatch", r)
+		for r := tr.Len() - 1; r >= 0; r-- {
+			if !dt.At(r).Equal(tr.At(r)) || !dt.HierarchyAt(r).Equal(tr.HierarchyAt(r)) {
+				t.Fatalf("%s: round %d: backward mismatch", name, r)
+			}
 		}
-		if got, want := dt.StableUntil(r), tr.StableUntil(r); got != want {
-			t.Fatalf("round %d: StableUntil %d, want %d", r, got, want)
+		rng := xrand.New(5)
+		for i := 0; i < 40; i++ {
+			r := rng.Intn(tr.Len())
+			if !dt.At(r).Equal(tr.At(r)) || !dt.HierarchyAt(r).Equal(tr.HierarchyAt(r)) {
+				t.Fatalf("%s: round %d: random-access mismatch", name, r)
+			}
 		}
-	}
-	for r := tr.Len() - 1; r >= 0; r-- {
-		if !dt.At(r).Equal(tr.At(r)) || !dt.HierarchyAt(r).Equal(tr.HierarchyAt(r)) {
-			t.Fatalf("round %d: backward mismatch", r)
+		if err := dt.Validate(); err != nil {
+			t.Fatalf("%s: delta trace fails model validation: %v", name, err)
 		}
-	}
-	rng := xrand.New(5)
-	for i := 0; i < 40; i++ {
-		r := rng.Intn(tr.Len())
-		if !dt.At(r).Equal(tr.At(r)) || !dt.HierarchyAt(r).Equal(tr.HierarchyAt(r)) {
-			t.Fatalf("round %d: random-access mismatch", r)
-		}
-	}
-	if err := dt.Validate(); err != nil {
-		t.Fatalf("delta trace fails model validation: %v", err)
 	}
 }
 
 func TestCTVGDeltaTracePointerStability(t *testing.T) {
 	tr := buildClusteredTrace(t, 4, 5, 2)
-	dt := RecordDeltas(tr, tr.Len())
+	dt := Record(tr, tr.Len())
 	for r := 0; r < tr.Len(); r++ {
 		if dt.At(r) != dt.At(r) || dt.HierarchyAt(r) != dt.HierarchyAt(r) {
 			t.Fatalf("round %d: repeated access returned distinct pointers", r)
@@ -93,7 +121,7 @@ func TestCTVGDeltaTracePointerStability(t *testing.T) {
 	// reproduce the original window structure.
 	rec := Record(dt, tr.Len())
 	for r := 0; r < tr.Len(); r++ {
-		if got, want := rec.StableUntil(r), tr.StableUntil(r); got != want {
+		if got, want := rec.StableUntil(r), tr.stableUntil(r); got != want {
 			t.Fatalf("round %d: re-recorded StableUntil %d, want %d", r, got, want)
 		}
 	}
@@ -113,9 +141,9 @@ func TestHierarchyDeltaRoundTrip(t *testing.T) {
 	if len(d) != 3 {
 		t.Fatalf("delta has %d changes, want 3", len(d))
 	}
-	fwd := a.ApplyDelta(d)
+	fwd := a.applyInto(nil, d, false)
 	if !fwd.Equal(b) {
-		t.Fatal("ApplyDelta did not reach b")
+		t.Fatal("applying the delta did not reach b")
 	}
 	back := fwd.applyInto(nil, d, true)
 	if !back.Equal(a) {
@@ -132,10 +160,10 @@ func TestHierarchyDeltaStrict(t *testing.T) {
 	d := HierarchyDelta{{V: 1, OldRole: Member, NewRole: Head, OldCluster: 0, NewCluster: 1}}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ApplyDelta on mismatched state did not panic")
+			t.Fatal("applying a delta to a mismatched state did not panic")
 		}
 	}()
-	a.ApplyDelta(d) // node 1 is Unaffiliated, not Member
+	a.applyInto(nil, d, false) // node 1 is Unaffiliated, not Member
 }
 
 func TestCTVGDeltaTraceHierarchyOnlyWindow(t *testing.T) {
@@ -149,8 +177,8 @@ func TestCTVGDeltaTraceHierarchyOnlyWindow(t *testing.T) {
 	h1.SetHead(1)
 	h2 := h1.Clone()
 	h2.SetMember(3, 1)
-	tr := NewTrace(tvg.NewTrace([]*graph.Graph{g, g, g, g}), []*Hierarchy{h1, h1, h2, h2})
-	dt := RecordDeltas(tr, 4)
+	tr := NewTrace([]*graph.Graph{g, g, g, g}, []*Hierarchy{h1, h1, h2, h2})
+	dt := Record(tr, 4)
 	if dt.Windows() != 2 {
 		t.Fatalf("windows = %d, want 2", dt.Windows())
 	}
@@ -203,7 +231,7 @@ func TestRecordDedupsWithoutStability(t *testing.T) {
 // ascending serves a trace's rounds only in ascending order, as the
 // adversaries do, and remembers the highest round asked for.
 type ascending struct {
-	*Trace
+	snapshots
 	last int
 }
 
@@ -215,16 +243,16 @@ func (s *ascending) at(r int) int {
 	return r
 }
 
-func (s *ascending) At(r int) *graph.Graph        { return s.Trace.At(s.at(r)) }
-func (s *ascending) HierarchyAt(r int) *Hierarchy { return s.Trace.HierarchyAt(s.at(r)) }
-func (s *ascending) StableUntil(r int) int        { return s.Trace.StableUntil(s.at(r)) }
+func (s *ascending) At(r int) *graph.Graph        { return s.snapshots.At(s.at(r)) }
+func (s *ascending) HierarchyAt(r int) *Hierarchy { return s.snapshots.HierarchyAt(s.at(r)) }
+func (s *ascending) StableUntil(r int) int        { return s.snapshots.stableUntil(s.at(r)) }
 
 // TestRecordingExtendsOnDemand reads a single-pass source through a
 // Recording in random order: each request records only up to the window
 // holding it, and earlier rounds are served from the recording.
 func TestRecordingExtendsOnDemand(t *testing.T) {
 	tr := buildClusteredTrace(t, 6, 4, 3)
-	src := &ascending{Trace: tr}
+	src := &ascending{snapshots: tr}
 	rec := Recording(src)
 	if rec.Len() != 0 || src.last != 0 {
 		t.Fatalf("a fresh recording read its source (len %d)", rec.Len())
@@ -233,7 +261,7 @@ func TestRecordingExtendsOnDemand(t *testing.T) {
 		if !rec.At(r).Equal(tr.At(r)) || !rec.HierarchyAt(r).Equal(tr.HierarchyAt(r)) {
 			t.Fatalf("round %d: content mismatch", r)
 		}
-		if want := tr.StableUntil(r); rec.StableUntil(r) != want && r < 20 {
+		if want := tr.stableUntil(r); rec.StableUntil(r) != want && r < 20 {
 			t.Fatalf("round %d: StableUntil %d, want %d", r, rec.StableUntil(r), want)
 		}
 	}
@@ -274,7 +302,7 @@ func TestRecordingStableUntilDoesNotSearchAhead(t *testing.T) {
 		t.Fatalf("%d windows over %d rounds, want 1 over 44", rec.Windows(), rec.Len())
 	}
 	// Detached at a fixed length, the same source is stable forever.
-	if got := RecordDeltas(repeating{g: g, h: h, T: 4}, 10).StableUntil(0); got != math.MaxInt {
+	if got := Record(repeating{g: g, h: h, T: 4}, 10).StableUntil(0); got != math.MaxInt {
 		t.Fatalf("recorded StableUntil(0) = %d, want MaxInt", got)
 	}
 }
@@ -287,7 +315,7 @@ func TestRecordingStableUntilDoesNotSearchAhead(t *testing.T) {
 func TestDeltaTraceCursor(t *testing.T) {
 	tr := buildClusteredTrace(t, 12, 1, 4)
 	last := tr.Len() - 1
-	dt := RecordDeltas(tr, tr.Len())
+	dt := Record(tr, tr.Len())
 	if dt.Windows() != tr.Len() {
 		t.Fatalf("%d windows over %d rounds, want one a round", dt.Windows(), tr.Len())
 	}
@@ -328,7 +356,7 @@ func TestDeltaTraceCursor(t *testing.T) {
 				t.Fatalf("step %d: round %d changed once round %d was materialised", step, r, r+step)
 			}
 			if !dt.At(r+step).Equal(tr.At(r+step)) || !dt.HierarchyAt(r+step).Equal(tr.HierarchyAt(r+step)) {
-				t.Fatalf("step %d: round %d mismatches the snapshot trace", step, r+step)
+				t.Fatalf("step %d: round %d mismatches the snapshot list", step, r+step)
 			}
 		}
 	}

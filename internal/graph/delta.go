@@ -76,45 +76,31 @@ func DeltaBetween(a, b *Graph) *Delta {
 	return d
 }
 
-// ApplyDelta returns a new graph equal to g with the delta applied, sharing
-// every untouched adjacency list with g (copy-on-write: only the endpoints
-// named by the delta get fresh lists). The receiver is left unchanged but
-// is marked frozen, so a later direct mutation of either graph copies
-// before writing and the sharing stays invisible. Cost is O(n) for the
-// header plus O(deg) per touched vertex — independent of |E| for small
-// deltas.
-//
-// Each touched vertex gets its own freshly allocated list rather than a
-// slice of one slab shared by all of them: ctvg.Record chains ApplyDelta
-// window after window, and a slab would stay live until the last of its
-// lists is replaced, so retained heap would grow with every window a
-// long-lived list survives. ApplyDeltaInto, whose target dies whole, uses
-// a slab.
+// ApplyDeltaInto writes g with the delta applied into dst, a graph nothing
+// reads any more that shares no storage with g, and returns dst. The
+// result shares every untouched adjacency list with g (copy-on-write: only
+// the endpoints named by the delta get fresh lists, carved from the
+// overlay slab dst owns). g is left unchanged but is marked frozen, so a
+// later direct mutation of either graph copies before writing and the
+// sharing stays invisible. dst's adjacency header and slab are reused, so
+// a warm call allocates nothing, and every neighbour list dst handed out
+// before, and every clone sharing them, is overwritten. Cost is O(n) for
+// the header plus O(deg) per touched vertex — independent of |E| for
+// small deltas.
 //
 // The delta must be strict: adding an edge already present or removing an
 // absent one panics, so edge counts stay exact.
-func (g *Graph) ApplyDelta(d *Delta) *Graph { return g.ApplyDeltaInto(nil, d) }
-
-// ApplyDeltaInto is ApplyDelta writing into dst, a graph nothing reads any
-// more that shares no storage with g: its adjacency header is reused, and
-// the touched vertices' lists are carved from the overlay slab it owns, so
-// a warm call allocates nothing. Every neighbour list dst handed out
-// before, and every clone sharing them, is overwritten. A nil dst
-// allocates a new graph, which is ApplyDelta.
 func (g *Graph) ApplyDeltaInto(dst *Graph, d *Delta) *Graph {
-	c := dst
-	if c == nil {
-		c = &Graph{}
-	} else if c == g {
+	if dst == g {
 		panic("graph: ApplyDeltaInto onto its own receiver")
 	}
-	c.n, c.m, c.frozen = g.n, g.m+len(d.Add)-len(d.Remove), true
-	c.adj = resize(c.adj, g.n)
-	c.own = c.own[:0]
+	dst.n, dst.m, dst.frozen = g.n, g.m+len(d.Add)-len(d.Remove), true
+	dst.adj = resize(dst.adj, g.n)
+	dst.own = dst.own[:0]
 	g.frozen = true
-	copy(c.adj, g.adj)
+	copy(dst.adj, g.adj)
 	if d.Empty() {
-		return c
+		return dst
 	}
 	var buf [64]uint64 // up to 32 changes without touching the heap
 	keys := buf[:]
@@ -124,16 +110,10 @@ func (g *Graph) ApplyDeltaInto(dst *Graph, d *Delta) *Graph {
 	keys = g.editKeys(keys, d)
 	for i := 0; i < len(keys); {
 		v, j, size := g.editRun(keys, i)
-		var out []int
-		if dst == nil {
-			out = make([]int, 0, size)
-		} else {
-			out = c.carve(size)
-		}
-		c.adj[v] = mergeEdits(out, g.adj[v], v, keys[i:j])
+		dst.adj[v] = mergeEdits(dst.carve(size), g.adj[v], v, keys[i:j])
 		i = j
 	}
-	return c
+	return dst
 }
 
 // ApplyDeltaCompactInto is ApplyDeltaInto writing every list, touched or
@@ -239,7 +219,7 @@ func (g *Graph) editKeys(keys []uint64, d *Delta) []uint64 {
 		g.check(e.U)
 		g.check(e.V)
 		if e.U == e.V {
-			panic("graph: ApplyDelta with self-loop")
+			panic("graph: delta with self-loop")
 		}
 		rev[i] = editKey(e.V, e.U, 1)
 	}
@@ -267,7 +247,7 @@ func (g *Graph) editKeys(keys []uint64, d *Delta) []uint64 {
 			fr = forwardKey(d.Remove, r, 0)
 		}
 		if w > 0 && key <= keys[w-1] {
-			panic("graph: ApplyDelta with a delta out of canonical order")
+			panic("graph: delta out of canonical order")
 		}
 		keys[w] = key
 	}
@@ -307,12 +287,12 @@ func mergeEdits(out, lst []int, v int, run []uint64) []int {
 		}
 		if k&1 == 1 {
 			if li < len(lst) && lst[li] == w {
-				panic(fmt.Sprintf("graph: ApplyDelta adds existing edge {%d,%d}", v, w))
+				panic(fmt.Sprintf("graph: delta adds existing edge {%d,%d}", v, w))
 			}
 			out = append(out, w)
 		} else {
 			if li == len(lst) || lst[li] != w {
-				panic(fmt.Sprintf("graph: ApplyDelta removes absent edge {%d,%d}", v, w))
+				panic(fmt.Sprintf("graph: delta removes absent edge {%d,%d}", v, w))
 			}
 			li++
 		}
@@ -332,7 +312,7 @@ func (g *Graph) carve(size int) []int {
 	return g.own[lo : lo : lo+size]
 }
 
-// editKey packs one directed half of an edge change for ApplyDelta.
+// editKey packs one directed half of an edge change for editKeys.
 func editKey(v, w int, add uint64) uint64 {
 	return uint64(v)<<33 | uint64(w)<<1 | add
 }

@@ -13,14 +13,14 @@ func TestDeltaBetweenAndApply(t *testing.T) {
 		a := RandomConnected(n, n-1+rng.Intn(n), rng)
 		b := RandomConnected(n, n-1+rng.Intn(n), rng)
 		d := DeltaBetween(a, b)
-		got := a.ApplyDelta(d)
+		got := a.ApplyDeltaInto(new(Graph), d)
 		if !got.Equal(b) {
-			t.Fatalf("trial %d: ApplyDelta(DeltaBetween(a,b)) != b", trial)
+			t.Fatalf("trial %d: applying DeltaBetween(a,b) to a != b", trial)
 		}
 		if got.M() != b.M() {
 			t.Fatalf("trial %d: M = %d, want %d", trial, got.M(), b.M())
 		}
-		back := got.ApplyDelta(d.Inverse())
+		back := got.ApplyDeltaInto(new(Graph), d.Inverse())
 		if !back.Equal(a) {
 			t.Fatalf("trial %d: applying the inverse did not rewind to a", trial)
 		}
@@ -51,14 +51,14 @@ func TestDeltaBetweenIdentical(t *testing.T) {
 func TestApplyDeltaCopyOnWrite(t *testing.T) {
 	g := FromEdgeList(6, []Edge{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
 	d := &Delta{Add: []Edge{{2, 3}}, Remove: []Edge{{0, 1}}}
-	h := g.ApplyDelta(d)
+	h := g.ApplyDeltaInto(new(Graph), d)
 
 	// Source unchanged.
 	if !g.HasEdge(0, 1) || g.HasEdge(2, 3) || g.M() != 4 {
-		t.Fatal("ApplyDelta mutated its receiver")
+		t.Fatal("ApplyDeltaInto mutated its receiver")
 	}
 	if h.HasEdge(0, 1) || !h.HasEdge(2, 3) || h.M() != 4 {
-		t.Fatalf("ApplyDelta result wrong: %v", h)
+		t.Fatalf("ApplyDeltaInto result wrong: %v", h)
 	}
 	// Untouched vertices share storage; later mutation of either graph
 	// must not leak into the other (both sides are frozen).
@@ -79,7 +79,7 @@ func TestApplyDeltaUnfrozenSourceStaysSafe(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	h := g.ApplyDelta(&Delta{Add: []Edge{{2, 3}}})
+	h := g.ApplyDeltaInto(new(Graph), &Delta{Add: []Edge{{2, 3}}})
 	// The unfrozen source was retroactively frozen so its next mutation
 	// copies instead of writing into storage now shared with h.
 	g.AddEdge(0, 3)
@@ -102,17 +102,18 @@ func TestApplyDeltaStrict(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("add existing", func() { g.ApplyDelta(&Delta{Add: []Edge{{0, 1}}}) })
-	mustPanic("remove absent", func() { g.ApplyDelta(&Delta{Remove: []Edge{{1, 2}}}) })
-	mustPanic("self-loop", func() { g.ApplyDelta(&Delta{Add: []Edge{{2, 2}}}) })
-	mustPanic("out of order", func() { g.ApplyDelta(&Delta{Add: []Edge{{1, 2}, {0, 2}}}) })
-	mustPanic("repeated edge", func() { g.ApplyDelta(&Delta{Add: []Edge{{0, 2}, {0, 2}}}) })
+	mustPanic("add existing", func() { g.ApplyDeltaInto(new(Graph), &Delta{Add: []Edge{{0, 1}}}) })
+	mustPanic("remove absent", func() { g.ApplyDeltaInto(new(Graph), &Delta{Remove: []Edge{{1, 2}}}) })
+	mustPanic("self-loop", func() { g.ApplyDeltaInto(new(Graph), &Delta{Add: []Edge{{2, 2}}}) })
+	mustPanic("out of order", func() { g.ApplyDeltaInto(new(Graph), &Delta{Add: []Edge{{1, 2}, {0, 2}}}) })
+	mustPanic("repeated edge", func() { g.ApplyDeltaInto(new(Graph), &Delta{Add: []Edge{{0, 2}, {0, 2}}}) })
+	mustPanic("onto itself", func() { g.ApplyDeltaInto(g, &Delta{}) })
 	mustPanic("compact add existing", func() { g.ApplyDeltaCompactInto(nil, &Delta{Add: []Edge{{0, 1}}}) })
 	mustPanic("compact remove absent", func() { g.ApplyDeltaCompactInto(nil, &Delta{Remove: []Edge{{1, 2}}}) })
 	mustPanic("compact onto itself", func() { g.ApplyDeltaCompactInto(g, &Delta{}) })
-	// An ApplyDelta result shares its untouched lists with its source, so
-	// its lists do not fill one backing array.
-	h := g.ApplyDelta(&Delta{Add: []Edge{{1, 2}}})
+	// An ApplyDeltaInto result shares its untouched lists with its source,
+	// so its lists do not fill one backing array.
+	h := g.ApplyDeltaInto(new(Graph), &Delta{Add: []Edge{{1, 2}}})
 	mustPanic("compact from a shared layout", func() { h.ApplyDeltaCompactInto(nil, &Delta{}) })
 }
 
@@ -157,9 +158,23 @@ func randomStrictDelta(g *Graph, adds, removes int, rng *xrand.Rand) *Delta {
 	return d
 }
 
-// TestApplyDeltaMatchesIncremental checks ApplyDelta against a reference
-// that thaws a clone and edits it with RemoveEdge and AddEdge, on random
-// strict deltas on both sides of the 32-change stack buffer.
+// edited is the reference the delta appliers are checked against: a
+// thawed clone of g edited with RemoveEdge and AddEdge.
+func edited(g *Graph, d *Delta) *Graph {
+	want := g.Clone()
+	want.thaw()
+	for _, e := range d.Remove {
+		want.RemoveEdge(e.U, e.V)
+	}
+	for _, e := range d.Add {
+		want.AddEdge(e.U, e.V)
+	}
+	return want
+}
+
+// TestApplyDeltaMatchesIncremental checks ApplyDeltaInto, into a fresh
+// graph, against edited on random strict deltas on both sides of the
+// 32-change stack buffer.
 func TestApplyDeltaMatchesIncremental(t *testing.T) {
 	rng := xrand.New(13)
 	for _, changes := range []int{0, 1, 32, 33, 100} {
@@ -168,16 +183,9 @@ func TestApplyDeltaMatchesIncremental(t *testing.T) {
 			g := RandomConnected(n, n-1+rng.Intn(2*n), rng)
 			removes := rng.Intn(min(changes, g.M()) + 1)
 			d := randomStrictDelta(g, changes-removes, removes, rng)
-			want := g.Clone()
-			want.thaw()
-			for _, e := range d.Remove {
-				want.RemoveEdge(e.U, e.V)
-			}
-			for _, e := range d.Add {
-				want.AddEdge(e.U, e.V)
-			}
-			if got := g.ApplyDelta(d); !got.Equal(want) {
-				t.Fatalf("%d changes (%d removes), trial %d: ApplyDelta gave %v, incremental edits %v",
+			want := edited(g, d)
+			if got := g.ApplyDeltaInto(new(Graph), d); !got.Equal(want) {
+				t.Fatalf("%d changes (%d removes), trial %d: ApplyDeltaInto gave %v, incremental edits %v",
 					changes, removes, trial, got, want)
 			}
 		}
@@ -186,31 +194,21 @@ func TestApplyDeltaMatchesIncremental(t *testing.T) {
 
 var appliedGraph *Graph
 
-// TestApplyDeltaAllocs pins ApplyDelta's allocations up to 32 edge
-// changes: the graph, its adjacency header and one list per touched vertex
-// left with any neighbours. The sorted edits stay on the stack.
+// TestApplyDeltaAllocs pins where ApplyDeltaInto keeps its sorted edits:
+// on the stack up to 32 edge changes, so a warm call allocates nothing,
+// and in one heap buffer per call beyond.
 func TestApplyDeltaAllocs(t *testing.T) {
 	rng := xrand.New(17)
 	g := RandomConnected(100, 150, rng)
-	for _, c := range []struct{ adds, removes int }{{1, 0}, {10, 0}, {20, 12}, {0, 32}} {
+	var bufs [2]Graph
+	for _, c := range []struct{ adds, removes, want int }{{1, 0, 0}, {10, 0, 0}, {20, 12, 0}, {0, 32, 0}, {21, 12, 1}} {
 		d := randomStrictDelta(g, c.adds, c.removes, rng)
-		h := g.ApplyDelta(d)
-		touched := map[int]bool{}
-		for _, es := range [][]Edge{d.Add, d.Remove} {
-			for _, e := range es {
-				touched[e.U], touched[e.V] = true, true
-			}
-		}
-		want := 2
-		for v := range touched {
-			if h.Degree(v) > 0 {
-				want++
-			}
-		}
-		got := testing.AllocsPerRun(20, func() { appliedGraph = g.ApplyDelta(d) })
-		if got != float64(want) {
-			t.Errorf("%d adds, %d removes over %d vertices: %v allocations, want %d",
-				c.adds, c.removes, len(touched), got, want)
+		i := 0
+		walk := func() { appliedGraph = g.ApplyDeltaInto(&bufs[i%2], d); i++ }
+		walk()
+		walk() // warms both targets
+		if got := testing.AllocsPerRun(20, walk); got != float64(c.want) {
+			t.Errorf("%d adds, %d removes: %v allocations, want %d", c.adds, c.removes, got, c.want)
 		}
 	}
 }
@@ -235,7 +233,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 // TestApplyDeltaCompactInto chains ApplyDeltaCompactInto between two
 // recycled targets, as the HiNet adversary's phases do, with deltas on
 // both sides of its 64-change stack buffer: every result equals
-// ApplyDelta's, fills one backing array (so it can be the next call's
+// edited's, fills one backing array (so it can be the next call's
 // source), and survives its source being overwritten, so it shares no
 // storage with it. Once both targets are warm a call allocates nothing.
 func TestApplyDeltaCompactInto(t *testing.T) {
@@ -249,10 +247,10 @@ func TestApplyDeltaCompactInto(t *testing.T) {
 		}
 		removes := rng.Intn(min(changes, src.M()) + 1)
 		d := randomStrictDelta(src, changes-removes, removes, rng)
-		want := src.ApplyDelta(d)
+		want := edited(src, d)
 		got := src.ApplyDeltaCompactInto(&bufs[i%2], d)
 		if got != &bufs[i%2] || !got.Equal(want) || !got.Frozen() || len(got.own) != 2*got.M() {
-			t.Fatalf("call %d (%d changes): the compact copy differs from ApplyDelta", i, changes)
+			t.Fatalf("call %d (%d changes): the compact copy differs from the edited one", i, changes)
 		}
 		keep := got.DeepClone()
 		for j := range src.own {
@@ -276,7 +274,7 @@ func TestApplyDeltaCompactInto(t *testing.T) {
 
 // TestApplyDeltaIntoRecycles alternates ApplyDeltaInto between two
 // recycled targets, as the adversaries do: every result equals
-// ApplyDelta's, the previous result survives the next call intact, and
+// edited's, the previous result survives the next call intact, and
 // once both targets are warm a call allocates nothing.
 func TestApplyDeltaIntoRecycles(t *testing.T) {
 	rng := xrand.New(21)
@@ -286,9 +284,9 @@ func TestApplyDeltaIntoRecycles(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		d := randomStrictDelta(g, 1+rng.Intn(20), rng.Intn(12), rng)
 		got := g.ApplyDeltaInto(&bufs[i%2], d)
-		want := g.ApplyDelta(d)
+		want := edited(g, d)
 		if got != &bufs[i%2] || !got.Equal(want) || !got.Frozen() {
-			t.Fatalf("call %d: ApplyDeltaInto differs from ApplyDelta", i)
+			t.Fatalf("call %d: ApplyDeltaInto differs from the edited graph", i)
 		}
 		if prev != nil && !prev.Equal(prevWant) {
 			t.Fatalf("call %d overwrote the previous result", i)

@@ -14,7 +14,7 @@ import (
 // actually satisfies.
 func Example() {
 	// The adversary generates each round once; the checks read a recording.
-	net := ctvg.RecordDeltas(adversary.NewHiNet(adversary.HiNetConfig{
+	net := ctvg.Record(adversary.NewHiNet(adversary.HiNetConfig{
 		N: 30, Theta: 5, L: 2, T: 6, Reaffiliations: 2, ChurnEdges: 3,
 	}, xrand.New(11)), 18)
 
@@ -30,7 +30,7 @@ func Example() {
 
 // ExampleProbe infers the stability parameters of a recorded network.
 func ExampleProbe() {
-	net := ctvg.RecordDeltas(adversary.NewHiNet(adversary.HiNetConfig{
+	net := ctvg.Record(adversary.NewHiNet(adversary.HiNetConfig{
 		N: 30, Theta: 5, L: 2, T: 6, Reaffiliations: 2, ChurnEdges: 0,
 	}, xrand.New(11)), 18)
 	rep := hinet.Probe(net, 18)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ctvg"
 	"repro/internal/graph"
-	"repro/internal/tvg"
 )
 
 // twoClusters builds a 7-node clustered network:
@@ -30,9 +29,10 @@ func twoClusters() (*graph.Graph, *ctvg.Hierarchy) {
 	return g, h
 }
 
-// stableTrace repeats the two-cluster network for `rounds` rounds, adding a
-// churning extra edge each round so the trace is genuinely dynamic.
-func stableTrace(rounds int) *ctvg.Trace {
+// stableRounds repeats the two-cluster network for `rounds` rounds, adding
+// a churning extra edge each round so the network is genuinely dynamic.
+// Tests that break a round edit its entries before recording the lists.
+func stableRounds(rounds int) ([]*graph.Graph, []*ctvg.Hierarchy) {
 	snaps := make([]*graph.Graph, rounds)
 	hier := make([]*ctvg.Hierarchy, rounds)
 	for r := 0; r < rounds; r++ {
@@ -42,8 +42,11 @@ func stableTrace(rounds int) *ctvg.Trace {
 		snaps[r] = g
 		hier[r] = h
 	}
-	return ctvg.NewTrace(tvg.NewTrace(snaps), hier)
+	return snaps, hier
 }
+
+// stableTrace records stableRounds unedited.
+func stableTrace(rounds int) *ctvg.DeltaTrace { return ctvg.NewTrace(stableRounds(rounds)) }
 
 func TestHeadSetStableOnStableTrace(t *testing.T) {
 	tr := stableTrace(6)
@@ -53,9 +56,9 @@ func TestHeadSetStableOnStableTrace(t *testing.T) {
 }
 
 func TestHeadSetStableDetectsChange(t *testing.T) {
-	tr := stableTrace(6)
-	h3 := tr.HierarchyAt(3)
-	h3.SetHead(5) // new head appears in round 3
+	gs, hs := stableRounds(6)
+	hs[3].SetHead(5) // new head appears in round 3
+	tr := ctvg.NewTrace(gs, hs)
 	if HeadSetStable(tr, 0, 6) {
 		t.Fatal("head set change not detected")
 	}
@@ -77,8 +80,10 @@ func TestClusterStable(t *testing.T) {
 	}
 	// Move member 5 from cluster 4 to cluster 0 in round 2 (also give it
 	// the required adjacency).
-	tr.At(2).AddEdge(0, 5)
-	tr.HierarchyAt(2).SetMember(5, 0)
+	gs, hs := stableRounds(6)
+	gs[2].AddEdge(0, 5)
+	hs[2].SetMember(5, 0)
+	tr = ctvg.NewTrace(gs, hs)
 	if ClusterStable(tr, 4, 0, 6) {
 		t.Fatal("cluster 4 change not detected")
 	}
@@ -96,8 +101,10 @@ func TestHierarchyStable(t *testing.T) {
 	if !HierarchyStable(tr, 0, 6) {
 		t.Fatal("stable hierarchy reported unstable")
 	}
-	tr.At(4).AddEdge(0, 6)
-	tr.HierarchyAt(4).SetMember(6, 0)
+	gs, hs := stableRounds(6)
+	gs[4].AddEdge(0, 6)
+	hs[4].SetMember(6, 0)
+	tr = ctvg.NewTrace(gs, hs)
 	if HierarchyStable(tr, 0, 6) {
 		t.Fatal("membership change not detected")
 	}
@@ -121,9 +128,10 @@ func TestDefinitionTree(t *testing.T) {
 	}
 	// Converse direction: stable head set alone does not imply stable
 	// hierarchy (membership churn with fixed heads).
-	tr2 := stableTrace(8)
-	tr2.At(5).AddEdge(0, 6)
-	tr2.HierarchyAt(5).SetMember(6, 0)
+	gs, hs := stableRounds(8)
+	gs[5].AddEdge(0, 6)
+	hs[5].SetMember(6, 0)
+	tr2 := ctvg.NewTrace(gs, hs)
 	if !HeadSetStable(tr2, 0, 8) {
 		t.Fatal("head set should still be stable")
 	}
@@ -154,10 +162,11 @@ func TestHeadSubgraphAndConnectivity(t *testing.T) {
 }
 
 func TestHeadConnectivityFailsWhenBackboneBreaks(t *testing.T) {
-	tr := stableTrace(6)
+	gs, hs := stableRounds(6)
 	// Cut the gateway-head edge in round 3; heads 0 and 4 lose their
 	// stable connection over the full window. Keep member edges intact.
-	tr.At(3).RemoveEdge(3, 4)
+	gs[3].RemoveEdge(3, 4)
+	tr := ctvg.NewTrace(gs, hs)
 	// The hierarchy claims gateway 3 still serves cluster 0, fine.
 	if HeadConnectivity(tr, 0, 6) {
 		t.Fatal("broken backbone not detected")
@@ -170,7 +179,7 @@ func TestHeadConnectivityFailsWhenBackboneBreaks(t *testing.T) {
 func TestHeadConnectivityNoHeads(t *testing.T) {
 	g := graph.Path(3)
 	h := ctvg.NewHierarchy(3)
-	tr := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	tr := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	if !HeadConnectivity(tr, 0, 1) {
 		t.Fatal("no heads should be vacuously connected")
 	}
@@ -236,8 +245,10 @@ func TestModelCheckWindowErrors(t *testing.T) {
 		t.Fatal("invalid model accepted")
 	}
 	// Instability inside the second phase.
-	tr.At(5).AddEdge(0, 6)
-	tr.HierarchyAt(5).SetMember(6, 0)
+	gs, hs := stableRounds(8)
+	gs[5].AddEdge(0, 6)
+	hs[5].SetMember(6, 0)
+	tr = ctvg.NewTrace(gs, hs)
 	m := Model{T: 4, L: 2}
 	if err := m.CheckWindow(tr, 0); err != nil {
 		t.Fatalf("first phase should pass: %v", err)
@@ -258,11 +269,12 @@ func TestModelCheckLViolation(t *testing.T) {
 }
 
 func TestCheckValidCatchesStructuralBreakage(t *testing.T) {
-	tr := stableTrace(4)
+	gs, hs := stableRounds(4)
 	// Remove a member-head edge while the hierarchy still claims the
 	// membership: structural invariant violation, caught by CheckValid
 	// (plain Check does not look at member adjacency).
-	tr.At(2).RemoveEdge(0, 1)
+	gs[2].RemoveEdge(0, 1)
+	tr := ctvg.NewTrace(gs, hs)
 	if err := (Model{T: 4, L: 2}).CheckValid(tr, 1); err == nil {
 		t.Fatal("CheckValid accepted inconsistent round")
 	}
@@ -273,7 +285,9 @@ func TestHeadSetStableForever(t *testing.T) {
 	if !HeadSetStableForever(tr, 10) {
 		t.Fatal("forever-stable head set rejected")
 	}
-	tr.HierarchyAt(9).SetHead(6)
+	gs, hs := stableRounds(10)
+	hs[9].SetHead(6)
+	tr = ctvg.NewTrace(gs, hs)
 	if HeadSetStableForever(tr, 10) {
 		t.Fatal("late head change missed")
 	}

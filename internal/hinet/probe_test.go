@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ctvg"
 	"repro/internal/graph"
-	"repro/internal/tvg"
 )
 
 func TestProbeStableTrace(t *testing.T) {
@@ -35,11 +34,12 @@ func TestProbeStableTrace(t *testing.T) {
 func TestProbeDetectsPhaseBoundary(t *testing.T) {
 	// Stable for rounds 0-5, membership changes at round 6, stable 6-11:
 	// aligned windows of T=6 are stable; T in 7..12 are not.
-	tr := stableTrace(12)
+	gs, hs := stableRounds(12)
 	for r := 6; r < 12; r++ {
-		tr.At(r).AddEdge(0, 6)
-		tr.HierarchyAt(r).SetMember(6, 0)
+		gs[r].AddEdge(0, 6)
+		hs[r].SetMember(6, 0)
 	}
+	tr := ctvg.NewTrace(gs, hs)
 	rep := Probe(tr, 12)
 	if rep.MaxStableT != 6 {
 		t.Fatalf("MaxStableT = %d, want 6", rep.MaxStableT)
@@ -50,8 +50,9 @@ func TestProbeDetectsPhaseBoundary(t *testing.T) {
 }
 
 func TestProbeInvalidRound(t *testing.T) {
-	tr := stableTrace(6)
-	tr.At(3).RemoveEdge(0, 1) // member 1 loses its head adjacency
+	gs, hs := stableRounds(6)
+	gs[3].RemoveEdge(0, 1) // member 1 loses its head adjacency
+	tr := ctvg.NewTrace(gs, hs)
 	rep := Probe(tr, 6)
 	if rep.Valid || rep.InvalidRound != 3 {
 		t.Fatalf("invalid round not detected: %+v", rep)
@@ -70,7 +71,7 @@ func TestProbeDisconnectedHeads(t *testing.T) {
 	h.SetHead(2)
 	h.SetMember(1, 0)
 	h.SetMember(3, 2)
-	tr := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	tr := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	rep := Probe(tr, 1)
 	if rep.MinL != -1 {
 		t.Fatalf("disconnected heads not flagged: %+v", rep)
@@ -81,12 +82,13 @@ func TestProbeDisconnectedHeads(t *testing.T) {
 }
 
 func TestProbeHeadChurn(t *testing.T) {
-	tr := stableTrace(8)
+	gs, hs := stableRounds(8)
 	// New head in the second half.
 	for r := 4; r < 8; r++ {
-		tr.HierarchyAt(r).SetHead(6)
-		tr.At(r).AddEdge(6, 5) // keep 6 adjacent to something (not needed for validity)
+		hs[r].SetHead(6)
+		gs[r].AddEdge(6, 5) // keep 6 adjacent to something (not needed for validity)
 	}
+	tr := ctvg.NewTrace(gs, hs)
 	rep := Probe(tr, 8)
 	if rep.HeadSetForever {
 		t.Fatal("head churn missed")
@@ -110,11 +112,12 @@ func TestProbeChurnAccounting(t *testing.T) {
 
 	// Move member 5 from cluster 4 to cluster 0 at round 3: exactly one
 	// re-affiliation event.
-	tr2 := stableTrace(6)
+	gs, hs := stableRounds(6)
 	for r := 3; r < 6; r++ {
-		tr2.At(r).AddEdge(0, 5)
-		tr2.HierarchyAt(r).SetMember(5, 0)
+		gs[r].AddEdge(0, 5)
+		hs[r].SetMember(5, 0)
 	}
+	tr2 := ctvg.NewTrace(gs, hs)
 	rep2 := Probe(tr2, 6)
 	if rep2.Reaffiliations != 1 {
 		t.Fatalf("Reaffiliations = %d, want 1", rep2.Reaffiliations)

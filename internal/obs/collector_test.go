@@ -19,7 +19,7 @@ import (
 
 // testTrace freezes a churning (T, L)-HiNet so serial and parallel runs
 // see the exact same dynamics.
-func testTrace(t testing.TB, n, rounds, T int) *ctvg.Trace {
+func testTrace(t testing.TB, n, rounds, T int) *ctvg.DeltaTrace {
 	t.Helper()
 	adv := adversary.NewHiNet(adversary.HiNetConfig{
 		N: n, Theta: n / 4, L: 2, T: T,
@@ -30,7 +30,7 @@ func testTrace(t testing.TB, n, rounds, T int) *ctvg.Trace {
 
 // runCollected runs Algorithm 1 over tr with a fresh collector and returns
 // the JSONL bytes plus the collector itself.
-func runCollected(t testing.TB, tr *ctvg.Trace, k, T, workers int, reg *Registry) ([]byte, *Collector, *sim.Metrics) {
+func runCollected(t testing.TB, tr *ctvg.DeltaTrace, k, T, workers int, reg *Registry) ([]byte, *Collector, *sim.Metrics) {
 	t.Helper()
 	assign := token.Spread(tr.N(), k, xrand.New(9))
 	var sink bytes.Buffer

@@ -171,7 +171,9 @@ func parseClause(clause string) (Rule, error) {
 			return Rule{}, fmt.Errorf("health: clause %q: want %s%s<value>", clause, c.prefix, c.op)
 		}
 		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || math.IsNaN(f) || f < c.min {
+		// A non-finite threshold judges nothing and cannot be encoded
+		// into a postmortem bundle.
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < c.min {
 			return Rule{}, fmt.Errorf("health: clause %q: bad threshold %q", clause, val)
 		}
 		return Rule{Kind: c.kind, Threshold: f}, nil

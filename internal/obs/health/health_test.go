@@ -1,6 +1,7 @@
 package health
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -31,11 +32,35 @@ func TestParseRules(t *testing.T) {
 	for _, bad := range []string{
 		"p99<=40x", "latency<=40", "stage>0.5", "stall>=0", "p99>=40",
 		"pace,pace", "queue<=-1", "stall", "stage>NaN",
+		"p99<=Inf", "queue<=+Inf", "stall>=inf", "beacons<=infinity", "stage>1e999",
 	} {
 		if _, err := ParseRules(bad); err == nil {
 			t.Errorf("spec %q parsed without error", bad)
 		}
 	}
+}
+
+// FuzzParseRules checks that ParseRules never panics and that every rule
+// it accepts encodes into a State, as the flight recorder writes it into
+// a postmortem bundle.
+func FuzzParseRules(f *testing.F) {
+	for _, s := range []string{
+		"pace,p99<=40,queue<=500,beacons<=1200,stage>2.0,conservation,stall>=50",
+		"stall>=inf", "p99<=1e308", "queue<=0x1p10", "stage>NaN", "pace,,pace", " stall >= 3 ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseRules(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			if _, err := json.Marshal(State{Rule: r, LastLimit: r.Threshold}); err != nil {
+				t.Fatalf("spec %q: rule %+v does not encode: %v", spec, r, err)
+			}
+		}
+	})
 }
 
 func TestNilEngineIsSafe(t *testing.T) {

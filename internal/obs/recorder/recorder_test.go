@@ -25,7 +25,7 @@ import (
 
 // testTrace freezes a churning HiNet so every worker count replays the
 // same dynamics.
-func testTrace(t testing.TB, n, rounds, T int) *ctvg.Trace {
+func testTrace(t testing.TB, n, rounds, T int) *ctvg.DeltaTrace {
 	t.Helper()
 	adv := adversary.NewHiNet(adversary.HiNetConfig{
 		N: n, Theta: n / 4, L: 2, T: T,

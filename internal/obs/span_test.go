@@ -17,7 +17,7 @@ import (
 
 // runTimed runs Algorithm 1 over tr with a fresh timing sink and returns
 // the JSONL bytes, the sink and the engine metrics.
-func runTimed(t testing.TB, tr *ctvg.Trace, k, T, workers int, cfg TimingConfig) ([]byte, *Timing, *sim.Metrics) {
+func runTimed(t testing.TB, tr *ctvg.DeltaTrace, k, T, workers int, cfg TimingConfig) ([]byte, *Timing, *sim.Metrics) {
 	t.Helper()
 	assign := token.Spread(tr.N(), k, xrand.New(9))
 	var sink bytes.Buffer

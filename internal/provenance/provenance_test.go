@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/token"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
@@ -32,7 +31,7 @@ const (
 
 // recordedNet freezes a HiNet adversary so repeated runs (serial vs
 // parallel, traced vs untraced) see identical snapshots.
-func recordedNet(seed uint64, rounds int) (*ctvg.Trace, *token.Assignment) {
+func recordedNet(seed uint64, rounds int) (*ctvg.DeltaTrace, *token.Assignment) {
 	adv := adversary.NewHiNet(adversary.HiNetConfig{
 		N: tN, Theta: tTheta, L: tL, T: tT,
 		Reaffiliations: 2, HeadChurn: 1, Heads: 4, ChurnEdges: 4,
@@ -253,7 +252,7 @@ func TestHeartbeatsNotRedundant(t *testing.T) {
 // and 2, and head 3 isolated with no edges and no members. Token t is
 // initially held by node t, so head 3 can never learn anything and must
 // fall behind any positive pace floor.
-func isolatedHeadNet(rounds int) (*ctvg.Trace, *token.Assignment) {
+func isolatedHeadNet(rounds int) (*ctvg.DeltaTrace, *token.Assignment) {
 	g := graph.New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
@@ -273,7 +272,7 @@ func isolatedHeadNet(rounds int) (*ctvg.Trace, *token.Assignment) {
 		bitset.FromSlice([]int{2}),
 		bitset.FromSlice([]int{3}),
 	}}
-	return ctvg.NewTrace(tvg.NewTrace(snaps), hiers), assign
+	return ctvg.NewTrace(snaps, hiers), assign
 }
 
 // TestPaceCheckerFires: on a constructed under-budget network the checker
@@ -500,7 +499,7 @@ func TestTracerStreamOfBusyRounds(t *testing.T) {
 	}, xrand.New(11))
 	sink := &writeLog{}
 	tracer := New(Config{Sink: sink, Keep: true})
-	sim.MustRunProtocol(ctvg.RecordDeltas(adv, rounds), core.Alg2{}, token.Spread(n, k, xrand.New(12)),
+	sim.MustRunProtocol(ctvg.Record(adv, rounds), core.Alg2{}, token.Spread(n, k, xrand.New(12)),
 		sim.Options{MaxRounds: rounds, StopWhenComplete: true, Tracer: tracer})
 	if err := tracer.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)

@@ -31,7 +31,7 @@ func staticDyn(g *graph.Graph, h *ctvg.Hierarchy) ctvg.Dynamic {
 	if h == nil {
 		return sim.NewFlat(tvg.Static{G: g})
 	}
-	return ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	return ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 }
 
 // arrEvent is one observer callback rendered to a comparable string.

@@ -33,13 +33,13 @@ func (s *shardSpy) RunStart(n, k, shards int, nodes []sim.Node) {
 // countingTrace counts the engine's graph fetches on a recorded trace; it
 // keeps the trace's StableUntil, so the stability cache engages.
 type countingTrace struct {
-	*ctvg.Trace
+	*ctvg.DeltaTrace
 	fetches int
 }
 
 func (c *countingTrace) At(r int) *graph.Graph {
 	c.fetches++
-	return c.Trace.At(r)
+	return c.DeltaTrace.At(r)
 }
 
 // TestAutoWorkersMatchesSerial runs a network two shards wide with
@@ -67,7 +67,7 @@ func TestAutoWorkersMatchesSerial(t *testing.T) {
 		fetches               int
 	}
 	run := func(workers int) (int, outputs) {
-		d := &countingTrace{Trace: rec}
+		d := &countingTrace{DeltaTrace: rec}
 		var events, prov bytes.Buffer
 		col := obs.NewCollector(obs.Config{N: n, K: k, PhaseLen: 1, Sink: &events, SizeFn: wire.Size})
 		spy := &shardSpy{Tracer: provenance.New(provenance.Config{Sink: &prov})}

@@ -79,7 +79,7 @@ func TestStabilityCacheEquivalence(t *testing.T) {
 		name string
 		d    func() ctvg.Dynamic
 	}{
-		{"recorded-trace", func() ctvg.Dynamic { return trace }}, // ctvg.Trace.StableUntil (precomputed windows)
+		{"recorded-trace", func() ctvg.Dynamic { return trace }}, // ctvg.DeltaTrace.StableUntil (recorded windows)
 		{"live-hinet", hiNet}, // adversary.HiNet.StableUntil (phase arithmetic)
 	}
 	for _, dyn := range dynamics {

@@ -1,13 +1,13 @@
 package sim_test
 
-// Delta traces must be a pure storage optimisation: running any protocol
-// over a ctvg.DeltaTrace (O(changes) storage, copy-on-write materialising
-// cursor) must produce identical Metrics and byte-identical observer AND
-// provenance JSONL streams as the same run over the snapshot ctvg.Trace it
-// was recorded from — serial and on 4 workers. This is the conformance
-// oracle for the delta-streamed dynamics pipeline; it rides `make race` so
-// the stateful cursor is also proven safe under the engine's worker
-// parallelism (snapshots are fetched by the coordinating goroutine only).
+// Recording must be transparent: running any protocol over a
+// ctvg.DeltaTrace (O(changes) storage, materialising cursor) must produce
+// identical Metrics and byte-identical observer AND provenance JSONL
+// streams as the same run over the seeded generator it was recorded from,
+// run live — serial and on 4 workers. This is the conformance oracle for
+// the recording pipeline; it rides `make race` so the stateful cursor is
+// also proven safe under the engine's worker parallelism (snapshots are
+// fetched by the coordinating goroutine only).
 
 import (
 	"bytes"
@@ -64,10 +64,10 @@ func TestDeltaTraceMatchesSnapshots(t *testing.T) {
 		N: n, Theta: theta, L: L, T: T,
 		Reaffiliations: 6, HeadChurn: 2,
 	}
-	// Same seed, two independent adversaries: one recorded as snapshots
-	// (the oracle), one streamed into a delta trace.
-	snapTrace := ctvg.Record(adversary.NewHiNet(cfg, xrand.New(1)), rounds)
-	deltaTrace := ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(1)), rounds)
+	// Same seed, independent adversaries: one recorded, and a fresh one
+	// for each oracle run, which reads the generator live.
+	live := func() ctvg.Dynamic { return adversary.NewHiNet(cfg, xrand.New(1)) }
+	deltaTrace := ctvg.Record(live(), rounds)
 	assign := token.Spread(n, k, xrand.New(2))
 	crashAt := map[int]int{5: 3, 33: T + 3, 61: 2*T + 7}
 
@@ -84,9 +84,9 @@ func TestDeltaTraceMatchesSnapshots(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			refMet, refObs, refProv := runStreams(t, snapTrace, sc.proto, assign, T, rounds, 1, sc.crashAt)
+			refMet, refObs, refProv := runStreams(t, live(), sc.proto, assign, T, rounds, 1, sc.crashAt)
 			if len(refObs) == 0 || len(refProv) == 0 {
-				t.Fatal("snapshot oracle run produced empty streams")
+				t.Fatal("live oracle run produced empty streams")
 			}
 			for _, tc := range []struct {
 				name    string
@@ -100,11 +100,11 @@ func TestDeltaTraceMatchesSnapshots(t *testing.T) {
 					t.Errorf("%s: metrics diverge:\n  got  %+v\n  want %+v", tc.name, met, refMet)
 				}
 				if !bytes.Equal(obsJSON, refObs) {
-					t.Errorf("%s: observer JSONL diverges from snapshot oracle (%d vs %d bytes)",
+					t.Errorf("%s: observer JSONL diverges from the live run (%d vs %d bytes)",
 						tc.name, len(obsJSON), len(refObs))
 				}
 				if !bytes.Equal(provJSON, refProv) {
-					t.Errorf("%s: provenance JSONL diverges from snapshot oracle (%d vs %d bytes)",
+					t.Errorf("%s: provenance JSONL diverges from the live run (%d vs %d bytes)",
 						tc.name, len(provJSON), len(refProv))
 				}
 			}

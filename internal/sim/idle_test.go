@@ -197,7 +197,7 @@ func TestIdleWindowsWakeOnRoleOrHead(t *testing.T) {
 	h1.SetMember(3, 1)
 	graphs := []*graph.Graph{a, a, b, b, a, a, b, b}
 	hiers := []*ctvg.Hierarchy{h0, h0, h0, h0, h0, h1, h1, h1}
-	d := ctvg.NewTrace(tvg.NewTrace(graphs), hiers)
+	d := ctvg.NewTrace(graphs, hiers)
 
 	_, nodes, _ := wakeRun(t, d, probe, Options{MaxRounds: len(graphs)})
 	want := [][]int{{0}, {0}, {0, 5}, {0, 5}, {0}, {0}}
@@ -291,12 +291,15 @@ func lateStar(n, join int) ctvg.Dynamic {
 	for v := 1; v < n-1; v++ {
 		bd.Add(0, v)
 	}
-	cut, graphs := bd.Build(), make([]*graph.Graph, join+1)
+	cut, graphs, hiers := bd.Build(), make([]*graph.Graph, join+1), make([]*ctvg.Hierarchy, join+1)
 	for r := range join {
 		graphs[r] = cut
 	}
 	graphs[join] = graph.Star(n, 0)
-	return NewFlat(tvg.NewTrace(graphs))
+	for r := range hiers {
+		hiers[r] = ctvg.NewHierarchy(n)
+	}
+	return ctvg.NewTrace(graphs, hiers)
 }
 
 // starFlood makes node 0 a flood of token 0, node 1 a busy probe and every

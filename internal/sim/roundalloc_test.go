@@ -41,7 +41,7 @@ func TestRoundLoopAllocFree(t *testing.T) {
 	crashes := func() *sim.Faults { return &sim.Faults{CrashAt: map[int]int{5: 3, 33: T + 3, 61: 2*T + 7}} }
 	// A delta recording with churn edges opens a window every round, so its
 	// cursor materialises a graph each round.
-	replay := ctvg.RecordDeltas(adversary.NewHiNet(adversary.HiNetConfig{
+	replay := ctvg.Record(adversary.NewHiNet(adversary.HiNetConfig{
 		N: n, Theta: theta, L: L, T: T,
 		Reaffiliations: 6, HeadChurn: 2, Heads: theta - 2, ChurnEdges: 10,
 	}, xrand.New(4)), rounds)

@@ -109,7 +109,7 @@ func TestPerRoleAccounting(t *testing.T) {
 	h.SetHead(0)
 	h.SetMember(1, 0)
 	h.SetMember(2, 0)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(3, 2, 0)
 	m := MustRunProtocol(d, floodProto{}, assign, Options{MaxRounds: 2})
 	if m.MessagesByRole[ctvg.Head] != 2 {
@@ -201,7 +201,7 @@ func TestViewReflectsHierarchy(t *testing.T) {
 	h.SetHead(0)
 	h.SetMember(1, 0)
 	h.SetMember(2, 0)
-	d := ctvg.NewTrace(tvg.NewTrace([]*graph.Graph{g}), []*ctvg.Hierarchy{h})
+	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 
 	assign := token.SingleSource(3, 1, 0)
 	var got []View

@@ -26,8 +26,9 @@ import (
 //	  cluster-change count varint, then (node varint, cluster+1 varint)
 const versionDelta = 2
 
-// WriteDelta serialises a recorded trace in the delta format.
-func WriteDelta(w io.Writer, t Recorded) error {
+// WriteDelta serialises a recording in the delta format, reading its
+// rounds in ascending order as Write does.
+func WriteDelta(w io.Writer, t *ctvg.DeltaTrace) error {
 	e := newEncoder(w, versionDelta, t)
 	prevG, prevH := t.At(0), t.HierarchyAt(0)
 	e.edges(prevG.Edges())

@@ -34,14 +34,6 @@ const (
 	version = 1
 )
 
-// Recorded is a CTVG of finite length, as both recorders produce it: a
-// snapshot ctvg.Trace or a ctvg.DeltaTrace. Rounds are read in ascending
-// order, so a DeltaTrace's cursor only ever steps forward.
-type Recorded interface {
-	ctvg.Dynamic
-	Len() int
-}
-
 // encoder writes the format's primitives. bufio.Writer errors are sticky,
 // so callers check only the final Flush.
 type encoder struct {
@@ -49,7 +41,7 @@ type encoder struct {
 	buf [binary.MaxVarintLen64]byte
 }
 
-func newEncoder(w io.Writer, v byte, t Recorded) *encoder {
+func newEncoder(w io.Writer, v byte, t *ctvg.DeltaTrace) *encoder {
 	e := &encoder{bw: bufio.NewWriter(w)}
 	e.bw.WriteString(magic)
 	e.bw.WriteByte(v)
@@ -81,8 +73,9 @@ func (e *encoder) hierarchy(h *ctvg.Hierarchy) {
 	}
 }
 
-// Write serialises a recorded trace in the full (version 1) format.
-func Write(w io.Writer, t Recorded) error {
+// Write serialises a recording in the full (version 1) format. Rounds are
+// read in ascending order, so the trace's cursor only ever steps forward.
+func Write(w io.Writer, t *ctvg.DeltaTrace) error {
 	e := newEncoder(w, version, t)
 	for r := 0; r < t.Len(); r++ {
 		e.edges(t.At(r).Edges())

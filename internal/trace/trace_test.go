@@ -8,11 +8,10 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/ctvg"
 	"repro/internal/graph"
-	"repro/internal/tvg"
 	"repro/internal/xrand"
 )
 
-func recordedHiNet(t *testing.T, rounds int) *ctvg.Trace {
+func recordedHiNet(t *testing.T, rounds int) *ctvg.DeltaTrace {
 	t.Helper()
 	adv := adversary.NewHiNet(adversary.HiNetConfig{
 		N: 20, Theta: 4, L: 2, T: 5, Reaffiliations: 2, ChurnEdges: 3,
@@ -44,18 +43,19 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // snapshotsOf deep-copies rounds [0, rounds) of d as they are generated
-// into a snapshot trace, without going through any recorder.
-func snapshotsOf(d ctvg.Dynamic, rounds int) *ctvg.Trace {
+// and records the copies with ctvg.NewTrace, which diffs them, without
+// reading d's own windows or deltas.
+func snapshotsOf(d ctvg.Dynamic, rounds int) *ctvg.DeltaTrace {
 	gs := make([]*graph.Graph, rounds)
 	hs := make([]*ctvg.Hierarchy, rounds)
 	for r := range gs {
 		gs[r], hs[r] = d.At(r).DeepClone(), d.HierarchyAt(r).Clone()
 	}
-	return ctvg.NewTrace(tvg.NewTrace(gs), hs)
+	return ctvg.NewTrace(gs, hs)
 }
 
 // TestStreamedRecordingMatchesSnapshotBytes pins the path `hinettrace
-// record` takes: an adversary streamed through ctvg.RecordDeltas must
+// record` takes: an adversary streamed through ctvg.Record must
 // encode, in both formats, to exactly the bytes a round-by-round deep copy
 // of its twin encodes to — across edge churn, re-affiliations and head
 // churn — and decode to a valid trace.
@@ -70,13 +70,13 @@ func TestStreamedRecordingMatchesSnapshotBytes(t *testing.T) {
 	} {
 		for _, enc := range []struct {
 			name  string
-			write func(io.Writer, Recorded) error
+			write func(io.Writer, *ctvg.DeltaTrace) error
 		}{{"full", Write}, {"delta", WriteDelta}} {
 			var snap, streamed bytes.Buffer
 			if err := enc.write(&snap, snapshotsOf(adversary.NewHiNet(cfg, xrand.New(9)), rounds)); err != nil {
 				t.Fatal(err)
 			}
-			if err := enc.write(&streamed, ctvg.RecordDeltas(adversary.NewHiNet(cfg, xrand.New(9)), rounds)); err != nil {
+			if err := enc.write(&streamed, ctvg.Record(adversary.NewHiNet(cfg, xrand.New(9)), rounds)); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(streamed.Bytes(), snap.Bytes()) {

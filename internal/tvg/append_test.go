@@ -1,4 +1,4 @@
-package tvg
+package tvg_test
 
 import (
 	"math"
@@ -25,7 +25,7 @@ func chain(n int, extra ...graph.Edge) *graph.Graph {
 func TestTraceStableUntilLastRoundOfWindow(t *testing.T) {
 	a := chain(4)
 	b := chain(4, graph.Edge{U: 0, V: 2})
-	tr := NewTrace([]*graph.Graph{a, a, b, b, a})
+	tr := snapshots([]*graph.Graph{a, a, b, b, a})
 	// Round 1 is the LAST round of the first window: its window ends at
 	// itself plus the run of equal successors — here exactly round 1.
 	if got := tr.StableUntil(1); got != 1 {
@@ -46,16 +46,16 @@ func TestTraceStableUntilLastRoundOfWindow(t *testing.T) {
 
 func TestTraceSingleSnapshot(t *testing.T) {
 	a := chain(3)
-	tr := NewTrace([]*graph.Graph{a})
+	tr := snapshots([]*graph.Graph{a})
 	if got := tr.StableUntil(0); got != math.MaxInt {
 		t.Fatalf("StableUntil(0) = %d, want MaxInt", got)
 	}
-	if tr.At(7) != a {
+	if !tr.At(7).Equal(a) {
 		t.Fatal("past-end At must repeat the single snapshot")
 	}
 	// A different second snapshot closes round 0's window at round 0.
 	b := chain(3, graph.Edge{U: 0, V: 2})
-	tr = NewTrace([]*graph.Graph{a, b})
+	tr = snapshots([]*graph.Graph{a, b})
 	if got := tr.StableUntil(0); got != 0 {
 		t.Fatalf("two snapshots: StableUntil(0) = %d, want 0", got)
 	}

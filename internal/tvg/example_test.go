@@ -3,6 +3,7 @@ package tvg_test
 import (
 	"fmt"
 
+	"repro/internal/ctvg"
 	"repro/internal/graph"
 	"repro/internal/tvg"
 )
@@ -16,7 +17,7 @@ func Example() {
 	g0.AddEdge(0, 1)
 	g1 := graph.New(3)
 	g1.AddEdge(1, 2)
-	tr := tvg.NewTrace([]*graph.Graph{g0, g1})
+	tr := ctvg.NewTrace([]*graph.Graph{g0, g1}, []*ctvg.Hierarchy{ctvg.NewHierarchy(3), ctvg.NewHierarchy(3)})
 
 	times := tvg.InfluenceTimes(tr, 0, 0, 5)
 	fmt.Println("influence times from node 0:", times)

@@ -30,8 +30,18 @@ func (f flat) StableUntil(r int) int {
 	return r
 }
 
-func record(d tvg.Dynamic, rounds int) *ctvg.Trace {
+func record(d tvg.Dynamic, rounds int) *ctvg.DeltaTrace {
 	return ctvg.Record(flat{d, ctvg.NewHierarchy(d.N())}, rounds)
+}
+
+// snapshots records one graph per round, each paired with the
+// all-unaffiliated hierarchy.
+func snapshots(gs []*graph.Graph) *ctvg.DeltaTrace {
+	hs := make([]*ctvg.Hierarchy, len(gs))
+	for r, g := range gs {
+		hs[r] = ctvg.NewHierarchy(g.N())
+	}
+	return ctvg.NewTrace(gs, hs)
 }
 
 func TestRecord(t *testing.T) {

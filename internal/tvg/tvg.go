@@ -11,15 +11,14 @@
 package tvg
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/graph"
 )
 
 // Dynamic is a dynamic network: a sequence of static snapshots on a fixed
-// vertex set, one per round. Implementations may be recorded traces or
-// lazily generated adversaries.
+// vertex set, one per round. Implementations may be recordings
+// (ctvg.DeltaTrace) or lazily generated adversaries.
 //
 // The lifetime rule covers every dynamic network, recordings included: the
 // graph of a round stays valid until the dynamic has materialised two
@@ -51,73 +50,6 @@ type Stability interface {
 	// Implementations that cannot prove stability return r; math.MaxInt
 	// means "stable forever".
 	StableUntil(r int) int
-}
-
-// Trace is a Dynamic backed by a recorded snapshot list. Rounds beyond the
-// recorded range repeat the final snapshot, so a finite trace describes an
-// eventually-static network.
-type Trace struct {
-	n     int
-	snaps []*graph.Graph
-	// stable[r] is the precomputed StableUntil(r). Computed eagerly so a
-	// trace shared by concurrent runs stays read-only.
-	stable []int
-}
-
-// NewTrace builds a trace from snapshots, which must all share the same
-// vertex count and be non-empty.
-func NewTrace(snaps []*graph.Graph) *Trace {
-	if len(snaps) == 0 {
-		panic("tvg: empty trace")
-	}
-	n := snaps[0].N()
-	for i, s := range snaps {
-		if s.N() != n {
-			panic(fmt.Sprintf("tvg: snapshot %d has %d vertices, want %d", i, s.N(), n))
-		}
-	}
-	t := &Trace{n: n, snaps: snaps}
-	t.stable = make([]int, len(snaps))
-	t.stable[len(snaps)-1] = math.MaxInt // past-the-end rounds repeat it
-	for r := len(snaps) - 2; r >= 0; r-- {
-		if snaps[r].Equal(snaps[r+1]) {
-			t.stable[r] = t.stable[r+1]
-		} else {
-			t.stable[r] = r
-		}
-	}
-	return t
-}
-
-// N implements Dynamic.
-func (t *Trace) N() int { return t.n }
-
-// Len returns the number of recorded rounds.
-func (t *Trace) Len() int { return len(t.snaps) }
-
-// At implements Dynamic; rounds past the end repeat the last snapshot.
-func (t *Trace) At(r int) *graph.Graph {
-	if r < 0 {
-		panic("tvg: negative round")
-	}
-	if r >= len(t.snaps) {
-		r = len(t.snaps) - 1
-	}
-	return t.snaps[r]
-}
-
-// StableUntil implements Stability: the precomputed end of the window of
-// rounds presenting the same snapshot as round r. Because rounds past the
-// recorded range repeat the final snapshot, windows reaching the end extend
-// to math.MaxInt.
-func (t *Trace) StableUntil(r int) int {
-	if r < 0 {
-		panic("tvg: negative round")
-	}
-	if r >= len(t.snaps) {
-		return math.MaxInt
-	}
-	return t.stable[r]
 }
 
 // StableSubgraph returns the intersection of the snapshots of rounds
@@ -208,8 +140,6 @@ func (s Static) At(r int) *graph.Graph { return s.G }
 func (s Static) StableUntil(r int) int { return math.MaxInt }
 
 var (
-	_ Dynamic   = (*Trace)(nil)
 	_ Dynamic   = Static{}
-	_ Stability = (*Trace)(nil)
 	_ Stability = Static{}
 )
