@@ -384,10 +384,10 @@ var table3Models = []struct {
 	}},
 }
 
-// churnyRoundAllocs is the measured allocation count of a fresh churny
-// round of HiNet.At and TInterval.At at the Table 3 point, inside a phase:
-// the round's churn set, then ApplyDelta's graph, adjacency header and one
-// list per touched vertex, plus the churn memo's occasional growth.
+// churnyRoundAllocs bounds the allocations of a fresh churny round of
+// HiNet.At and TInterval.At at the Table 3 point, inside a phase: the
+// round's churn set and the churn memo's occasional growth. The round's
+// graph is written into a recycled one by graph.ApplyDeltaInto.
 const churnyRoundAllocs = 21
 
 func TestChurnyRoundAllocs(t *testing.T) {
