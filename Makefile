@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzParseRules -fuzztime=30s ./internal/obs/health
+	$(GO) test -fuzz=FuzzParseEvents -fuzztime=30s ./internal/obs
 
 # The engine hot-path benchmarks behind BENCH_PR2.json and BENCH_PR4.json:
 # a 1000-node (T, L)-HiNet run — cached, uncached, and with the provenance
@@ -167,16 +168,18 @@ timing-smoke:
 
 # health-smoke is CI's end-to-end check for the flight recorder: a run whose
 # heads all crash at round 4 must stall, the stall SLO rule must fire, a
-# postmortem bundle must land in the dump directory, and hinettrace
-# postmortem must diagnose it back to the stall rule (the in-repo unit
-# versions are TestStallProducesExactlyOneBundle and friends; this one goes
-# through both binaries).
+# postmortem bundle must land in the dump directory with the bytes whose
+# SHA-256 health-smoke.sha256 pins, and hinettrace postmortem must diagnose
+# it back to the stall rule (the in-repo unit versions are
+# TestStallProducesExactlyOneBundle and friends; this one goes through both
+# binaries).
 health-smoke:
 	rm -rf health-smoke.dumps
 	$(GO) run ./cmd/hinetsim -scenario hinet -n 64 -k 8 -theta 16 -seed 1 \
 		-crash-heads 4 -stall-window 8 -health "stall>=8,pace" \
 		-dump-dir health-smoke.dumps -record 64 > /dev/null
 	ls health-smoke.dumps/hinet-r*-stall.dump
+	cd health-smoke.dumps && sha256sum -c ../health-smoke.sha256
 	$(GO) run ./cmd/hinettrace postmortem health-smoke.dumps/hinet-r*-stall.dump \
 		| grep "first violated invariant: rule stall"
 	@echo "stall anomaly dumped and diagnosed (hinetsim -> hinettrace postmortem)"

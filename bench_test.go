@@ -286,7 +286,7 @@ func BenchmarkHiNet1kRecorded(b *testing.B) {
 		rec := recorder.New(recorder.Config{
 			Obs: obs.Config{
 				N: 1000, K: 16, PhaseLen: T,
-				Sink: io.Discard, SizeFn: wire.Size,
+				Sink: io.Discard,
 			},
 			Rules: rules, Alpha: 2,
 		})
@@ -336,7 +336,7 @@ func BenchmarkHiNet10kRecorded(b *testing.B) {
 		rec := recorder.New(recorder.Config{
 			Obs: obs.Config{
 				N: n, K: k, PhaseLen: T,
-				Sink: io.Discard, SizeFn: wire.Size,
+				Sink: io.Discard,
 			},
 			Rules: rules, Alpha: alpha,
 		})

@@ -399,10 +399,10 @@ func (in *instr) attach(opts sim.Options, n, k, phaseLen int) (sim.Options, erro
 			wd = 8
 		}
 		opts.SelfStabilize = &sim.SelfStabilize{Watchdog: wd}
-		opts.Observer = obs.Combine(opts.Observer, &sim.Observer{
-			Diverged: func(r int, rep *sim.ConvergenceReport) {
-				fmt.Fprintln(os.Stderr, "hinetsim: warning:", rep)
-			},
+		opts.Observer = obs.Combine(opts.Observer, func(rd *sim.Round) {
+			if rd.Diverged != nil {
+				fmt.Fprintln(os.Stderr, "hinetsim: warning:", rd.Diverged)
+			}
 		})
 		// The theorem budgets assume an oracle hierarchy from round 0;
 		// the emergent hierarchy spends its own rounds converging (and
@@ -447,7 +447,7 @@ func (in *instr) attach(opts sim.Options, n, k, phaseLen int) (sim.Options, erro
 		in.rec = recorder.New(recorder.Config{
 			Obs: obs.Config{
 				N: n, K: k, PhaseLen: phaseLen, Sink: sink,
-				SizeFn: opts.SizeFn, Arrivals: in.arr != nil,
+				Arrivals: in.arr != nil,
 			},
 			Depth:       in.record,
 			Rules:       rules,
@@ -497,7 +497,7 @@ func (in *instr) attach(opts sim.Options, n, k, phaseLen int) (sim.Options, erro
 	}
 	in.f = f
 	in.col = obs.NewCollector(obs.Config{
-		N: n, K: k, PhaseLen: phaseLen, Sink: f, SizeFn: opts.SizeFn,
+		N: n, K: k, PhaseLen: phaseLen, Sink: f,
 		Arrivals: in.arr != nil,
 	})
 	opts.Observer = obs.Combine(opts.Observer, in.col.Observer())
@@ -632,14 +632,17 @@ func runFig3(mi *instr) error {
 
 	fmt.Println("Fig. 3 — Algorithm 1 walkthrough: token 0 starts at member node 1")
 	fmt.Println("topology: member1 - head0 - gateway2 - head3 - member4")
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
-		role := h.Role[m.From]
-		if m.To == sim.NoAddr {
-			fmt.Printf("  round %d: node %d (%s) broadcasts %v\n", r, m.From, role, m.Tokens)
-		} else {
-			fmt.Printf("  round %d: node %d (%s) sends %v to head %d\n", r, m.From, role, m.Tokens, m.To)
+	obs := func(rd *sim.Round) {
+		for _, m := range rd.Outbox {
+			switch {
+			case m == nil:
+			case m.To == sim.NoAddr:
+				fmt.Printf("  round %d: node %d (%s) broadcasts %v\n", rd.R, m.From, h.Role[m.From], m.Tokens)
+			default:
+				fmt.Printf("  round %d: node %d (%s) sends %v to head %d\n", rd.R, m.From, h.Role[m.From], m.Tokens, m.To)
+			}
 		}
-	}}
+	}
 	opts, err := mi.attach(sim.Options{
 		MaxRounds: 8, StopWhenComplete: true, Observer: obs,
 	}, 5, 1, 8)

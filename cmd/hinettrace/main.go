@@ -301,8 +301,7 @@ func stats(args []string) (err error) {
 		return fmt.Errorf("unknown protocol %q", *proto)
 	}
 	cfg := obs.Config{
-		N: tr.N(), K: *k, PhaseLen: phaseLen,
-		SizeFn: wire.Size, Keep: true,
+		N: tr.N(), K: *k, PhaseLen: phaseLen, Keep: true,
 	}
 	var mf *os.File
 	if *metrics != "" {

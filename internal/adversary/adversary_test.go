@@ -385,10 +385,12 @@ var table3Models = []struct {
 }
 
 // churnyRoundAllocs bounds the allocations of a fresh churny round of
-// HiNet.At and TInterval.At at the Table 3 point, inside a phase: the
-// round's churn set and the churn memo's occasional growth. The round's
-// graph is written into a recycled one by graph.ApplyDeltaInto.
-const churnyRoundAllocs = 21
+// HiNet.At and TInterval.At at the Table 3 point, inside a phase. The
+// round's graph is written into a recycled one by graph.ApplyDeltaInto, so
+// what is left is the churn memo's occasional growth: 4 to 10 allocations
+// over 16 rounds on seeds 1 to 8. testing.AllocsPerRun truncates its mean
+// to an integer, so 0 means fewer than one allocation a round.
+const churnyRoundAllocs = 0
 
 func TestChurnyRoundAllocs(t *testing.T) {
 	for _, m := range table3Models {

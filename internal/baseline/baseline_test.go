@@ -11,6 +11,18 @@ import (
 	"repro/internal/xrand"
 )
 
+// onSent returns an observer that calls f for every transmission of each
+// round, in ascending sender order.
+func onSent(f func(r int, m *sim.Message)) sim.Observer {
+	return func(rd *sim.Round) {
+		for _, m := range rd.Outbox {
+			if m != nil {
+				f(rd.R, m)
+			}
+		}
+	}
+}
+
 func TestFloodName(t *testing.T) {
 	if (Flood{}).Name() != "klo-flood" {
 		t.Fatal("name wrong")
@@ -116,11 +128,11 @@ func TestKLOTBroadcastsAscendingPerPhase(t *testing.T) {
 	d := sim.NewFlat(tvg.Static{G: graph.Complete(2)})
 	assign := token.SingleSource(2, 3, 0)
 	var order []int
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
+	obs := onSent(func(r int, m *sim.Message) {
 		if m.From == 0 {
 			order = append(order, m.Tokens.Min())
 		}
-	}}
+	})
 	// Phase length 4 > k: node 0 must emit 0,1,2 then go quiet, then
 	// start over in the next phase.
 	sim.MustRunProtocol(d, KLOT{T: 4}, assign, sim.Options{MaxRounds: 6, Observer: obs})
@@ -139,11 +151,11 @@ func TestKLOTSingleTokenPerMessage(t *testing.T) {
 	const n, k = 20, 4
 	adv := adversary.NewTInterval(n, k+3, 4, xrand.New(5))
 	assign := token.Spread(n, k, xrand.New(6))
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
+	obs := onSent(func(r int, m *sim.Message) {
 		if m.Cost() != 1 {
 			t.Fatalf("KLOT message carries %d tokens", m.Cost())
 		}
-	}}
+	})
 	sim.MustRunProtocol(sim.NewFlat(adv), KLOT{T: k + 3}, assign,
 		sim.Options{MaxRounds: 30, Observer: obs})
 }

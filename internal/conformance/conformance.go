@@ -145,7 +145,7 @@ func Check(d ctvg.Dynamic, p sim.Protocol, assign *token.Assignment, rounds int)
 	return out
 }
 
-// sentMsg is one transmission of a run, as the Sent stream shows it.
+// sentMsg is one transmission of a run, as its round records show it.
 type sentMsg struct {
 	round, from, to int
 	kind            sim.MsgKind
@@ -163,7 +163,7 @@ func (m sentMsg) String() string {
 	return fmt.Sprintf("{round %d, %d -> %d, %v, %s}", m.round, m.from, m.to, m.kind, m.payload)
 }
 
-// before orders messages as the Sent stream does: by round, then sender.
+// before orders messages as recordSent lists them: by round, then sender.
 func (m sentMsg) before(o sentMsg) bool {
 	return m.round < o.round || m.round == o.round && m.from < o.from
 }
@@ -176,15 +176,21 @@ func msgAt(msgs []sentMsg, i int) sentMsg {
 	return noMsg
 }
 
-// recordSent returns an observer that appends every transmission to out.
-func recordSent(out *[]sentMsg) *sim.Observer {
-	return &sim.Observer{Sent: func(r int, m *sim.Message) {
-		payload := "nil"
-		if m.Tokens != nil {
-			payload = m.Tokens.String()
+// recordSent returns an observer that appends every transmission to out,
+// in ascending sender order within a round.
+func recordSent(out *[]sentMsg) sim.Observer {
+	return func(rd *sim.Round) {
+		for _, m := range rd.Outbox {
+			if m == nil {
+				continue
+			}
+			payload := "nil"
+			if m.Tokens != nil {
+				payload = m.Tokens.String()
+			}
+			*out = append(*out, sentMsg{round: rd.R, from: m.From, to: m.To, kind: m.Kind, payload: payload})
 		}
-		*out = append(*out, sentMsg{round: r, from: m.From, to: m.To, kind: m.Kind, payload: payload})
-	}}
+	}
 }
 
 // detachedNode hands its node a detached copy of each View, with only

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/bitset"
 	"repro/internal/ctvg"
 	"repro/internal/graph"
 	hinetmodel "repro/internal/hinet"
@@ -149,15 +150,25 @@ func wastedUploads(t *testing.T, lowFirst bool, seed uint64) int {
 	adv := adversary.NewHiNet(cfg, xrand.New(seed))
 	assign := token.Spread(cfg.N, k, xrand.New(seed+1))
 	nodes := Alg1{T: cfg.T, UploadLowFirst: lowFirst}.Nodes(assign)
+	// An upload is wasted when its head already held the tokens before the
+	// round's deliveries: held keeps every node's set as of the previous
+	// round's record.
 	wasted := 0
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
-		if m.Kind != sim.KindUpload || m.To < 0 {
-			return
+	held := make([]bitset.Set, len(nodes))
+	keep := func() {
+		for v := range nodes {
+			held[v].CopyFrom(nodes[v].Tokens())
 		}
-		if m.Tokens.SubsetOf(nodes[m.To].Tokens()) {
-			wasted++
+	}
+	keep()
+	obs := func(rd *sim.Round) {
+		for _, m := range rd.Outbox {
+			if m != nil && m.Kind == sim.KindUpload && m.To >= 0 && m.Tokens.SubsetOf(&held[m.To]) {
+				wasted++
+			}
 		}
-	}}
+		keep()
+	}
 	sim.MustRun(adv, nodes, assign, sim.Options{MaxRounds: phases * cfg.T, Observer: obs})
 	return wasted
 }

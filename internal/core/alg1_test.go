@@ -13,6 +13,18 @@ import (
 	"repro/internal/xrand"
 )
 
+// onSent returns an observer that calls f for every transmission of each
+// round, in ascending sender order.
+func onSent(f func(r int, m *sim.Message)) sim.Observer {
+	return func(rd *sim.Round) {
+		for _, m := range rd.Outbox {
+			if m != nil {
+				f(rd.R, m)
+			}
+		}
+	}
+}
+
 func TestTheorem1Helpers(t *testing.T) {
 	if Theorem1T(8, 5, 2) != 18 {
 		t.Fatalf("Theorem1T = %d", Theorem1T(8, 5, 2))
@@ -77,7 +89,7 @@ func TestAlg1ScriptedTokenFlow(t *testing.T) {
 	d, assign := scriptedTwoClusters()
 	p := Alg1{T: 10}
 	var uploads, relays int
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
+	obs := onSent(func(r int, m *sim.Message) {
 		switch m.Kind {
 		case sim.KindUpload:
 			uploads++
@@ -87,7 +99,7 @@ func TestAlg1ScriptedTokenFlow(t *testing.T) {
 		case sim.KindRelay:
 			relays++
 		}
-	}}
+	})
 	met := sim.MustRunProtocol(d, p, assign, sim.Options{MaxRounds: 10, StopWhenComplete: true, Observer: obs})
 	if !met.Complete {
 		t.Fatalf("scripted scenario incomplete: %v", met)
@@ -118,11 +130,11 @@ func TestAlg1MemberDoesNotReuploadKnownTokens(t *testing.T) {
 	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(3, 2, 0)
 	uploads := 0
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
+	obs := onSent(func(r int, m *sim.Message) {
 		if m.Kind == sim.KindUpload {
 			uploads++
 		}
-	}}
+	})
 	met := sim.MustRunProtocol(d, Alg1{T: 6}, assign, sim.Options{MaxRounds: 18, Observer: obs})
 	if !met.Complete {
 		t.Fatalf("incomplete: %v", met)
@@ -336,11 +348,11 @@ func TestAlg1RelayPipelineOrder(t *testing.T) {
 	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(2, 3, 0)
 	var order []int
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
+	obs := onSent(func(r int, m *sim.Message) {
 		if m.Kind == sim.KindRelay && m.From == 0 {
 			order = append(order, m.Tokens.Min())
 		}
-	}}
+	})
 	sim.MustRunProtocol(d, Alg1{T: 5}, assign, sim.Options{MaxRounds: 3, Observer: obs})
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("relay order %v, want [0 1 2]", order)
@@ -356,11 +368,11 @@ func TestAlg1MemberUploadsDescendingOrder(t *testing.T) {
 	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(2, 3, 1)
 	var order []int
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
+	obs := onSent(func(r int, m *sim.Message) {
 		if m.Kind == sim.KindUpload {
 			order = append(order, m.Tokens.Min())
 		}
-	}}
+	})
 	sim.MustRunProtocol(d, Alg1{T: 8}, assign, sim.Options{MaxRounds: 3, Observer: obs})
 	if len(order) != 3 || order[0] != 2 || order[1] != 1 || order[2] != 0 {
 		t.Fatalf("upload order %v, want [2 1 0]", order)

@@ -95,14 +95,14 @@ func TestAlg2MemberSendsOncePerAffiliation(t *testing.T) {
 	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.Spread(4, 4, xrand.New(3))
 	uploads := 0
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
+	obs := onSent(func(r int, m *sim.Message) {
 		if m.Kind == sim.KindUpload {
 			uploads++
 			if r != 0 {
 				t.Fatalf("upload in round %d on a static hierarchy", r)
 			}
 		}
-	}}
+	})
 	met := sim.MustRunProtocol(d, Alg2{}, assign, sim.Options{MaxRounds: 6, Observer: obs})
 	if !met.Complete {
 		t.Fatalf("incomplete: %v", met)
@@ -128,11 +128,11 @@ func TestAlg2ReuploadOnHeadChange(t *testing.T) {
 	d := ctvg.NewTrace([]*graph.Graph{g, g, g, g}, []*ctvg.Hierarchy{h1, h1, h2, h2})
 	assign := token.SingleSource(3, 2, 2)
 	var uploadTargets []int
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
+	obs := onSent(func(r int, m *sim.Message) {
 		if m.Kind == sim.KindUpload {
 			uploadTargets = append(uploadTargets, m.To)
 		}
-	}}
+	})
 	sim.MustRunProtocol(d, Alg2{}, assign, sim.Options{MaxRounds: 4, Observer: obs})
 	if len(uploadTargets) != 2 || uploadTargets[0] != 0 || uploadTargets[1] != 1 {
 		t.Fatalf("upload targets %v, want [0 1]", uploadTargets)
@@ -148,14 +148,14 @@ func TestAlg2RelaysBroadcastFullSetEveryRound(t *testing.T) {
 	d := ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 	assign := token.SingleSource(3, 3, 0)
 	headBroadcasts := 0
-	obs := &sim.Observer{Sent: func(r int, m *sim.Message) {
+	obs := onSent(func(r int, m *sim.Message) {
 		if m.Kind == sim.KindRelay && m.From == 0 {
 			headBroadcasts++
 			if m.Cost() != 3 {
 				t.Fatalf("round %d: head broadcast %d tokens, want full set 3", r, m.Cost())
 			}
 		}
-	}}
+	})
 	sim.MustRunProtocol(d, Alg2{}, assign, sim.Options{MaxRounds: 4, Observer: obs})
 	if headBroadcasts != 4 {
 		t.Fatalf("head broadcast %d times in 4 rounds", headBroadcasts)

@@ -62,9 +62,9 @@ type idleRun struct {
 
 func runWrapped(d ctvg.Dynamic, p sim.Protocol, assign *token.Assignment, opts sim.Options, detached bool) idleRun {
 	var out idleRun
-	opts.Observer = &sim.Observer{Sent: func(r int, m *sim.Message) {
+	opts.Observer = onSent(func(r int, m *sim.Message) {
 		out.sent = append(out.sent, fmt.Sprintf("r%d %d->%d %v %v", r, m.From, m.To, m.Kind, m.Tokens))
-	}}
+	})
 	nodes := p.Nodes(assign)
 	for v := range nodes {
 		nodes[v] = &wrappedNode{inner: nodes[v], detached: detached}

@@ -342,7 +342,7 @@ func (s *seedSinks) open(spec runSpec, i int, opts *sim.Options) error {
 		}
 		ocfg := obs.Config{
 			N: spec.n, K: spec.k, PhaseLen: spec.phaseLen,
-			Sink: sink, SizeFn: wire.Size,
+			Sink:     sink,
 			Arrivals: spec.arrivals != nil,
 		}
 		if recording {

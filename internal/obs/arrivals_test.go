@@ -138,29 +138,3 @@ func TestArrivalEventStreamByteIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestCombineArrivalCallbacks checks the new callbacks chain through
-// Combine like the rest.
-func TestCombineArrivalCallbacks(t *testing.T) {
-	var calls []int
-	a := &sim.Observer{
-		Arrived:   func(r, v, tok int, seq int64) { calls = append(calls, 1) },
-		Collected: func(r, tok int, seq int64, born int) { calls = append(calls, 3) },
-	}
-	b := &sim.Observer{
-		Arrived:   func(r, v, tok int, seq int64) { calls = append(calls, 2) },
-		Collected: func(r, tok int, seq int64, born int) { calls = append(calls, 4) },
-	}
-	c := Combine(a, b)
-	c.Arrived(0, 1, 2, 3)
-	c.Collected(0, 2, 3, 0)
-	want := []int{1, 2, 3, 4}
-	if len(calls) != len(want) {
-		t.Fatalf("calls %v, want %v", calls, want)
-	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Fatalf("calls %v, want %v", calls, want)
-		}
-	}
-}

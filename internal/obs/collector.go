@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/ctvg"
-	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
@@ -24,8 +22,10 @@ type Config struct {
 	// Sink, if non-nil, receives one JSON event per line per round. The
 	// Collector buffers internally; call Flush before reading the sink.
 	Sink io.Writer
-	// SizeFn, if set, mirrors the engine's byte accounting into the event
-	// stream (pass the same function as sim.Options.SizeFn).
+	// SizeFn is ignored: an event's Bytes is the round's growth of
+	// Metrics.BytesSent, which sim.Options.SizeFn charges.
+	//
+	// Deprecated: set sim.Options.SizeFn instead.
 	SizeFn func(*sim.Message) int
 	// Registry, if non-nil, additionally maintains cumulative metrics
 	// (counters/gauges/histograms) updated once per round.
@@ -133,16 +133,15 @@ func newRegInstruments(r *Registry) *regInstruments {
 	return ri
 }
 
-// Collector accumulates the engine's observer callbacks into RoundEvents,
-// streaming them to the configured JSONL sink and registry.
+// Collector turns the engine's round records into RoundEvents, streaming
+// them to the configured JSONL sink and registry. An event's transmission,
+// note, link-fault, delivery and arrival counts are the difference between
+// the round's Metrics and the previous round's, so the event stream and
+// Metrics share one accounting path. Per-round work (event encoding, churn
+// diffing) is O(n) once per round.
 //
-// The per-message path (the Sent callback) only increments fixed-size
-// arrays — no heap allocation — so attaching a Collector does not perturb
-// the engine's allocation profile (asserted by TestSentHotPathNoAllocs).
-// Per-round work (event encoding, churn diffing) is O(n) once per round.
-//
-// A Collector is driven from the engine goroutine (the engine serialises
-// observer callbacks even when Workers > 1) and is not otherwise
+// A Collector is driven from the engine goroutine (the engine calls its
+// Observer once per round even when Workers > 1) and is not otherwise
 // goroutine-safe.
 type Collector struct {
 	cfg Config
@@ -151,9 +150,8 @@ type Collector struct {
 	buf []byte
 	err error
 
-	cur     RoundEvent
-	started bool
-	curHier *ctvg.Hierarchy // aliases engine storage; valid within the round
+	cur  RoundEvent
+	prev sim.Metrics // the run's Metrics at the previous round's record
 
 	// errRound / lostRounds attribute a sink write failure: the round whose
 	// emission first failed, and how many later rounds were dropped because
@@ -164,7 +162,6 @@ type Collector struct {
 
 	prevRole    []ctvg.Role
 	prevCluster []int
-	havePrev    bool
 
 	prevDelivered int
 	stall         int
@@ -192,177 +189,93 @@ func NewCollector(cfg Config) *Collector {
 }
 
 // Observer returns the sim.Observer that feeds this collector. Combine
-// with other observers via Combine if the run also needs ad-hoc hooks.
-func (c *Collector) Observer() *sim.Observer {
-	return &sim.Observer{
-		RoundStart:  c.roundStart,
-		Sent:        c.sent,
-		Progress:    c.progress,
-		Crashed:     c.crashed,
-		Recovered:   c.recovered,
-		Noted:       c.noted,
-		Deliveries:  c.deliveries,
-		LinkFaults:  c.linkFaults,
-		Arrived:     c.arrived,
-		Collected:   c.collected,
-		Stalled:     c.stalled,
-		Maintenance: c.maintenance,
-		Diverged:    c.diverged,
-	}
-}
+// hands one round record to it and to other observers.
+func (c *Collector) Observer() sim.Observer { return c.observe }
 
-// ensure opens the accumulator for round r, finalising the previous round
-// first. Crash events arrive before RoundStart, so any callback may be the
-// one that opens a round.
-func (c *Collector) ensure(r int) {
-	if c.started && c.cur.Round == r {
-		return
+// observe derives round rd.R's event from its record and emits it.
+func (c *Collector) observe(rd *sim.Round) {
+	met, p := rd.Metrics, &c.prev
+	e := &c.cur
+	*e = RoundEvent{
+		Round:               rd.R,
+		Total:               c.cfg.N * c.cfg.K,
+		Messages:            met.Messages - p.Messages,
+		Tokens:              met.TokensSent - p.TokensSent,
+		Bytes:               met.BytesSent - p.BytesSent,
+		Delivered:           rd.Delivered,
+		Crashed:             append(e.Crashed[:0], rd.Crashed...),
+		Recovered:           append(e.Recovered[:0], rd.Recovered...),
+		Drops:               met.Drops - p.Drops,
+		Dups:                met.Dups - p.Dups,
+		Handovers:           met.Handovers - p.Handovers,
+		FloodFallbacks:      met.FloodFallbacks - p.FloodFallbacks,
+		FirstDeliveries:     int(met.FirstDeliveries - p.FirstDeliveries),
+		RedundantDeliveries: int(met.RedundantDeliveries - p.RedundantDeliveries),
+		Arrivals:            int(met.TokensInjected - p.TokensInjected),
+		Collected:           int(met.TokensCollected - p.TokensCollected),
+		Stalled:             met.Stall != nil,
 	}
-	if c.started {
-		c.finalize()
+	for i := range e.MsgsByKind {
+		e.MsgsByKind[i] = met.MessagesByKind[i] - p.MessagesByKind[i]
+		e.TokensByKind[i] = met.TokensByKind[i] - p.TokensByKind[i]
 	}
-	c.started = true
-	crashed := c.cur.Crashed[:0] // reuse the slices across rounds
-	recovered := c.cur.Recovered[:0]
-	c.cur = RoundEvent{Round: r, Total: c.cfg.N * c.cfg.K, Crashed: crashed, Recovered: recovered}
+	for i := range e.MsgsByRole {
+		e.MsgsByRole[i] = met.MessagesByRole[i] - p.MessagesByRole[i]
+		e.TokensByRole[i] = met.TokensByRole[i] - p.TokensByRole[i]
+	}
+	*p = *met
 	if c.cfg.PhaseLen > 0 {
-		c.cur.Phase = r / c.cfg.PhaseLen
+		e.Phase = rd.R / c.cfg.PhaseLen
 	}
-}
-
-func (c *Collector) roundStart(r int, g *graph.Graph, h *ctvg.Hierarchy) {
-	c.ensure(r)
-	c.curHier = h
-	heads := 0
-	for v := range h.Role {
-		if h.Role[v] == ctvg.Head {
-			heads++
+	if ms := rd.Maintenance; ms != nil {
+		e.Elections, e.Adoptions, e.HeadMerges = ms.Elections, ms.Adoptions, ms.HeadMerges
+		e.Beacons, e.StabValid, e.Reconverge = ms.BeaconsSent, ms.Valid, ms.Reconverged
+	}
+	c.liveTok += e.Arrivals - e.Collected
+	c.churn(rd.Hier)
+	if c.reg != nil {
+		for _, t := range rd.Collected {
+			c.reg.latency.Observe(float64(rd.R - t.Born))
+		}
+		if rd.Diverged != nil {
+			c.reg.convReports.Inc()
 		}
 	}
-	c.cur.Heads = heads
-	if c.havePrev && len(c.prevRole) == len(h.Role) {
+	c.finalize()
+}
+
+// churn counts the round's heads and the hierarchy's changes since the
+// previous round.
+func (c *Collector) churn(h *ctvg.Hierarchy) {
+	e := &c.cur
+	for v := range h.Role {
+		if h.Role[v] == ctvg.Head {
+			e.Heads++
+		}
+	}
+	if len(c.prevRole) == len(h.Role) {
 		for v := range h.Role {
 			wasHead := c.prevRole[v] == ctvg.Head
 			isHead := h.Role[v] == ctvg.Head
 			if wasHead != isHead {
-				c.cur.HeadChanges++
+				e.HeadChanges++
 			}
 			wasGw := c.prevRole[v] == ctvg.Gateway
 			isGw := h.Role[v] == ctvg.Gateway
 			if wasGw != isGw {
-				c.cur.GatewayFlips++
+				e.GatewayFlips++
 			}
 			// A re-affiliation is a node that is a member now, was
 			// affiliated before, and answers to a different head — the
 			// n_r of the paper's cost model.
 			if h.Role[v] == ctvg.Member && c.prevCluster[v] != ctvg.NoCluster &&
 				h.Cluster[v] != c.prevCluster[v] {
-				c.cur.Reaffiliations++
+				e.Reaffiliations++
 			}
 		}
 	}
-	if c.prevRole == nil {
-		c.prevRole = make([]ctvg.Role, len(h.Role))
-		c.prevCluster = make([]int, len(h.Cluster))
-	}
-	copy(c.prevRole, h.Role)
-	copy(c.prevCluster, h.Cluster)
-	c.havePrev = true
-}
-
-// sent is the hot path: one call per transmission, allocation-free.
-func (c *Collector) sent(r int, m *sim.Message) {
-	c.ensure(r)
-	cost := int64(m.Cost())
-	c.cur.Messages++
-	c.cur.Tokens += cost
-	if int(m.Kind) < sim.NumKinds {
-		c.cur.MsgsByKind[m.Kind]++
-		c.cur.TokensByKind[m.Kind] += cost
-	}
-	if c.cfg.SizeFn != nil {
-		c.cur.Bytes += int64(c.cfg.SizeFn(m))
-	}
-	if h := c.curHier; h != nil && m.From >= 0 && m.From < len(h.Role) {
-		if role := h.Role[m.From]; int(role) < sim.NumRoles {
-			c.cur.MsgsByRole[role]++
-			c.cur.TokensByRole[role] += cost
-		}
-	}
-}
-
-func (c *Collector) progress(r, delivered int) {
-	c.ensure(r)
-	c.cur.Delivered = delivered
-}
-
-func (c *Collector) crashed(r, v int) {
-	c.ensure(r)
-	c.cur.Crashed = append(c.cur.Crashed, v)
-}
-
-func (c *Collector) recovered(r, v int) {
-	c.ensure(r)
-	c.cur.Recovered = append(c.cur.Recovered, v)
-}
-
-func (c *Collector) noted(r, v int, kind sim.NoteKind) {
-	c.ensure(r)
-	switch kind {
-	case sim.NoteHandover:
-		c.cur.Handovers++
-	case sim.NoteFloodFallback:
-		c.cur.FloodFallbacks++
-	}
-}
-
-func (c *Collector) deliveries(r, first, redundant int) {
-	c.ensure(r)
-	c.cur.FirstDeliveries += first
-	c.cur.RedundantDeliveries += redundant
-}
-
-func (c *Collector) linkFaults(r, drops, dups int) {
-	c.ensure(r)
-	c.cur.Drops += int64(drops)
-	c.cur.Dups += int64(dups)
-}
-
-func (c *Collector) arrived(r, v, tok int, seq int64) {
-	c.ensure(r)
-	c.cur.Arrivals++
-	c.liveTok++
-}
-
-func (c *Collector) collected(r, tok int, seq int64, born int) {
-	c.ensure(r)
-	c.cur.Collected++
-	c.liveTok--
-	if c.reg != nil {
-		c.reg.latency.Observe(float64(r - born))
-	}
-}
-
-func (c *Collector) stalled(r int, rep *sim.StallReport) {
-	c.ensure(r)
-	c.cur.Stalled = true
-}
-
-func (c *Collector) maintenance(r int, ms sim.MaintenanceStats) {
-	c.ensure(r)
-	c.cur.Elections = ms.Elections
-	c.cur.Adoptions = ms.Adoptions
-	c.cur.HeadMerges = ms.HeadMerges
-	c.cur.Beacons = ms.BeaconsSent
-	c.cur.StabValid = ms.Valid
-	c.cur.Reconverge = ms.Reconverged
-}
-
-func (c *Collector) diverged(r int, rep *sim.ConvergenceReport) {
-	c.ensure(r)
-	if c.reg != nil {
-		c.reg.convReports.Inc()
-	}
+	c.prevRole = append(c.prevRole[:0], h.Role...)
+	c.prevCluster = append(c.prevCluster[:0], h.Cluster...)
 }
 
 // finalize closes the current round: derives idle/stall, emits JSONL,
@@ -370,13 +283,6 @@ func (c *Collector) diverged(r int, rep *sim.ConvergenceReport) {
 func (c *Collector) finalize() {
 	e := &c.cur
 	e.Idle = e.Messages == 0
-	// Defensive normalisation before anything (JSONL, registry, provenance
-	// consumers) reads the crash/recovery lists: the engine emits both
-	// sorted and without duplicates, but a combined observer chain or a
-	// replayed trace may not — and duplicate entries skew the redundancy
-	// accounting downstream.
-	e.Crashed = sortDedup(e.Crashed)
-	e.Recovered = sortDedup(e.Recovered)
 	if c.cfg.Arrivals {
 		// Arrival mode: the delivery ceiling tracks the live token universe
 		// (it shrinks on GC and grows on injection), and a flat delivered
@@ -470,34 +376,14 @@ func (c *Collector) finalize() {
 	}
 }
 
-// sortDedup sorts xs ascending and removes adjacent duplicates in place.
-func sortDedup(xs []int) []int {
-	if len(xs) < 2 {
-		return xs
-	}
-	sort.Ints(xs)
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// Flush finalises the in-flight round and drains the sink buffer. Call it
-// after the run returns (and before reading the sink); it is idempotent.
+// Flush drains the sink buffer. Call it after the run returns (and before
+// reading the sink); it is idempotent.
 // A sink write error that surfaced during round emission is returned
 // attributed: which round's event failed first and how many later events
 // were dropped — so a full disk reports a truncated stream, never passes
 // one off as complete (the same contract hinettrace record enforces at
 // Close).
 func (c *Collector) Flush() error {
-	if c.started {
-		c.finalize()
-		c.started = false
-		c.curHier = nil
-	}
 	if c.w != nil {
 		if err := c.w.Flush(); err != nil && c.err == nil {
 			c.err = err
@@ -510,7 +396,7 @@ func (c *Collector) Flush() error {
 // Err returns the first sink write error, attributed to the round whose
 // emission failed (plus the count of later events dropped because of it),
 // or nil. Unlike Flush it never touches the sink, so it is safe to poll
-// mid-run from observer callbacks.
+// mid-run from an observer.
 func (c *Collector) Err() error {
 	if c.err == nil {
 		return nil
@@ -537,151 +423,24 @@ func (c *Collector) LatencyQuantile(q float64) float64 {
 	return c.reg.latency.Quantile(q)
 }
 
-// Combine merges observers: every non-nil callback of every observer is
-// invoked in argument order. Nil observers are skipped; a single observer
-// is returned as-is.
-func Combine(list ...*sim.Observer) *sim.Observer {
-	live := list[:0:0]
+// Combine hands each round record to every non-nil observer, in argument
+// order. Nil observers are skipped; a single observer is returned as-is.
+func Combine(list ...sim.Observer) sim.Observer {
+	var live []sim.Observer
 	for _, o := range list {
 		if o != nil {
 			live = append(live, o)
 		}
 	}
-	if len(live) == 0 {
+	switch len(live) {
+	case 0:
 		return nil
-	}
-	if len(live) == 1 {
+	case 1:
 		return live[0]
 	}
-	out := &sim.Observer{}
-	for _, o := range live {
-		o := o
-		if o.RoundStart != nil {
-			prev := out.RoundStart
-			out.RoundStart = func(r int, g *graph.Graph, h *ctvg.Hierarchy) {
-				if prev != nil {
-					prev(r, g, h)
-				}
-				o.RoundStart(r, g, h)
-			}
-		}
-		if o.Sent != nil {
-			prev := out.Sent
-			out.Sent = func(r int, m *sim.Message) {
-				if prev != nil {
-					prev(r, m)
-				}
-				o.Sent(r, m)
-			}
-		}
-		if o.Progress != nil {
-			prev := out.Progress
-			out.Progress = func(r, delivered int) {
-				if prev != nil {
-					prev(r, delivered)
-				}
-				o.Progress(r, delivered)
-			}
-		}
-		if o.Crashed != nil {
-			prev := out.Crashed
-			out.Crashed = func(r, v int) {
-				if prev != nil {
-					prev(r, v)
-				}
-				o.Crashed(r, v)
-			}
-		}
-		if o.Recovered != nil {
-			prev := out.Recovered
-			out.Recovered = func(r, v int) {
-				if prev != nil {
-					prev(r, v)
-				}
-				o.Recovered(r, v)
-			}
-		}
-		if o.Noted != nil {
-			prev := out.Noted
-			out.Noted = func(r, v int, kind sim.NoteKind) {
-				if prev != nil {
-					prev(r, v, kind)
-				}
-				o.Noted(r, v, kind)
-			}
-		}
-		if o.Deliveries != nil {
-			prev := out.Deliveries
-			out.Deliveries = func(r, first, redundant int) {
-				if prev != nil {
-					prev(r, first, redundant)
-				}
-				o.Deliveries(r, first, redundant)
-			}
-		}
-		if o.LinkFaults != nil {
-			prev := out.LinkFaults
-			out.LinkFaults = func(r, drops, dups int) {
-				if prev != nil {
-					prev(r, drops, dups)
-				}
-				o.LinkFaults(r, drops, dups)
-			}
-		}
-		if o.Arrived != nil {
-			prev := out.Arrived
-			out.Arrived = func(r, v, tok int, seq int64) {
-				if prev != nil {
-					prev(r, v, tok, seq)
-				}
-				o.Arrived(r, v, tok, seq)
-			}
-		}
-		if o.Collected != nil {
-			prev := out.Collected
-			out.Collected = func(r, tok int, seq int64, born int) {
-				if prev != nil {
-					prev(r, tok, seq, born)
-				}
-				o.Collected(r, tok, seq, born)
-			}
-		}
-		if o.Stalled != nil {
-			prev := out.Stalled
-			out.Stalled = func(r int, rep *sim.StallReport) {
-				if prev != nil {
-					prev(r, rep)
-				}
-				o.Stalled(r, rep)
-			}
-		}
-		if o.Maintenance != nil {
-			prev := out.Maintenance
-			out.Maintenance = func(r int, ms sim.MaintenanceStats) {
-				if prev != nil {
-					prev(r, ms)
-				}
-				o.Maintenance(r, ms)
-			}
-		}
-		if o.Diverged != nil {
-			prev := out.Diverged
-			out.Diverged = func(r int, rep *sim.ConvergenceReport) {
-				if prev != nil {
-					prev(r, rep)
-				}
-				o.Diverged(r, rep)
-			}
-		}
-		if o.Barrier != nil {
-			prev := out.Barrier
-			out.Barrier = func(r int, met *sim.Metrics) {
-				if prev != nil {
-					prev(r, met)
-				}
-				o.Barrier(r, met)
-			}
+	return func(rd *sim.Round) {
+		for _, o := range live {
+			o(rd)
 		}
 	}
-	return out
 }

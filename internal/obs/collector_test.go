@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -36,7 +39,7 @@ func runCollected(t testing.TB, tr *ctvg.DeltaTrace, k, T, workers int, reg *Reg
 	var sink bytes.Buffer
 	col := NewCollector(Config{
 		N: tr.N(), K: k, PhaseLen: T,
-		Sink: &sink, SizeFn: wire.Size, Registry: reg, Keep: true,
+		Sink: &sink, Registry: reg, Keep: true,
 	})
 	met := sim.MustRunProtocol(tr, core.Alg1{T: T}, assign, sim.Options{
 		MaxRounds: tr.Len(),
@@ -218,40 +221,51 @@ func TestCollectorCrashEvents(t *testing.T) {
 }
 
 func TestCrashRecoveryListsSortedDeduped(t *testing.T) {
-	// Regression for the sharded-collector normalisation: the engine emits
-	// crash/recovery callbacks sorted and once each, but a combined observer
-	// chain or a replayed trace may not — and duplicated entries would skew
-	// the provenance layer's redundancy accounting and the crash counters.
-	// The collector must sort and deduplicate before the event is finalised.
+	// A node the static plan fells in the round a head crash fells every
+	// head is listed once, the crash and recovery lists are ascending
+	// whatever order the plan's map iterates in, and the counters count
+	// the same lists.
+	const n, k, T, rounds = 16, 3, 5, 10
+	var heads []int
+	for v, role := range testTrace(t, n, rounds, T).HierarchyAt(2).Role {
+		if role == ctvg.Head {
+			heads = append(heads, v)
+		}
+	}
+	if len(heads) < 2 {
+		t.Fatalf("round 2 has heads %v; the test needs two", heads)
+	}
+	static := heads[len(heads)-1] // felled by the plan and the head crash
+	other := slices.Index(heads, 0) < 0 && static != 0
+	crashAt := map[int]int{static: 2}
+	want := slices.Clone(heads)
+	if other {
+		crashAt[0] = 2
+		want = append([]int{0}, want...)
+	}
 	reg := NewRegistry()
-	col := NewCollector(Config{N: 8, K: 2, Registry: reg, Keep: true})
-	o := col.Observer()
-	o.Crashed(0, 5)
-	o.Crashed(0, 3)
-	o.Crashed(0, 5) // duplicate
-	o.Crashed(0, 1)
-	o.Recovered(1, 4)
-	o.Recovered(1, 4) // duplicate
-	o.Recovered(1, 2)
+	col := NewCollector(Config{N: n, K: k, PhaseLen: T, Registry: reg, Keep: true})
+	sim.MustRunProtocol(testTrace(t, n, rounds, T), core.Alg1{T: T}, token.Spread(n, k, xrand.New(1)), sim.Options{
+		MaxRounds: rounds,
+		Observer:  col.Observer(),
+		Faults:    &sim.Faults{CrashAt: crashAt, HeadCrashRounds: []int{2}, HeadCrashDowntime: 3},
+	})
 	if err := col.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	events := col.Events()
-	if len(events) != 2 {
-		t.Fatalf("%d events, want 2", len(events))
+	if got := events[2].Crashed; !slices.Equal(got, want) {
+		t.Fatalf("round 2 crashes %v, want %v", got, want)
 	}
-	if got := events[0].Crashed; !slices.Equal(got, []int{1, 3, 5}) {
-		t.Fatalf("round 0 crashes %v, want sorted deduped [1 3 5]", got)
+	rejoined := slices.DeleteFunc(slices.Clone(heads), func(v int) bool { return v == static })
+	if got := events[5].Recovered; !slices.Equal(got, rejoined) {
+		t.Fatalf("round 5 recoveries %v, want %v", got, rejoined)
 	}
-	if got := events[1].Recovered; !slices.Equal(got, []int{2, 4}) {
-		t.Fatalf("round 1 recoveries %v, want sorted deduped [2 4]", got)
+	if c := reg.Counter("sim_crashes_total", ""); c.Value() != int64(len(want)) {
+		t.Fatalf("crash counter %d, want %d", c.Value(), len(want))
 	}
-	// The counters must see the normalised lists, not the raw callbacks.
-	if c := reg.Counter("sim_crashes_total", ""); c.Value() != 3 {
-		t.Fatalf("crash counter %d, want 3", c.Value())
-	}
-	if c := reg.Counter("sim_recoveries_total", ""); c.Value() != 2 {
-		t.Fatalf("recovery counter %d, want 2", c.Value())
+	if c := reg.Counter("sim_recoveries_total", ""); c.Value() != int64(len(rejoined)) {
+		t.Fatalf("recovery counter %d, want %d", c.Value(), len(rejoined))
 	}
 }
 
@@ -394,40 +408,43 @@ func TestStallEventUnderParallelEngine(t *testing.T) {
 	}
 }
 
-func TestSentHotPathNoAllocs(t *testing.T) {
-	// The acceptance criterion: the per-message obs path must not allocate
-	// in the serial engine.
+func TestObserveNoAllocs(t *testing.T) {
+	// Once its buffers are warm, the collector turns a round record into an
+	// event, its JSONL line and its registry updates without allocating,
+	// so attaching it leaves the engine's round loop allocation-free.
 	h := ctvg.NewHierarchy(4)
 	h.SetHead(0)
 	h.SetMember(1, 0)
-	col := NewCollector(Config{N: 4, K: 2, PhaseLen: 3})
+	col := NewCollector(Config{N: 4, K: 2, PhaseLen: 3, Sink: io.Discard, Registry: NewRegistry()})
 	obs := col.Observer()
-	obs.RoundStart(0, nil, h)
-	msg := &sim.Message{From: 1, To: 0, Kind: sim.KindUpload, Tokens: nil, Units: 1}
+	rd := &sim.Round{
+		Hier: h, Crashed: []int{2}, Recovered: []int{3},
+		Collected: []sim.CollectedToken{{Slot: 1}},
+		Metrics:   &sim.Metrics{},
+	}
+	obs(rd)
 	if n := testing.AllocsPerRun(1000, func() {
-		obs.Sent(0, msg)
+		rd.R++
+		rd.Metrics.Messages++
+		rd.Metrics.MessagesByKind[sim.KindUpload]++
+		obs(rd)
 	}); n != 0 {
-		t.Fatalf("Sent hot path allocates %.1f times per message", n)
+		t.Fatalf("an observed round allocates %.1f times", n)
 	}
 }
 
 func TestCombine(t *testing.T) {
-	var a, b int
-	oa := &sim.Observer{Sent: func(r int, m *sim.Message) { a++ }}
-	ob := &sim.Observer{Sent: func(r int, m *sim.Message) { b++ }, Progress: func(r, d int) { b += 10 }}
-	merged := Combine(oa, nil, ob)
-	merged.Sent(0, &sim.Message{})
-	merged.Progress(0, 5)
-	if a != 1 || b != 11 {
-		t.Fatalf("combine dispatch wrong: a=%d b=%d", a, b)
-	}
-	if merged.RoundStart != nil || merged.Crashed != nil {
-		t.Fatal("combine invented callbacks")
+	var calls []string
+	oa := func(rd *sim.Round) { calls = append(calls, fmt.Sprint("a", rd.R)) }
+	ob := func(rd *sim.Round) { calls = append(calls, fmt.Sprint("b", rd.R)) }
+	Combine(oa, nil, ob)(&sim.Round{R: 3})
+	if want := []string{"a3", "b3"}; !slices.Equal(calls, want) {
+		t.Fatalf("combined calls %v, want %v", calls, want)
 	}
 	if Combine(nil, nil) != nil {
 		t.Fatal("all-nil combine should be nil")
 	}
-	if Combine(oa) != oa {
+	if reflect.ValueOf(Combine(nil, oa)).Pointer() != reflect.ValueOf(oa).Pointer() {
 		t.Fatal("single observer should pass through")
 	}
 }
@@ -482,12 +499,10 @@ func TestCollectorPropagatesEmissionErrors(t *testing.T) {
 		OnEvent: func(*RoundEvent) { onEvents++ },
 	})
 	errSeenAtRound := -1
-	obsv := Combine(col.Observer(), &sim.Observer{
-		Barrier: func(r int, met *sim.Metrics) {
-			if errSeenAtRound < 0 && col.Err() != nil {
-				errSeenAtRound = r
-			}
-		},
+	obsv := Combine(col.Observer(), func(rd *sim.Round) {
+		if errSeenAtRound < 0 && col.Err() != nil {
+			errSeenAtRound = rd.R
+		}
 	})
 	met := sim.MustRunProtocol(tr, core.Alg1{T: T}, assign, sim.Options{
 		MaxRounds: rounds, Observer: obsv,

@@ -10,10 +10,10 @@
 //
 //   - Observe: one finalized obs.RoundEvent per round (the Collector's
 //     OnEvent hook, or the flight recorder's tee of it);
-//   - ObserveMetrics: the engine's own Metrics at the round barrier
-//     (sim.Observer.Barrier) — the token-conservation invariant must be
-//     checked against engine truth, not against counters the event stream
-//     itself derives from;
+//   - ObserveMetrics: the engine's own Metrics at the round barrier (the
+//     sim.Round record's Metrics) — the token-conservation invariant must
+//     be checked against engine truth, not against counters the event
+//     stream itself derives from;
 //   - RoundTiming: per-stage wall times (a sim.TimingSink tee) for the
 //     regression-vs-rolling-baseline rule.
 //
@@ -240,8 +240,8 @@ type Config struct {
 }
 
 // Engine evaluates a rule set online. All Observe* methods must be called
-// from the engine goroutine (they are fed by sim.Observer / sim.TimingSink
-// callbacks, which the engine serialises); States, Healthy and Violations
+// from the engine goroutine (they are fed by the sim.Observer and
+// sim.TimingSink calls, which the engine serialises); States, Healthy and Violations
 // may be called concurrently from other goroutines (the HTTP surfaces).
 type Engine struct {
 	cfg Config
@@ -311,7 +311,8 @@ func (e *Engine) Rules() []Rule {
 }
 
 // judge records one evaluation of rule index i; violated breaches it.
-func (e *Engine) judge(i, round, phase int, value, limit float64, violated bool, detail string) {
+// detail renders the breach for Violation.Detail and runs only on one.
+func (e *Engine) judge(i, round, phase int, value, limit float64, violated bool, detail func() string) {
 	e.mu.Lock()
 	s := &e.states[i]
 	s.LastValue, s.LastLimit, s.LastRound = value, limit, round
@@ -324,7 +325,7 @@ func (e *Engine) judge(i, round, phase int, value, limit float64, violated bool,
 		e.total++
 		v = Violation{
 			Rule: s.Rule.Kind.String(), Round: round, Phase: phase,
-			Value: value, Limit: limit, Detail: detail,
+			Value: value, Limit: limit, Detail: detail(),
 		}
 	}
 	e.mu.Unlock()
@@ -361,12 +362,9 @@ func (e *Engine) Observe(ev *obs.RoundEvent) {
 		case KindStall:
 			limit := r.Threshold
 			streak := float64(ev.Stall)
-			if ev.Stalled || (limit > 0 && streak >= limit) {
-				e.judge(i, ev.Round, ev.Phase, streak, limit, true,
-					fmt.Sprintf("no delivery progress for %d rounds (watchdog=%v)", ev.Stall, ev.Stalled))
-			} else {
-				e.judge(i, ev.Round, ev.Phase, streak, limit, false, "")
-			}
+			e.judge(i, ev.Round, ev.Phase, streak, limit, ev.Stalled || (limit > 0 && streak >= limit), func() string {
+				return fmt.Sprintf("no delivery progress for %d rounds (watchdog=%v)", ev.Stall, ev.Stalled)
+			})
 		case KindPace:
 			if !boundary || e.cfg.Alpha <= 0 || phases <= 1 || e.cfg.N <= 0 || e.cfg.Arrivals {
 				continue
@@ -376,29 +374,33 @@ func (e *Engine) Observe(ev *obs.RoundEvent) {
 				req = e.cfg.K
 			}
 			perNode := float64(ev.Delivered) / float64(e.cfg.N)
-			e.judge(i, ev.Round, ev.Phase, perNode, float64(req), perNode < float64(req),
-				fmt.Sprintf("%.2f tokens/node after %d phases, Theorem-1 floor min(k, α·(p−1)) = %d", perNode, phases, req))
+			e.judge(i, ev.Round, ev.Phase, perNode, float64(req), perNode < float64(req), func() string {
+				return fmt.Sprintf("%.2f tokens/node after %d phases, Theorem-1 floor min(k, α·(p−1)) = %d", perNode, phases, req)
+			})
 		case KindLatencyP99:
 			if !boundary || e.latency == nil || e.latency.Count() == 0 {
 				continue
 			}
 			p99 := e.latency.Quantile(0.99)
-			e.judge(i, ev.Round, ev.Phase, p99, r.Threshold, p99 > r.Threshold,
-				fmt.Sprintf("delivery-latency p99 %.1f rounds over budget %.1f", p99, r.Threshold))
+			e.judge(i, ev.Round, ev.Phase, p99, r.Threshold, p99 > r.Threshold, func() string {
+				return fmt.Sprintf("delivery-latency p99 %.1f rounds over budget %.1f", p99, r.Threshold)
+			})
 		case KindQueue:
 			if !boundary || !e.cfg.Arrivals {
 				continue
 			}
 			depth := float64(ev.Outstanding)
-			e.judge(i, ev.Round, ev.Phase, depth, r.Threshold, depth > r.Threshold,
-				fmt.Sprintf("%d outstanding tokens over queue budget %.0f", ev.Outstanding, r.Threshold))
+			e.judge(i, ev.Round, ev.Phase, depth, r.Threshold, depth > r.Threshold, func() string {
+				return fmt.Sprintf("%d outstanding tokens over queue budget %.0f", ev.Outstanding, r.Threshold)
+			})
 		case KindBeacons:
 			if !boundary || e.phaseRounds == 0 {
 				continue
 			}
 			mean := float64(e.phaseBeacons) / float64(e.phaseRounds)
-			e.judge(i, ev.Round, ev.Phase, mean, r.Threshold, mean > r.Threshold,
-				fmt.Sprintf("%.1f maintenance beacons/round this phase over budget %.0f", mean, r.Threshold))
+			e.judge(i, ev.Round, ev.Phase, mean, r.Threshold, mean > r.Threshold, func() string {
+				return fmt.Sprintf("%.1f maintenance beacons/round this phase over budget %.0f", mean, r.Threshold)
+			})
 		}
 	}
 	if boundary {
@@ -429,9 +431,10 @@ func (e *Engine) ObserveMetrics(r int, met *sim.Metrics) {
 		}
 		want := int64(e.cfg.K) + met.TokensInjected - met.TokensCollected
 		got := int64(met.OutstandingTokens)
-		e.judge(i, r, e.phaseOf(r), float64(got), float64(want), got != want,
-			fmt.Sprintf("outstanding=%d but K+injected−collected = %d+%d−%d = %d",
-				got, e.cfg.K, met.TokensInjected, met.TokensCollected, want))
+		e.judge(i, r, e.phaseOf(r), float64(got), float64(want), got != want, func() string {
+			return fmt.Sprintf("outstanding=%d but K+injected−collected = %d+%d−%d = %d",
+				got, e.cfg.K, met.TokensInjected, met.TokensCollected, want)
+		})
 	}
 }
 
@@ -466,9 +469,10 @@ func (e *Engine) RoundTiming(r int, wall *[sim.NumStages]int64) {
 			}
 		}
 		if worstStage >= 0 {
-			e.judge(idx, r, e.phaseOf(r), worst, factor, worst > factor,
-				fmt.Sprintf("stage %q ran %.2f× its rolling baseline (budget %.2f×)",
-					sim.Stage(worstStage), worst, factor))
+			e.judge(idx, r, e.phaseOf(r), worst, factor, worst > factor, func() string {
+				return fmt.Sprintf("stage %q ran %.2f× its rolling baseline (budget %.2f×)",
+					sim.Stage(worstStage), worst, factor)
+			})
 		}
 	}
 	// Fold the round into the baseline after judging, so a spike is

@@ -78,6 +78,7 @@ type timingRow struct {
 type Recorder struct {
 	cfg    Config
 	col    *obs.Collector
+	colObs sim.Observer
 	hea    *health.Engine
 	chain  func(*obs.RoundEvent)
 	closed bool
@@ -85,7 +86,7 @@ type Recorder struct {
 	mu     sync.Mutex
 	ring   []obs.RoundEvent
 	timing []timingRow
-	timed  bool // a TimingSink tee was attached
+	timed  bool // a TimingSink tee's run has started
 	head   int  // next ring slot to overwrite
 	n      int  // filled slots
 	met    sim.Metrics
@@ -137,6 +138,7 @@ func New(cfg Config) *Recorder {
 	inner := cfg.Obs
 	inner.OnEvent = rec.record
 	rec.col = obs.NewCollector(inner)
+	rec.colObs = rec.col.Observer()
 	return rec
 }
 
@@ -147,29 +149,24 @@ func (rec *Recorder) Collector() *obs.Collector { return rec.col }
 // configured.
 func (rec *Recorder) Health() *health.Engine { return rec.hea }
 
-// Observer returns the sim.Observer feeding this recorder: the inner
-// collector's observer plus the recorder's barrier, latency and
-// divergence hooks.
-func (rec *Recorder) Observer() *sim.Observer {
-	extra := &sim.Observer{
-		Barrier: rec.barrier,
-		Diverged: func(r int, rep *sim.ConvergenceReport) {
-			rec.Trigger("divergence", r)
-		},
-		// The watchdog fires after the barrier, so the report would miss
-		// the last Metrics snapshot without this hook.
-		Stalled: func(r int, rep *sim.StallReport) {
-			rec.mu.Lock()
-			rec.met.Stall = rep
-			rec.mu.Unlock()
-		},
+// Observer returns the sim.Observer feeding this recorder. It snapshots
+// the round's Metrics, feeds the health engine's latency and conservation
+// rules, and hands the record to the inner collector, whose event lands in
+// the ring.
+func (rec *Recorder) Observer() sim.Observer { return rec.observe }
+
+func (rec *Recorder) observe(rd *sim.Round) {
+	if rd.Diverged != nil {
+		rec.Trigger("divergence", rd.R)
 	}
-	if rec.hea != nil {
-		extra.Collected = func(r, tok int, seq int64, born int) {
-			rec.hea.ObserveLatency(r - born)
-		}
+	for _, t := range rd.Collected {
+		rec.hea.ObserveLatency(rd.R - t.Born)
 	}
-	return obs.Combine(rec.col.Observer(), extra)
+	rec.mu.Lock()
+	rec.met = *rd.Metrics
+	rec.mu.Unlock()
+	rec.hea.ObserveMetrics(rd.R, rd.Metrics)
+	rec.colObs(rd)
 }
 
 // TimingSink returns a sim.TimingSink that records per-round stage wall
@@ -177,7 +174,6 @@ func (rec *Recorder) Observer() *sim.Observer {
 // engine's stage-regression rule, then forwards to inner (which may be
 // nil — the recorder alone is a valid sink).
 func (rec *Recorder) TimingSink(inner sim.TimingSink) sim.TimingSink {
-	rec.timed = true
 	return &timingTee{rec: rec, inner: inner}
 }
 
@@ -187,6 +183,9 @@ type timingTee struct {
 }
 
 func (t *timingTee) RunStart(nshards int) {
+	t.rec.mu.Lock()
+	t.rec.timed = true
+	t.rec.mu.Unlock()
 	if t.inner != nil {
 		t.inner.RunStart(nshards)
 	}
@@ -195,10 +194,10 @@ func (t *timingTee) RunStart(nshards int) {
 func (t *timingTee) RoundEnd(r int, wall *[sim.NumStages]int64, shard [][sim.NumStages]int64) {
 	rec := t.rec
 	rec.mu.Lock()
-	// Timing rows land in the same slot layout as events; RoundEnd(r)
-	// precedes the event finalize for r, so the slot is the one record()
-	// will fill next for this round.
-	row := &rec.timing[rec.slotFor(r)]
+	// Timing rows land in the same slot layout as events: the engine hands
+	// round r's record to the observer before RoundEnd(r), so the row goes
+	// to the slot record() just filled.
+	row := &rec.timing[(rec.head+len(rec.ring)-1)%len(rec.ring)]
 	row.round = r
 	row.wall = *wall
 	row.shard = row.shard[:0]
@@ -207,6 +206,9 @@ func (t *timingTee) RoundEnd(r int, wall *[sim.NumStages]int64, shard [][sim.Num
 	}
 	rec.mu.Unlock()
 	rec.hea.RoundTiming(r, wall)
+	// Round r's data is complete only now, so bundles triggered in it are
+	// written here rather than in record().
+	rec.flushPending()
 	if t.inner != nil {
 		t.inner.RoundEnd(r, wall, shard)
 	}
@@ -225,21 +227,6 @@ func (t *timingTee) Arena(r int, msgs, sets int, setBytes int64) {
 	}
 }
 
-// slotFor maps round r to its ring slot under the invariant that events
-// are recorded in round order: r lands at head + (r − nextRound) — but
-// since record() advances head once per round, the slot for the round
-// currently being accumulated is simply head. Callers hold rec.mu.
-func (rec *Recorder) slotFor(r int) int { return rec.head }
-
-// barrier snapshots the engine's Metrics each round and feeds the
-// conservation rule.
-func (rec *Recorder) barrier(r int, met *sim.Metrics) {
-	rec.mu.Lock()
-	rec.met = *met
-	rec.mu.Unlock()
-	rec.hea.ObserveMetrics(r, met)
-}
-
 // record is the inner collector's OnEvent hook: deep-copy the finalized
 // event into the ring, judge health, trigger/flush dumps, forward.
 func (rec *Recorder) record(ev *obs.RoundEvent) {
@@ -256,13 +243,16 @@ func (rec *Recorder) record(ev *obs.RoundEvent) {
 	}
 	rec.last = *ev
 	rec.have = true
+	timed := rec.timed
 	rec.mu.Unlock()
 
 	rec.hea.Observe(ev)
 	if ev.Stalled {
 		rec.Trigger("stall", ev.Round)
 	}
-	rec.flushPending()
+	if !timed {
+		rec.flushPending()
+	}
 	if rec.chain != nil {
 		rec.chain(ev)
 	}
@@ -271,7 +261,8 @@ func (rec *Recorder) record(ev *obs.RoundEvent) {
 // Trigger queues a postmortem dump for reason (e.g. "pace" from the
 // provenance checker's OnPace callback). Each distinct reason dumps at
 // most once per run; the bundle is written when the data for the
-// triggering round is complete (the next recorded event, or Close).
+// triggering round is complete (once its event, and with a timing tee its
+// timing row, is recorded, or at Close).
 // Safe from the engine goroutine; round is the round the anomaly was
 // observed at.
 func (rec *Recorder) Trigger(reason string, round int) {
@@ -336,10 +327,8 @@ func (rec *Recorder) Events() []obs.RoundEvent {
 	return out
 }
 
-// Close flushes the inner collector (finalising the last round, which
-// also lands it in the ring and fires any stall-triggered dump), writes
-// any still-pending bundles, and returns the first error among sink
-// writes and bundle writes.
+// Close flushes the inner collector, writes any still-pending bundles, and
+// returns the first error among sink writes and bundle writes.
 func (rec *Recorder) Close() error {
 	if rec.closed {
 		return rec.Err()

@@ -2,6 +2,7 @@ package recorder
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -56,7 +57,7 @@ func runStalled(t testing.TB, workers int, dir string) (*Recorder, *sim.Metrics)
 	}
 	plan := &sim.Faults{Seed: 5, CrashAt: crash}
 	rec := New(Config{
-		Obs:     obs.Config{N: n, K: k, PhaseLen: T, SizeFn: wire.Size},
+		Obs:     obs.Config{N: n, K: k, PhaseLen: T},
 		Depth:   64,
 		Rules:   mustRules(t, "stall>=8"),
 		Alpha:   2,
@@ -273,6 +274,56 @@ func TestRingWrapKeepsNewestRounds(t *testing.T) {
 	for i, e := range evs {
 		if want := met.Rounds - 16 + i; e.Round != want {
 			t.Fatalf("slot %d holds round %d, want %d", i, e.Round, want)
+		}
+	}
+}
+
+// TestBundleTimingRowsMatchEvents pins where the timing tee files its rows
+// and when bundles are written: the engine hands round r's record to the
+// observer before the timing sink's RoundEnd(r), so a bundle triggered in
+// round r, here by an observer ahead of the recorder's, waits for r's
+// timing row. Every bundle's timing rows must carry the rounds of its
+// events, before and after the ring wraps, serially and on 4 shards.
+func TestBundleTimingRowsMatchEvents(t *testing.T) {
+	const n, k, T, rounds, depth = 32, 6, 8, 48, 8
+	for _, workers := range []int{1, 4} {
+		dir := t.TempDir()
+		rec := New(Config{Obs: obs.Config{N: n, K: k, PhaseLen: T}, Depth: depth, DumpDir: dir, Prefix: "t"})
+		trigger := func(rd *sim.Round) {
+			switch rd.R {
+			case depth / 2, 3 * depth, rounds - 1:
+				rec.Trigger(fmt.Sprint("r", rd.R), rd.R)
+			}
+		}
+		sim.MustRunProtocol(testTrace(t, n, rounds, T), core.Alg1{T: T}, token.Spread(n, k, xrand.New(9)), sim.Options{
+			MaxRounds: rounds,
+			Observer:  obs.Combine(trigger, rec.Observer()),
+			Timing:    rec.TimingSink(nil),
+			Workers:   workers,
+		})
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Bundles(); len(got) != 3 {
+			t.Fatalf("workers=%d: %d bundles, want 3", workers, len(got))
+		}
+		for _, path := range rec.Bundles() {
+			b, err := ReadBundle(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b.Events) == 0 || b.Events[len(b.Events)-1].Round != b.Round {
+				t.Fatalf("workers=%d %s: events do not end at the trigger round %d", workers, path, b.Round)
+			}
+			if len(b.Timing) != len(b.Events) {
+				t.Fatalf("workers=%d %s: %d timing rows for %d events", workers, path, len(b.Timing), len(b.Events))
+			}
+			for i, row := range b.Timing {
+				if row.Round != b.Events[i].Round {
+					t.Fatalf("workers=%d %s: timing row %d is round %d, its event round %d",
+						workers, path, i, row.Round, b.Events[i].Round)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is the structured observability layer of the simulator: a
 // typed metrics registry, a per-round JSONL event stream, and a Collector
-// that turns the engine's sim.Observer callbacks into both.
+// that turns the engine's per-round sim.Round records into both.
 //
 // The paper's evaluation is an accounting argument — communication cost by
 // message kind and sender role, per-phase progress of Algorithm 1, and the

@@ -45,8 +45,8 @@ type Config struct {
 	Budget *Budget
 	// Registry, when non-nil, receives the sim_pace_violations_total
 	// counter. (First/redundant delivery counters are owned by the obs
-	// Collector, which sees the same per-round numbers through
-	// sim.Observer.Deliveries.)
+	// Collector, which reads the same per-round numbers from the round
+	// record's Metrics.)
 	Registry *obs.Registry
 	// OnPace, when non-nil, is invoked from the engine goroutine for every
 	// pace violation, in round order.

@@ -289,19 +289,23 @@ func (a *arrState) alloc() int {
 // liveCount is the number of outstanding tokens (initial batch included).
 func (a *arrState) liveCount() int { return a.live.Len() }
 
-// inject runs one round of the arrival process on the engine goroutine:
+// inject runs one round of the arrival process on the engine goroutine,
+// before the round's Send, so serial and parallel runs inject identically:
 // draw the round's Poisson count, pick a target per arrival from the live
-// candidates, hand the token to the node (before the round's Send), and
-// notify the tracer and observer in arrival-sequence order. Rounds outside
-// the window, past the MaxTokens budget, or with no live candidate inject
-// nothing (the draw is consumed either way, so later rounds are unaffected).
-// A node handed a token wakes if idle.
-func (a *arrState) inject(r int, crashed, idle []bool, hier *ctvg.Hierarchy, obs *Observer, atr ArrivalTracer, met *Metrics) {
+// candidates, hand the token to the node, and tell the tracer and the
+// round's record in arrival-sequence order. Rounds outside the window,
+// past the MaxTokens budget, or with no live candidate inject nothing (the
+// draw is consumed either way, so later rounds are unaffected). A node
+// handed a token wakes if idle. Like crashes and recoveries, arrivals are
+// externally scheduled events, timed under StageFaults.
+func (e *engine) inject() {
+	a, r := e.arr, e.r
+	e.rd.Arrived = e.rd.Arrived[:0]
 	count := a.count(r)
 	if count == 0 {
 		return
 	}
-	cand := a.targets(crashed, hier)
+	cand := a.targets(e.crashed, e.hier)
 	if len(cand) == 0 {
 		return
 	}
@@ -313,18 +317,18 @@ func (a *arrState) inject(r int, crashed, idle []bool, hier *ctvg.Hierarchy, obs
 		a.seq[s] = seq
 		a.live.Add(s)
 		a.injected++
-		met.TokensInjected++
-		idle[v] = false
+		e.met.TokensInjected++
+		e.idle[v] = false
 		a.injectors[v].Inject(r, s)
-		if atr != nil {
-			atr.Injected(r, v, s, seq)
+		if e.atr != nil {
+			e.atr.Injected(r, v, s, seq)
 		}
-		if obs != nil && obs.Arrived != nil {
-			obs.Arrived(r, v, s, seq)
+		if e.obs != nil {
+			e.rd.Arrived = append(e.rd.Arrived, ArrivedToken{Node: v, Slot: s, Seq: seq})
 		}
 	}
-	if l := a.live.Len(); l > met.PeakOutstanding {
-		met.PeakOutstanding = l
+	if l := a.live.Len(); l > e.met.PeakOutstanding {
+		e.met.PeakOutstanding = l
 	}
 }
 
@@ -364,8 +368,9 @@ func (e *engine) collectGarbage() {
 	}
 	a.gc.IntersectWith(a.live)
 	// Collect the fully disseminated tokens and rebase the accounting on
-	// the post-GC universe, so Progress and the totals stay mutually
-	// consistent.
+	// the post-GC universe, so the delivered count and the totals stay
+	// mutually consistent.
+	e.rd.Collected = e.rd.Collected[:0]
 	if gcLen := a.gc.Len(); gcLen > 0 {
 		if e.atr != nil {
 			e.atr.Collected(e.r, a.gc)
@@ -379,8 +384,8 @@ func (e *engine) collectGarbage() {
 			if !a.gc.Contains(tok) {
 				continue
 			}
-			if e.obs != nil && e.obs.Collected != nil {
-				e.obs.Collected(e.r, tok, a.seq[tok], a.born[tok])
+			if e.obs != nil {
+				e.rd.Collected = append(e.rd.Collected, CollectedToken{Slot: tok, Seq: a.seq[tok], Born: a.born[tok]})
 			}
 			a.live.Remove(tok)
 			a.free.Add(tok)

@@ -34,7 +34,7 @@ func staticDyn(g *graph.Graph, h *ctvg.Hierarchy) ctvg.Dynamic {
 	return ctvg.NewTrace([]*graph.Graph{g}, []*ctvg.Hierarchy{h})
 }
 
-// arrEvent is one observer callback rendered to a comparable string.
+// arrEvent is one arrived or collected token of a round record.
 type arrEvent struct {
 	r, v, tok int
 	seq       int64
@@ -48,14 +48,14 @@ type arrLog struct {
 	collected []arrEvent
 }
 
-func (l *arrLog) observer() *sim.Observer {
-	return &sim.Observer{
-		Arrived: func(r, v, tok int, seq int64) {
-			l.arrived = append(l.arrived, arrEvent{r: r, v: v, tok: tok, seq: seq})
-		},
-		Collected: func(r, tok int, seq int64, born int) {
-			l.collected = append(l.collected, arrEvent{r: r, tok: tok, seq: seq, born: born, collected: true})
-		},
+func (l *arrLog) observer() sim.Observer {
+	return func(rd *sim.Round) {
+		for _, a := range rd.Arrived {
+			l.arrived = append(l.arrived, arrEvent{r: rd.R, v: a.Node, tok: a.Slot, seq: a.Seq})
+		}
+		for _, c := range rd.Collected {
+			l.collected = append(l.collected, arrEvent{r: rd.R, tok: c.Slot, seq: c.Seq, born: c.Born, collected: true})
+		}
 	}
 }
 
@@ -405,15 +405,29 @@ func runArrival(t *testing.T, trace ctvg.Dynamic, proto sim.Protocol, assign *to
 	ev := func(format string, args ...any) {
 		events = append(events, fmt.Sprintf(format, args...))
 	}
-	obs := &sim.Observer{
-		RoundStart: func(r int, g *graph.Graph, h *ctvg.Hierarchy) { ev("start %d", r) },
-		Sent:       func(r int, m *sim.Message) { ev("sent %d %d %d %d %d", r, m.From, m.To, int(m.Kind), m.Tokens.Len()) },
-		Progress:   func(r, delivered int) { ev("progress %d %d", r, delivered) },
-		Crashed:    func(r, v int) { ev("crash %d %d", r, v) },
-		Recovered:  func(r, v int) { ev("recover %d %d", r, v) },
-		Arrived:    func(r, v, tok int, seq int64) { ev("arrive %d %d %d %d", r, v, tok, seq) },
-		Collected:  func(r, tok int, seq int64, born int) { ev("collect %d %d %d %d", r, tok, seq, born) },
-		Stalled:    func(r int, rep *sim.StallReport) { ev("stall %d %s", r, rep) },
+	obs := func(rd *sim.Round) {
+		r := rd.R
+		for _, v := range rd.Recovered {
+			ev("recover %d %d", r, v)
+		}
+		for _, v := range rd.Crashed {
+			ev("crash %d %d", r, v)
+		}
+		for _, a := range rd.Arrived {
+			ev("arrive %d %d %d %d", r, a.Node, a.Slot, a.Seq)
+		}
+		for _, m := range rd.Outbox {
+			if m != nil {
+				ev("sent %d %d %d %d %d", r, m.From, m.To, int(m.Kind), m.Tokens.Len())
+			}
+		}
+		for _, c := range rd.Collected {
+			ev("collect %d %d %d %d", r, c.Slot, c.Seq, c.Born)
+		}
+		ev("progress %d %d", r, rd.Delivered)
+		if rep := rd.Metrics.Stall; rep != nil {
+			ev("stall %d %s", r, rep)
+		}
 	}
 	met, err := sim.RunProtocol(trace, proto, assign, sim.Options{
 		MaxRounds:        rounds,

@@ -69,7 +69,7 @@ func TestAutoWorkersMatchesSerial(t *testing.T) {
 	run := func(workers int) (int, outputs) {
 		d := &countingTrace{DeltaTrace: rec}
 		var events, prov bytes.Buffer
-		col := obs.NewCollector(obs.Config{N: n, K: k, PhaseLen: 1, Sink: &events, SizeFn: wire.Size})
+		col := obs.NewCollector(obs.Config{N: n, K: k, PhaseLen: 1, Sink: &events})
 		spy := &shardSpy{Tracer: provenance.New(provenance.Config{Sink: &prov})}
 		met, err := sim.RunProtocol(d, core.Alg2{}, assign, sim.Options{
 			MaxRounds: 200, StopWhenComplete: true, SizeFn: wire.Size,

@@ -33,7 +33,7 @@ func runCollected(t *testing.T, d ctvg.Dynamic, assign *token.Assignment, T, rou
 	t.Helper()
 	var sink bytes.Buffer
 	col := obs.NewCollector(obs.Config{
-		N: d.N(), K: assign.K, PhaseLen: T, Sink: &sink, SizeFn: wire.Size,
+		N: d.N(), K: assign.K, PhaseLen: T, Sink: &sink,
 	})
 	opts := sim.Options{
 		MaxRounds: rounds,

@@ -31,7 +31,7 @@ func runStreams(t *testing.T, d ctvg.Dynamic, proto sim.Protocol, assign *token.
 	t.Helper()
 	var obsSink, provSink bytes.Buffer
 	col := obs.NewCollector(obs.Config{
-		N: d.N(), K: assign.K, PhaseLen: phaseLen, Sink: &obsSink, SizeFn: wire.Size,
+		N: d.N(), K: assign.K, PhaseLen: phaseLen, Sink: &obsSink,
 	})
 	tr := provenance.New(provenance.Config{Sink: &provSink})
 	opts := sim.Options{

@@ -157,8 +157,12 @@ func TestStallWatchdogAllNodesCrashed(t *testing.T) {
 	m := MustRunProtocol(d, floodProto{}, assign, Options{
 		MaxRounds:   500,
 		StallWindow: 6,
-		Observer:    &Observer{Stalled: func(r int, rep *StallReport) { stalledAt = r }},
-		Faults:      &Faults{CrashAt: map[int]int{0: 1, 1: 1, 2: 1, 3: 1}},
+		Observer: func(rd *Round) {
+			if rd.Metrics.Stall != nil {
+				stalledAt = rd.R
+			}
+		},
+		Faults: &Faults{CrashAt: map[int]int{0: 1, 1: 1, 2: 1, 3: 1}},
 	})
 	if m.Complete {
 		t.Fatalf("completed with every node crashed: %v", m)

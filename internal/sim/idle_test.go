@@ -75,24 +75,31 @@ type wakeLog struct {
 }
 
 // newWakeLog returns an empty log and the observer that fills it.
-func newWakeLog(n int) (*wakeLog, *Observer) {
+func newWakeLog(n int) (*wakeLog, Observer) {
 	l := &wakeLog{rejoin: map[[2]int]bool{}, arrived: map[[2]int]bool{}, gc: map[int]bool{}}
 	down := make([]bool, n)
-	return l, &Observer{
-		Recovered: func(r, v int) { l.rejoin[[2]int{r, v}] = true; down[v] = false },
-		Crashed:   func(r, v int) { down[v] = true },
-		// RoundStart follows the round's Recovered and Crashed events.
-		RoundStart: func(r int, g *graph.Graph, h *ctvg.Hierarchy) {
-			heads, up := make([]int, n), make([]bool, n)
-			for v := range heads {
-				heads[v], up[v] = h.HeadOf(v), !down[v]
-			}
-			l.roles = append(l.roles, slices.Clone(h.Role))
-			l.heads = append(l.heads, heads)
-			l.up = append(l.up, up)
-		},
-		Arrived:   func(r, v, tok int, seq int64) { l.arrived[[2]int{r, v}] = true },
-		Collected: func(r, tok int, seq int64, born int) { l.gc[r] = true },
+	return l, func(rd *Round) {
+		for _, v := range rd.Recovered {
+			l.rejoin[[2]int{rd.R, v}] = true
+			down[v] = false
+		}
+		for _, v := range rd.Crashed {
+			down[v] = true
+		}
+		h := rd.Hier
+		heads, up := make([]int, n), make([]bool, n)
+		for v := range heads {
+			heads[v], up[v] = h.HeadOf(v), !down[v]
+		}
+		l.roles = append(l.roles, slices.Clone(h.Role))
+		l.heads = append(l.heads, heads)
+		l.up = append(l.up, up)
+		for _, a := range rd.Arrived {
+			l.arrived[[2]int{rd.R, a.Node}] = true
+		}
+		if len(rd.Collected) > 0 {
+			l.gc[rd.R] = true
+		}
 	}
 }
 
@@ -133,7 +140,7 @@ func wakeRun(t *testing.T, d ctvg.Dynamic, mk func(v int) Node, opts Options) (*
 		for v := range nodes {
 			nodes[v] = mk(v)
 		}
-		var obs *Observer
+		var obs Observer
 		logs[i], obs = newWakeLog(d.N())
 		o := opts
 		o.Observer, o.Workers = obs, workers

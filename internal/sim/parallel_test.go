@@ -53,23 +53,29 @@ type recordedEvent struct {
 	round, from, to int
 	kind            MsgKind
 	cost            int
-	delivered       int // -1 for Sent events
+	delivered       int // -1 for transmissions
+}
+
+// recordEvents returns an observer that flattens each round's record into
+// events: one per transmission, in sender order, then the delivered count.
+func recordEvents(events *[]recordedEvent) Observer {
+	return func(rd *Round) {
+		for _, m := range rd.Outbox {
+			if m != nil {
+				*events = append(*events, recordedEvent{round: rd.R, from: m.From, to: m.To, kind: m.Kind, cost: m.Cost(), delivered: -1})
+			}
+		}
+		*events = append(*events, recordedEvent{round: rd.R, from: -1, delivered: rd.Delivered})
+	}
 }
 
 // recordRun executes a run with a recording observer and returns the
-// flattened event stream (Sent and Progress interleaved in arrival order).
+// flattened event stream.
 func recordRun(workers int) ([]recordedEvent, *Metrics) {
 	d := staticPath(40)
 	assign := token.SingleSource(40, 6, 0)
 	var events []recordedEvent
-	obs := &Observer{
-		Sent: func(r int, m *Message) {
-			events = append(events, recordedEvent{round: r, from: m.From, to: m.To, kind: m.Kind, cost: m.Cost(), delivered: -1})
-		},
-		Progress: func(r, delivered int) {
-			events = append(events, recordedEvent{round: r, from: -1, delivered: delivered})
-		},
-	}
+	obs := recordEvents(&events)
 	met := MustRunProtocol(d, floodProto{}, assign, Options{MaxRounds: 39, Observer: obs, Workers: workers})
 	return events, met
 }
@@ -141,14 +147,7 @@ func recordStarRun(workers int) ([]recordedEvent, *Metrics) {
 	d := NewFlat(tvg.Static{G: graph.Star(41, 0)})
 	assign := token.SingleSource(41, 6, 3) // source on a leaf: traffic crosses the hub
 	var events []recordedEvent
-	obs := &Observer{
-		Sent: func(r int, m *Message) {
-			events = append(events, recordedEvent{round: r, from: m.From, to: m.To, kind: m.Kind, cost: m.Cost(), delivered: -1})
-		},
-		Progress: func(r, delivered int) {
-			events = append(events, recordedEvent{round: r, from: -1, delivered: delivered})
-		},
-	}
+	obs := recordEvents(&events)
 	met := MustRunProtocol(d, floodProto{}, assign, Options{MaxRounds: 6, Observer: obs, Workers: workers})
 	return events, met
 }
@@ -214,14 +213,7 @@ func recordFaultyRun(workers int) ([]recordedEvent, *Metrics) {
 	d := staticPath(40)
 	assign := token.SingleSource(40, 6, 0)
 	var events []recordedEvent
-	obs := &Observer{
-		Sent: func(r int, m *Message) {
-			events = append(events, recordedEvent{round: r, from: m.From, to: m.To, kind: m.Kind, cost: m.Cost(), delivered: -1})
-		},
-		Progress: func(r, delivered int) {
-			events = append(events, recordedEvent{round: r, from: -1, delivered: delivered})
-		},
-	}
+	obs := recordEvents(&events)
 	met := MustRunProtocol(d, floodProto{}, assign, Options{
 		MaxRounds: 80, Observer: obs, Workers: workers,
 		Faults: &Faults{

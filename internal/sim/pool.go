@@ -129,9 +129,9 @@ func (p *msgPool) stats() (msgs, sets int, setBytes int64) {
 }
 
 // shardState bundles everything one worker shard owns across rounds: its
-// accounting accumulator, its message/set arena, its reusable inbox
-// scratch, its link-fault counters and its View.Note buffer. The serial
-// engine uses a single shard.
+// accounting accumulator (transmissions, repair notes, link faults), its
+// message/set arena and its reusable inbox scratch. The serial engine uses
+// a single shard.
 type shardState struct {
 	acc   shardAcc
 	pool  msgPool
@@ -139,14 +139,6 @@ type shardState struct {
 	// idle is the run's idle marks (engine.idle), indexed by node ID;
 	// View.Idle sets the mark of a node the shard owns.
 	idle []bool
-	// drops / dups count this round's injected link faults for the
-	// receivers the shard owns; the engine folds and zeroes them at the
-	// round barrier.
-	drops int
-	dups  int
-	// notes buffers the shard's View.Note emissions for the round; the
-	// engine merges, replays and truncates it at the round barrier.
-	notes []note
 	// Progress-stage scratch (see engine.progress): delivered sums the
 	// shard's token counts, counted its counted nodes (up, or down but
 	// rejoining), and incomplete marks a counted node short of k tokens.

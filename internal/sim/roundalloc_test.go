@@ -9,6 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctvg"
 	"repro/internal/obs"
+	"repro/internal/obs/health"
+	"repro/internal/obs/recorder"
 	"repro/internal/provenance"
 	"repro/internal/sim"
 	"repro/internal/token"
@@ -49,6 +51,11 @@ func TestRoundLoopAllocFree(t *testing.T) {
 		t.Fatalf("the replayed recording has %d windows over %d rounds", w, rounds)
 	}
 
+	healthy, err := health.ParseRules("queue<=1000,p99<=1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// Each setup builds its sinks afresh, so every run starts from the same
 	// state.
 	cases := []struct {
@@ -69,6 +76,19 @@ func TestRoundLoopAllocFree(t *testing.T) {
 		}},
 		{"arrivals", func() sim.Options {
 			return sim.Options{Faults: crashes(), Arrivals: &sim.Arrivals{Rate: 0.5, Seed: 3, Stop: 200}}
+		}},
+		// The flight recorder with a timing tee judges its health rules at
+		// every phase boundary; they stay healthy here, and the ring is
+		// shallow enough to fill inside the shorter run.
+		{"recorder", func() sim.Options {
+			rec := recorder.New(recorder.Config{
+				Obs:   obs.Config{N: n, K: k, PhaseLen: T, Sink: io.Discard, Arrivals: true},
+				Depth: 64, Rules: healthy,
+			})
+			return sim.Options{
+				Faults: crashes(), Arrivals: &sim.Arrivals{Rate: 0.5, Seed: 3, Stop: 200},
+				Observer: rec.Observer(), Timing: rec.TimingSink(nil),
+			}
 		}},
 		{"lossy-selfstab", func() sim.Options {
 			return sim.Options{

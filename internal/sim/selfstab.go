@@ -21,9 +21,9 @@ type SelfStabilize struct {
 	OrphanAfter int
 	// Watchdog arms the convergence watchdog: when the emergent hierarchy
 	// has not been valid (every live node covered, heads bridged through
-	// live relays) for Watchdog consecutive rounds, the engine emits a
-	// structured ConvergenceReport through Observer.Diverged and counts it
-	// in Metrics.ConvergenceReports. Unlike the stall watchdog the run
+	// live relays) for Watchdog consecutive rounds, the engine sets a
+	// structured ConvergenceReport in that round's Round.Diverged and
+	// counts it in Metrics.ConvergenceReports. Unlike the stall watchdog the run
 	// continues — divergence is the protocol's repair window, not a
 	// failure. 0 disables the reports (validity is still tracked, so
 	// rounds-to-reconverge telemetry works either way).
@@ -31,8 +31,8 @@ type SelfStabilize struct {
 }
 
 // MaintenanceStats summarises one round of the self-stabilizing clustering
-// protocol; it is handed to Observer.Maintenance and, for tracers that
-// implement MaintenanceTracer, to the provenance ledger.
+// protocol; it is the Observer's Round.Maintenance and, for tracers that
+// implement MaintenanceTracer, is handed to the provenance ledger.
 type MaintenanceStats struct {
 	// Elections / Adoptions / HeadMerges count this round's repair events
 	// (nodes electing themselves head, orphaned or unaffiliated nodes

@@ -21,7 +21,6 @@
 package sim
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -152,11 +151,12 @@ type View struct {
 	// aliases engine storage and must not be modified or retained.
 	Neighbors []int
 
-	// id is the observing node's ID; Note and Idle report it.
+	// id is the observing node's ID; Idle marks it.
 	id int
-	// sh is the owning shard: its message arena, its note buffer and the
-	// run's idle marks. nil outside an engine run: hand-built Views fall
-	// back to plain allocation, and Note and Idle do nothing.
+	// sh is the owning shard: its message arena, its accounting (which
+	// counts notes) and the run's idle marks. nil outside an engine run:
+	// hand-built Views fall back to plain allocation, and Note and Idle do
+	// nothing.
 	sh *shardState
 }
 
@@ -183,15 +183,14 @@ func (v *View) NewSet() *bitset.Set {
 }
 
 // Note reports a repair action taken by the node this round (from Send or
-// Deliver). Notes are buffered per shard and replayed to Observer.Noted at
-// the round barrier in deterministic order, so the observed stream is
+// Deliver). Each shard counts its notes by kind, and the round barrier adds
+// the counts to Metrics.Handovers and FloodFallbacks, so the totals are
 // identical under any Workers setting. Outside an engine run Note is a
 // no-op.
 func (v *View) Note(kind NoteKind) {
-	if v.sh == nil {
-		return
+	if v.sh != nil && kind < NumNoteKinds {
+		v.sh.acc.notes[kind]++
 	}
-	v.sh.notes = append(v.sh.notes, note{node: v.id, kind: kind})
 }
 
 // Idle is a promise from a Send that returns nil: until the node's Role or
@@ -214,15 +213,6 @@ func (v *View) Idle() {
 		v.sh.idle[v.id] = true
 	}
 }
-
-// note is one buffered View.Note emission.
-type note struct {
-	node int
-	kind NoteKind
-}
-
-// byNode orders notes by node ID.
-func byNode(a, b note) int { return cmp.Compare(a.node, b.node) }
 
 // Node is a per-node protocol state machine. On a sharded run (see
 // Options.Workers, which by default shards runs of 8192 nodes or more on
@@ -378,91 +368,78 @@ func (s *StallReport) String() string {
 		s.Round, s.Window, s.Delivered, s.Total, s.Live, s.Down, s.PendingRecovery)
 }
 
-// Observer receives per-round events; used by trace tooling, the Fig. 3
-// scenario renderer and the internal/obs metrics layer. Any field may be
-// nil.
+// Round is the record of one executed round that the engine hands its
+// Observer: the graph and hierarchy the round ran on, what the fault plan
+// and the arrival process did, every node's transmission, and the run's
+// Metrics so far. The engine merges shard-local state in shard order, which
+// is ascending node order, before it hands the record over, so serial and
+// sharded runs on the same inputs produce identical records.
 //
-// Event ordering is deterministic regardless of Options.Workers: within a
-// round, Recovered fires first (ascending node ID), then Crashed
-// (ascending node ID), then RoundStart, then — in self-stabilizing runs
-// only — Maintenance and (on the round the convergence watchdog fires)
-// Diverged, then Arrived (only in arrival-mode
-// runs, ascending arrival sequence), then one Sent per transmission in
-// ascending sender ID, then Noted in ascending node ID (per-node emission
-// order preserved), then Deliveries (only when Options.Tracer is set),
-// then LinkFaults, then Collected (arrival mode, ascending token slot),
-// then Progress, then Barrier (once per executed round, with the run's
-// Metrics so far), then — at most once per run, as its
-// final event — Stalled. Across rounds everything is ascending in r, so
-// the full Sent stream is sorted by (round, sender). Parallel runs buffer
-// per-shard and merge at the round barrier, so the observed stream is
-// bit-identical to a serial run on the same inputs. Callbacks themselves
-// are always invoked from the engine goroutine — observers need no
-// locking.
-type Observer struct {
-	// RoundStart is called before messages are collected. g and h alias
-	// the dynamic network's storage and are read-only. Rounds arrive in
-	// ascending order, and every dynamic network, adversary or recording,
-	// keeps them valid only as long as the lifetime rule of ctvg.Dynamic
-	// says: until two further windows have been materialised. An observer
-	// that keeps either longer deep-copies it (graph.Graph.DeepClone,
-	// ctvg.Hierarchy.Clone).
-	RoundStart func(r int, g *graph.Graph, h *ctvg.Hierarchy)
-	// Sent is called for every non-nil message of round r.
-	Sent func(r int, msg *Message)
-	// Progress, if set, is called after each round's deliveries with the
-	// total number of (node, token) pairs delivered so far. The maximum is
-	// n·k.
-	Progress func(r int, delivered int)
-	// Crashed, if set, is called once per crash when fault injection fells
-	// node v at the top of round r, in ascending node order within a
-	// round. A node may crash again after recovering.
-	Crashed func(r int, v int)
-	// Recovered, if set, is called once when node v rejoins at the top of
-	// round r, in ascending node order within a round.
-	Recovered func(r int, v int)
-	// Noted, if set, receives the protocol repair actions reported through
-	// View.Note this round.
-	Noted func(r int, v int, kind NoteKind)
-	// Deliveries, if set, receives the tracer's per-round delivery
-	// accounting (first deliveries and redundant cost-bearing messages).
-	// It fires only when Options.Tracer is set, after Noted and before
-	// LinkFaults.
-	Deliveries func(r int, first, redundant int)
-	// LinkFaults, if set, is called after round r's deliveries whenever
-	// fault injection dropped or duplicated at least one delivery, with
-	// the round's counts.
-	LinkFaults func(r int, drops, dups int)
-	// Arrived, if set, is called for every token injected by the arrival
-	// process (Options.Arrivals): round, target node, token slot, and the
-	// token's global arrival sequence number (sequence numbers distinguish
-	// generations when a collected token's slot is reused).
-	Arrived func(r, v, tok int, seq int64)
-	// Collected, if set, is called once per token garbage-collected at
-	// round r's barrier, ascending in token slot, with the token's
-	// sequence number and injection round (delivery latency is r - born).
-	Collected func(r, tok int, seq int64, born int)
-	// Stalled, if set, is called when the stall watchdog terminates the
-	// run (see Options.StallWindow).
-	Stalled func(r int, rep *StallReport)
-	// Maintenance, if set, receives each round's self-stabilizing
-	// clustering summary (repair events, beacon budget, validity). It
-	// fires only when Options.SelfStabilize is set, right after
-	// RoundStart.
-	Maintenance func(r int, ms MaintenanceStats)
-	// Diverged, if set, is called when the convergence watchdog fires:
-	// the emergent hierarchy has not been valid for the configured
-	// window. Unlike Stalled the run continues.
-	Diverged func(r int, rep *ConvergenceReport)
-	// Barrier, if set, is called once per executed round at the round
-	// barrier, after Progress and before the completion/stall checks, with
-	// the run's Metrics accumulated so far (met.Rounds already counts round
-	// r). met aliases engine storage: read-only, valid only during the
-	// call — snapshot (struct copy) anything retained past it. This is the
-	// flight recorder's feed for mid-run Metrics snapshots; the disabled
-	// (nil) path costs one nil check per round and allocates nothing.
-	Barrier func(r int, met *Metrics)
+// A Round is engine storage, rebuilt in place every round. The record and
+// everything it reaches are read-only and valid only during the Observer
+// call: an observer that keeps anything past it copies it. Graph and Hier
+// stay valid as long as the lifetime rule of ctvg.Dynamic says, until two
+// further windows have been materialised; to keep either longer, deep-copy
+// it (graph.Graph.DeepClone, ctvg.Hierarchy.Clone).
+type Round struct {
+	// R is the 0-based round number.
+	R int
+	// Graph and Hier are the round's communication graph and hierarchy:
+	// the adversary's, or with Options.SelfStabilize the emergent one.
+	Graph *graph.Graph
+	Hier  *ctvg.Hierarchy
+	// Recovered lists the nodes that rejoined at the top of the round and
+	// Crashed the nodes fault injection felled there, each ascending. A
+	// node may rejoin and crash again in one round.
+	Recovered, Crashed []int
+	// Outbox holds each node's transmission of the round, indexed by
+	// sender, or nil for a node that sent nothing.
+	Outbox []*Message
+	// Arrived lists the tokens the arrival process injected this round, in
+	// arrival order, and Collected the tokens garbage-collected at the
+	// round barrier, ascending by slot. Both are empty without
+	// Options.Arrivals.
+	Arrived   []ArrivedToken
+	Collected []CollectedToken
+	// Delivered is the number of (node, token) pairs held after the round's
+	// deliveries and, in arrival mode, its garbage collection. The maximum
+	// is n·k.
+	Delivered int
+	// Maintenance is the round's self-stabilizing clustering summary, nil
+	// without Options.SelfStabilize. Diverged is set on the round the
+	// convergence watchdog fires.
+	Maintenance *MaintenanceStats
+	Diverged    *ConvergenceReport
+	// Metrics is the run so far: Rounds counts this round, and Stall is set
+	// on the round the stall watchdog ends the run. A completion is marked
+	// after the record, so the round that completes the run still reads
+	// Complete false.
+	Metrics *Metrics
 }
+
+// ArrivedToken is one token injected by the arrival process: the node it
+// arrived at, its slot, and its global arrival sequence number (sequence
+// numbers tell generations apart when a collected token's slot is reused).
+type ArrivedToken struct {
+	Node, Slot int
+	Seq        int64
+}
+
+// CollectedToken is one token garbage-collected at a round barrier: its
+// slot, sequence number and injection round (its delivery latency is the
+// round minus Born).
+type CollectedToken struct {
+	Slot int
+	Seq  int64
+	Born int
+}
+
+// Observer receives each executed round's record once, after the round's
+// deliveries, garbage collection and stall check and before its messages
+// return to the arenas. It is called from the engine goroutine in ascending
+// round order, whatever Options.Workers is, so an observer needs no
+// locking. obs.Combine hands one record to several observers.
+type Observer func(rd *Round)
 
 // Tracer observes individual token deliveries at per-message granularity —
 // the raw material for provenance DAGs (see internal/provenance). It is
@@ -472,21 +449,21 @@ type Observer struct {
 // Contract: RunStart is called once from the engine goroutine before round
 // 0, after the shard partition is fixed; the tracer may read every node's
 // initial token set there. RoundStart is called from the engine goroutine
-// each round (after Observer.RoundStart); hier aliases engine storage and
-// is read-only, valid for the duration of the round. Delivered is called
-// after nodes[v].Deliver for every live node that heard at least one
-// message; on a sharded run (Workers > 1, or Workers 0 at 8192 nodes or
-// more on two or more CPUs, see Options.Workers) the calls for distinct
-// shards run concurrently, but the shard→node partition is fixed for the
+// each round, once its hierarchy and crashes are fixed; hier aliases
+// engine storage and is read-only, valid for the duration of the round.
+// Delivered is called after nodes[v].Deliver for every live node that
+// heard at least one message; on a sharded run (Workers > 1, or Workers 0
+// at 8192 nodes or more on two or more CPUs, see Options.Workers) the
+// calls for distinct shards run concurrently, but the shard→node partition is fixed for the
 // whole run, so per-node and per-shard tracer state needs no locking;
 // Workers: 1 keeps every call on the engine goroutine. inbox aliases shard
 // scratch and tokens aliases node state: both are read-only and must not
 // be retained past the call. RoundEnd is called from the engine goroutine
-// at the round barrier (after note replay, before the link-fault fold and
-// arena recycling); it merges the shard buffers in shard order —
-// ascending node order — so tracer output is bit-identical to a serial
-// run, and returns the round's first-delivery and redundant-delivery
-// counts, which the engine folds into Metrics and Observer.Deliveries.
+// at the round barrier (after delivery, before arena recycling); it merges
+// the shard buffers in shard order — ascending node order — so tracer
+// output is bit-identical to a serial run, and returns the round's
+// first-delivery and redundant-delivery counts, which the engine folds into
+// Metrics.
 type Tracer interface {
 	RunStart(n, k, shards int, nodes []Node)
 	RoundStart(r int, hier *ctvg.Hierarchy)
@@ -523,8 +500,9 @@ type Options struct {
 	// StopWhenComplete ends the run as soon as every node holds all k
 	// tokens (checked at the end of each round).
 	StopWhenComplete bool
-	// Observer, if non-nil, receives per-round events.
-	Observer *Observer
+	// Observer, if non-nil, receives each executed round's record (see
+	// Round). The disabled (nil) path costs one nil check per round.
+	Observer Observer
 	// Tracer, if non-nil, receives per-delivery events for provenance
 	// recording (see internal/provenance). The disabled (nil) path costs
 	// one pointer comparison per hook site and allocates nothing.
@@ -550,10 +528,8 @@ type Options struct {
 	// count above 1 is taken as given, clamped to the node count so tiny
 	// networks never spawn idle shards. Node state is per-node and
 	// messages are treated as read-only after Send, so results are
-	// bit-identical to the serial engine whatever the shard count.
-	// Observers are supported: each shard accumulates locally and the
-	// engine merges at the round barrier, replaying events in deterministic
-	// (round, sender) order (see Observer).
+	// bit-identical to the serial engine whatever the shard count, and so
+	// is every Round an Observer receives.
 	Workers int
 	// StallWindow, when positive, arms the stall watchdog: if the total
 	// number of delivered (node, token) pairs does not increase for
@@ -563,11 +539,11 @@ type Options struct {
 	StallWindow int
 	// Timing, if non-nil, turns on engine self-profiling: every round
 	// stage (crash bookkeeping, snapshot/thaw, hierarchy refresh, collect
-	// fan-out, observer emit, delivery fan-out, barrier merges, tracer
-	// emit, progress scan, arena recycle — see Stage) is measured on the
+	// fan-out, delivery fan-out, barrier merges, tracer emit, progress
+	// scan, observer call, arena recycle — see Stage) is measured on the
 	// monotonic clock, wall time on the engine goroutine plus per-shard
 	// time inside the fan-outs, and handed to the sink once per round at
-	// the barrier, merged in shard order exactly like observer events.
+	// the barrier, merged in shard order.
 	// The per-round record therefore has the same stage structure and
 	// count under any Workers setting; only the measured durations differ.
 	// The disabled (nil) path costs one nil check per stage edge and
@@ -589,9 +565,9 @@ type Options struct {
 	// comparison per round and allocates nothing.
 	Arrivals *Arrivals
 	// Stop, if set, is polled once per round at the round barrier (after
-	// Barrier/Stalled events): when it returns true the run ends cleanly
-	// at that round, with Metrics and every observer/tracer/timing stream
-	// consistent up to and including it. This is the cooperative
+	// the Observer call and the timing flush): when it returns true the run
+	// ends cleanly at that round, with Metrics and every observer/tracer/
+	// timing stream consistent up to and including it. This is the cooperative
 	// cancellation hook the CLIs use for SIGINT/SIGTERM handling — the
 	// signal goroutine only flips an atomic flag, and all sink flushing
 	// stays on the engine goroutine, race-free. The disabled (nil) path
@@ -642,7 +618,7 @@ type engine struct {
 	nodes  []Node
 	n, k   int
 	opts   Options
-	obs    *Observer
+	obs    Observer
 	tracer Tracer
 	atr    ArrivalTracer
 	mtr    MaintenanceTracer
@@ -657,8 +633,6 @@ type engine struct {
 	recoverAt          []int
 	recovering         []int // nodes in a downtime window, unordered
 	crashSchedule      []crashEntry
-	events             []int  // sorted crash/recovery IDs of the round
-	notes              []note // merged View.Note buffer of the round
 
 	// outbox holds each node's transmission of the round, nil for none;
 	// sent[v] is outbox[v] != nil, one byte a node, so delivery's
@@ -673,6 +647,11 @@ type engine struct {
 	views  []View
 	shards []shardState
 	bounds []int // shard s owns nodes [bounds[s], bounds[s+1])
+
+	// rd is the Observer's record, rebuilt in place every round. Its
+	// Recovered and Crashed lists are the round's crash bookkeeping with or
+	// without an observer; its other sections are filled only for one.
+	rd Round
 
 	// Optional subsystems, each behind one pointer so a run without it
 	// pays a nil comparison per round and allocates nothing for it.
@@ -735,8 +714,9 @@ func newEngine(d ctvg.Dynamic, nodes []Node, k int, opts Options) (*engine, erro
 		views:         make([]View, n),
 		cachedUntil:   -1,
 		lastDelivered: -1,
-		needDelivered: opts.StallWindow > 0 || (opts.Observer != nil && opts.Observer.Progress != nil),
+		needDelivered: opts.StallWindow > 0 || opts.Observer != nil,
 	}
+	e.rd.Outbox, e.rd.Metrics = e.outbox, e.met
 	flags := make([]bool, 2*n)
 	e.sent, e.idle = flags[:n:n], flags[n:]
 
@@ -763,12 +743,12 @@ func newEngine(d ctvg.Dynamic, nodes []Node, k int, opts Options) (*engine, erro
 	}
 
 	// Parallel runs shard the round: each worker owns a contiguous node
-	// block and private state (accumulator, message arena, inbox scratch,
-	// note buffer), and the engine merges the shards in shard order at the
-	// round barrier. Shard order equals ascending node order, so merged
-	// metrics — and the observer event stream replayed from outbox — are
-	// bit-identical to a serial run's. The partition is fixed for the whole
-	// run, so each view is wired to its owning shard exactly once.
+	// block and private state (accumulator, message arena, inbox scratch),
+	// and the engine merges the shards in shard order at the round barrier.
+	// Shard order equals ascending node order, so merged metrics — and the
+	// observer's round records — are bit-identical to a serial run's. The
+	// partition is fixed for the whole run, so each view is wired to its
+	// owning shard exactly once.
 	//
 	// Shards are cut at equal cumulative round-0 degree rather than equal
 	// node count: per-node round work is dominated by neighbour scans, so
@@ -813,6 +793,7 @@ func newEngine(d ctvg.Dynamic, nodes []Node, k int, opts Options) (*engine, erro
 	// rows, which the beacon exchange and delivery share.
 	if opts.SelfStabilize != nil {
 		e.stb = newStabState(opts.SelfStabilize, n, nshards)
+		e.rd.Maintenance = &e.stb.ms
 		e.beacons = e.beaconShard
 		if e.lossy {
 			e.rows = &lossRows{inj: inj, off: make([]int, n+1)}
@@ -856,19 +837,16 @@ func (e *engine) round(r int) bool {
 	if e.stb != nil {
 		e.stage(StageHierarchy, (*engine).validate)
 	}
-	e.stage(StageObserve, (*engine).observeStart)
 	e.stage(StageTracer, (*engine).traceStart)
 	if e.arr != nil {
 		e.stage(StageFaults, (*engine).inject)
 	}
 	e.stage(StageCollect, (*engine).collectAll)
-	e.stage(StageMerge, (*engine).mergeAccounts)
-	e.stage(StageObserve, (*engine).observeSent)
 	e.stage(StageDeliver, (*engine).deliverAll)
-	e.stage(StageMerge, (*engine).mergeNotes)
+	e.stage(StageMerge, (*engine).merge)
 	e.stage(StageTracer, (*engine).traceEnd)
-	e.stage(StageMerge, (*engine).mergeLinkFaults)
 	e.stage(StageProgress, (*engine).progress)
+	e.stage(StageObserve, (*engine).observe)
 	e.stage(StageRecycle, (*engine).recycle)
 	e.tst.flush(e.opts.Timing, r, e.shards)
 	return e.finish()
@@ -892,34 +870,32 @@ func (e *engine) each(body func(s, lo, hi int)) { parallel.ForEachBounds(e.bound
 // round and wakes if idle: volatile protocol state resets through the
 // Recoverer hook, and the token set (stable storage) is retained.
 func (e *engine) crash() {
+	rd := &e.rd
+	rd.Recovered = rd.Recovered[:0]
 	if len(e.recovering) > 0 {
-		e.events = e.events[:0]
 		keep := e.recovering[:0]
 		for _, v := range e.recovering {
 			if e.recoverAt[v] <= e.r {
 				e.crashed[v] = false
 				e.recoverAt[v] = faults.NoRecovery
-				e.events = append(e.events, v)
+				rd.Recovered = append(rd.Recovered, v)
 			} else {
 				keep = append(keep, v)
 			}
 		}
 		e.recovering = keep
-		slices.Sort(e.events)
-		for _, v := range e.events {
+		slices.Sort(rd.Recovered)
+		for _, v := range rd.Recovered {
 			e.met.Recoveries++
 			e.idle[v] = false
 			if rec, ok := e.nodes[v].(Recoverer); ok {
 				rec.OnRecover(e.r)
 			}
-			if e.obs != nil && e.obs.Recovered != nil {
-				e.obs.Recovered(e.r, v)
-			}
 		}
 	}
 	// Static crashes, then — once the round's hierarchy is known —
-	// head-targeted ones (crashHeads). Both feed one sorted Crashed batch.
-	e.events = e.events[:0]
+	// head-targeted ones (crashHeads). Both feed one sorted Crashed list.
+	rd.Crashed = rd.Crashed[:0]
 	for i := range e.crashSchedule {
 		ce := &e.crashSchedule[i]
 		if !ce.done && e.r >= ce.at {
@@ -932,14 +908,14 @@ func (e *engine) crash() {
 }
 
 // fell crashes node v, scheduling its rejoin at recAt unless that is
-// faults.NoRecovery, and queues its Crashed event.
+// faults.NoRecovery, and lists it in the round's Crashed.
 func (e *engine) fell(v, recAt int) {
 	e.crashed[v] = true
 	if recAt != faults.NoRecovery {
 		e.recoverAt[v] = recAt
 		e.recovering = append(e.recovering, v)
 	}
-	e.events = append(e.events, v)
+	e.rd.Crashed = append(e.rd.Crashed, v)
 }
 
 // snapshot materialises the round's communication graph. A sharded run
@@ -979,8 +955,8 @@ func (e *engine) hierarchy() {
 	}
 }
 
-// crashHeads fells the round's head-targeted crashes and emits the round's
-// Crashed events in ascending node order.
+// crashHeads fells the round's head-targeted crashes and sorts the round's
+// Crashed list.
 func (e *engine) crashHeads() {
 	if kill, recAt := e.inj.HeadCrash(e.r); kill {
 		for v := 0; v < e.n; v++ {
@@ -989,38 +965,13 @@ func (e *engine) crashHeads() {
 			}
 		}
 	}
-	if e.obs != nil && e.obs.Crashed != nil {
-		slices.Sort(e.events)
-		for _, v := range e.events {
-			e.obs.Crashed(e.r, v)
-		}
-	}
+	slices.Sort(e.rd.Crashed)
 }
 
 // validate judges the emergent hierarchy against the post-crash
 // population, so a head felled this very round already invalidates its
 // members, and advances the convergence watchdog.
 func (e *engine) validate() { e.stb.observe(e.r, e.met, e.crashed) }
-
-// observeStart emits RoundStart and, in self-stabilizing runs, the
-// maintenance summary and any convergence report.
-func (e *engine) observeStart() {
-	obs := e.obs
-	if obs == nil {
-		return
-	}
-	if obs.RoundStart != nil {
-		obs.RoundStart(e.r, e.g, e.hier)
-	}
-	if e.stb != nil {
-		if obs.Maintenance != nil {
-			obs.Maintenance(e.r, e.stb.ms)
-		}
-		if e.stb.rep != nil && obs.Diverged != nil {
-			obs.Diverged(e.r, e.stb.rep)
-		}
-	}
-}
 
 // traceStart opens the tracer's round.
 func (e *engine) traceStart() {
@@ -1031,12 +982,6 @@ func (e *engine) traceStart() {
 		}
 	}
 }
-
-// inject hands the round's arrivals to their target nodes before the
-// round's Send, on the engine goroutine, so serial and parallel runs
-// inject identically. Like crashes and recoveries, arrivals are externally
-// scheduled events, timed under StageFaults.
-func (e *engine) inject() { e.arr.inject(e.r, e.crashed, e.idle, e.hier, e.obs, e.atr, e.met) }
 
 // collectAll runs the collect stage on every shard.
 func (e *engine) collectAll() { e.each(e.collect) }
@@ -1075,27 +1020,6 @@ func (e *engine) collectShard(s, lo, hi int) {
 		if msg != nil {
 			msg.From = v
 			acc.charge(msg, hier.Role[v], sizeFn)
-		}
-	}
-}
-
-// mergeAccounts folds the shard accumulators into the run totals in shard
-// order.
-func (e *engine) mergeAccounts() {
-	for s := range e.shards {
-		e.met.add(&e.shards[s].acc)
-	}
-}
-
-// observeSent replays the round's Sent stream from outbox in ascending
-// sender order — identical for serial and parallel runs.
-func (e *engine) observeSent() {
-	if e.obs == nil || e.obs.Sent == nil {
-		return
-	}
-	for _, msg := range e.outbox {
-		if msg != nil {
-			e.obs.Sent(e.r, msg)
 		}
 	}
 }
@@ -1143,12 +1067,12 @@ func (e *engine) deliverShard(s, lo, hi int) {
 			}
 			msg := outbox[u]
 			if lossy && (lost != nil && lost[i] || lost == nil && inj.Drop(r, u, v)) {
-				st.drops++
+				st.acc.drops++
 				continue
 			}
 			st.inbox = append(st.inbox, msg)
 			if duplicating && inj.Duplicate(r, u, v) {
-				st.dups++
+				st.acc.dups++
 				st.inbox = append(st.inbox, msg)
 			}
 		}
@@ -1161,26 +1085,11 @@ func (e *engine) deliverShard(s, lo, hi int) {
 	}
 }
 
-// mergeNotes replays the round's buffered repair notes in deterministic
-// order: ascending node ID, per-node emission order preserved (each node
-// lives on exactly one shard, and the sort is stable).
-func (e *engine) mergeNotes() {
-	e.notes = e.notes[:0]
+// merge folds the shard accumulators into the run totals in shard order:
+// the round's transmissions, repair notes and link faults.
+func (e *engine) merge() {
 	for s := range e.shards {
-		e.notes = append(e.notes, e.shards[s].notes...)
-		e.shards[s].notes = e.shards[s].notes[:0]
-	}
-	slices.SortStableFunc(e.notes, byNode)
-	for _, nt := range e.notes {
-		switch nt.kind {
-		case NoteHandover:
-			e.met.Handovers++
-		case NoteFloodFallback:
-			e.met.FloodFallbacks++
-		}
-		if e.obs != nil && e.obs.Noted != nil {
-			e.obs.Noted(e.r, nt.node, nt.kind)
-		}
+		e.met.add(&e.shards[s].acc)
 	}
 }
 
@@ -1194,48 +1103,67 @@ func (e *engine) traceEnd() {
 	first, redundant := e.tracer.RoundEnd(e.r, e.crashed)
 	e.met.FirstDeliveries += int64(first)
 	e.met.RedundantDeliveries += int64(redundant)
-	if e.obs != nil && e.obs.Deliveries != nil {
-		e.obs.Deliveries(e.r, first, redundant)
-	}
-}
-
-// mergeLinkFaults folds the round's link-fault counts into the run totals.
-func (e *engine) mergeLinkFaults() {
-	drops, dups := 0, 0
-	for s := range e.shards {
-		drops += e.shards[s].drops
-		dups += e.shards[s].dups
-		e.shards[s].drops, e.shards[s].dups = 0, 0
-	}
-	if drops > 0 || dups > 0 {
-		e.met.Drops += int64(drops)
-		e.met.Dups += int64(dups)
-		if e.obs != nil && e.obs.LinkFaults != nil {
-			e.obs.LinkFaults(e.r, drops, dups)
-		}
-	}
 }
 
 // progress counts the delivered pairs and decides completion — through
-// arrival-mode garbage collection or the batch scan — then emits Progress
-// and Barrier.
+// arrival-mode garbage collection or the batch scan — then runs the stall
+// watchdog.
 func (e *engine) progress() {
 	if e.arr != nil {
 		e.collectGarbage()
 	} else {
 		e.scanBatch()
 	}
-	if e.obs != nil && e.obs.Progress != nil {
-		e.obs.Progress(e.r, e.delivered)
-	}
 	e.met.Rounds = e.r + 1
-	if e.obs != nil && e.obs.Barrier != nil {
-		e.obs.Barrier(e.r, e.met)
+	// A round that completes the run makes progress by definition.
+	if w := e.opts.StallWindow; w > 0 && !e.met.Complete && !e.done {
+		e.watch(w)
 	}
 }
 
+// watch advances the stall watchdog and, once the run has made no progress
+// for w rounds, ends it with a StallReport in Metrics.Stall. A stall is
+// outstanding work with no progress. Under arrivals a flat delivered count
+// is healthy whenever nothing is outstanding (every live pair delivered,
+// the next burst not yet arrived), so idle gaps reset the watchdog instead
+// of tripping it; an all-dead population (countedN == 0) still counts as
+// stalled — nobody is left to make progress.
+func (e *engine) watch(w int) {
+	healthyIdle := e.arr != nil && e.countedN > 0 && e.outstanding == 0
+	if e.delivered == e.lastDelivered && !healthyIdle {
+		e.stallRun++
+	} else {
+		e.stallRun = 0
+		e.lastDelivered = e.delivered
+	}
+	if e.stallRun < w {
+		return
+	}
+	// Total tracks the live token universe: k for batch runs,
+	// injected-minus-collected (plus the initial batch) under arrivals.
+	total := e.n * e.k
+	if e.arr != nil {
+		total = e.n * e.arr.liveCount()
+	}
+	e.met.Stall = stallReport(e.r, w, e.delivered, total, e.crashed, e.recoverAt)
+}
+
+// observe hands the round's record to the Observer, before the arenas
+// reclaim the round's messages.
+func (e *engine) observe() {
+	if e.obs == nil {
+		return
+	}
+	rd := &e.rd
+	rd.R, rd.Graph, rd.Hier, rd.Delivered = e.r, e.g, e.hier, e.delivered
+	if e.stb != nil {
+		rd.Diverged = e.stb.rep
+	}
+	e.obs(rd)
+}
+
 // scanBatch is the batch progress pass: one sharded scan sums the
-// delivered pairs, when a stall window or a Progress observer needs them,
+// delivered pairs, when a stall window or an observer needs them,
 // and checks completion until the run first completes. Integer addition
 // commutes, so the sharded sum matches a serial one exactly.
 func (e *engine) scanBatch() {
@@ -1301,37 +1229,7 @@ func (e *engine) finish() bool {
 			return true
 		}
 	}
-	if w := e.opts.StallWindow; w > 0 && !e.met.Complete {
-		// A stall is outstanding work with no progress. Under arrivals a
-		// flat delivered count is healthy whenever nothing is outstanding
-		// (every live pair delivered, the next burst not yet arrived), so
-		// idle gaps reset the watchdog instead of tripping it; an all-dead
-		// population (countedN == 0) still counts as stalled — nobody is
-		// left to make progress.
-		healthyIdle := e.arr != nil && e.countedN > 0 && e.outstanding == 0
-		if e.delivered == e.lastDelivered && !healthyIdle {
-			e.stallRun++
-		} else {
-			e.stallRun = 0
-			e.lastDelivered = e.delivered
-		}
-		if e.stallRun >= w {
-			// Total tracks the live token universe: k for batch runs,
-			// injected-minus-collected (plus the initial batch) under
-			// arrivals.
-			total := e.n * e.k
-			if e.arr != nil {
-				total = e.n * e.arr.liveCount()
-			}
-			rep := stallReport(e.r, w, e.delivered, total, e.crashed, e.recoverAt)
-			e.met.Stall = rep
-			if e.obs != nil && e.obs.Stalled != nil {
-				e.obs.Stalled(e.r, rep)
-			}
-			return true
-		}
-	}
-	return e.opts.Stop != nil && e.opts.Stop(e.r)
+	return e.met.Stall != nil || e.opts.Stop != nil && e.opts.Stop(e.r)
 }
 
 // MustRun is Run for call sites where a failure is a programming error:
@@ -1360,9 +1258,10 @@ func stallReport(r, window, delivered, total int, crashed []bool, recoverAt []in
 	return rep
 }
 
-// shardAcc is one shard's private slice of the round accounting. Every
-// shard owns one, so the accounting path allocates nothing per message in
-// either mode.
+// shardAcc is one shard's private slice of the round accounting: its
+// senders' transmissions, its nodes' repair notes by kind, and the link
+// faults of the deliveries to its receivers. Every shard owns one, so the
+// accounting path allocates nothing per message in either mode.
 type shardAcc struct {
 	messages     int64
 	tokens       int64
@@ -1371,6 +1270,8 @@ type shardAcc struct {
 	tokensByKind [NumKinds]int64
 	msgsByRole   [NumRoles]int64
 	tokensByRole [NumRoles]int64
+	notes        [NumNoteKinds]int
+	drops, dups  int64
 }
 
 func (a *shardAcc) reset() { *a = shardAcc{} }
@@ -1398,6 +1299,10 @@ func (m *Metrics) add(a *shardAcc) {
 	m.Messages += a.messages
 	m.TokensSent += a.tokens
 	m.BytesSent += a.bytes
+	m.Handovers += a.notes[NoteHandover]
+	m.FloodFallbacks += a.notes[NoteFloodFallback]
+	m.Drops += a.drops
+	m.Dups += a.dups
 	for i := range a.msgsByKind {
 		m.MessagesByKind[i] += a.msgsByKind[i]
 		m.TokensByKind[i] += a.tokensByKind[i]
@@ -1409,7 +1314,7 @@ func (m *Metrics) add(a *shardAcc) {
 }
 
 // crashEntry is one scheduled crash from the static plan, pre-sorted by
-// node ID so activation — and the Crashed events it emits — happen in
+// node ID so activation — and the Crashed list it fills — happen in
 // deterministic order. done marks entries that already fired, so a node
 // that crashed, recovered and stayed up is not felled again by its old
 // schedule entry.

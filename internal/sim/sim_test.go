@@ -180,17 +180,24 @@ func (p *probeNode) Tokens() *bitset.Set { return p.ta }
 func TestObserverCalled(t *testing.T) {
 	d := staticPath(3)
 	assign := token.SingleSource(3, 1, 0)
-	starts, sends := 0, 0
-	obs := &Observer{
-		RoundStart: func(r int, g *graph.Graph, h *ctvg.Hierarchy) { starts++ },
-		Sent:       func(r int, msg *Message) { sends++ },
+	rounds, sends := 0, 0
+	obs := func(rd *Round) {
+		if rd.R != rounds {
+			t.Fatalf("record of round %d after %d records", rd.R, rounds)
+		}
+		rounds++
+		for _, m := range rd.Outbox {
+			if m != nil {
+				sends++
+			}
+		}
 	}
 	MustRunProtocol(d, floodProto{}, assign, Options{MaxRounds: 2, Observer: obs})
-	if starts != 2 {
-		t.Fatalf("RoundStart calls %d", starts)
+	if rounds != 2 {
+		t.Fatalf("%d round records", rounds)
 	}
 	if sends != 6 { // 3 nodes x 2 rounds
-		t.Fatalf("Sent calls %d", sends)
+		t.Fatalf("%d transmissions", sends)
 	}
 }
 
@@ -350,13 +357,17 @@ func TestMetricsString(t *testing.T) {
 }
 
 func TestCrashedEventsSortedAndDeterministic(t *testing.T) {
-	// CrashAt is a map; activation must nevertheless emit Crashed events
-	// in ascending node order within a round, every run.
+	// CrashAt is a map; activation must nevertheless list a round's
+	// crashes in ascending node order, every run.
 	for i := 0; i < 20; i++ {
 		d := staticPath(8)
 		assign := token.SingleSource(8, 1, 0)
 		var got [][2]int
-		obs := &Observer{Crashed: func(r, v int) { got = append(got, [2]int{r, v}) }}
+		obs := func(rd *Round) {
+			for _, v := range rd.Crashed {
+				got = append(got, [2]int{rd.R, v})
+			}
+		}
 		MustRunProtocol(d, floodProto{}, assign, Options{
 			MaxRounds: 5,
 			Observer:  obs,

@@ -20,10 +20,9 @@ type Stage uint8
 
 const (
 	// StageFaults: crash/recovery bookkeeping — downtime-window rejoins,
-	// static and head-targeted crash activation, Crashed/Recovered events
-	// — plus arrival injection and, on lossy self-stabilizing runs, the
-	// link-loss row pass that draws every live receiver's in-links once
-	// for the round.
+	// static and head-targeted crash activation — plus arrival injection
+	// and, on lossy self-stabilizing runs, the link-loss row pass that
+	// draws every live receiver's in-links once for the round.
 	StageFaults Stage = iota
 	// StageSnapshot: materialising the round's communication graph (the
 	// ctvg.Dynamic.At call, a cache thaw or a CSR snapshot build).
@@ -36,23 +35,23 @@ const (
 	// StageCollect: the per-shard protocol step — every node's Send plus
 	// per-message accounting, fanned out over the shard partition.
 	StageCollect
-	// StageObserve: observer emission on the engine goroutine —
-	// Observer.RoundStart and the ascending-sender Sent replay.
+	// StageObserve: the Observer call on the engine goroutine, which hands
+	// the round's record over at the barrier, before StageRecycle.
 	StageObserve
 	// StageDeliver: the delivery fan-out — inbox assembly, link-fault
 	// queries and every node's Deliver, over the same shard partition.
 	// Link loss is one Injector.Drop per sender link, or a read of the
 	// round's loss rows on self-stabilizing runs.
 	StageDeliver
-	// StageMerge: the round-barrier folds — per-shard accumulator merge,
-	// note merge/replay, link-fault fold.
+	// StageMerge: the round-barrier fold of the per-shard accumulators —
+	// transmissions, repair notes and link faults.
 	StageMerge
 	// StageTracer: provenance tracer emission on the engine goroutine
 	// (Tracer.RoundStart and the shard-merging Tracer.RoundEnd).
 	StageTracer
 	// StageProgress: the progress pass — one sharded scan for the
 	// delivered count and the completion check, or arrival-mode GC — and
-	// the Progress and Barrier events.
+	// the stall watchdog.
 	StageProgress
 	// StageRecycle: returning this round's messages and payload sets to
 	// the per-shard arenas.
@@ -85,12 +84,13 @@ type TimingSink interface {
 	// RunStart is called once before round 0 with the shard count, so the
 	// sink can size per-shard series.
 	RunStart(nshards int)
-	// RoundEnd is called once per executed round at the round barrier.
-	// wall holds the engine goroutine's per-stage monotonic-clock
-	// durations for the round (nanoseconds); shard holds one per-stage
-	// array per shard, populated for the fan-out stages (StageCollect,
-	// StageDeliver) with each shard goroutine's own duration. Both alias
-	// engine storage: read-only, not retained past the call.
+	// RoundEnd is called once per executed round at the round barrier,
+	// after the round's Observer call. wall holds the engine goroutine's
+	// per-stage monotonic-clock durations for the round (nanoseconds);
+	// shard holds one per-stage array per shard, populated for the fan-out
+	// stages (StageCollect, StageDeliver) with each shard goroutine's own
+	// duration. Both alias engine storage: read-only, not retained past
+	// the call.
 	RoundEnd(r int, wall *[NumStages]int64, shard [][NumStages]int64)
 	// SampleArena reports whether the engine should take the (mildly
 	// expensive) arena/resource sample this round; when it returns true
