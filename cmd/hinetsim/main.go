@@ -58,7 +58,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -152,23 +151,35 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hinetsim:", err)
 		os.Exit(1)
 	}
+	rules, err := health.ParseRules(*healthSpc)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hinetsim:", err)
+		os.Exit(1)
+	}
 	mi := &instr{
-		path: *metrics, provDir: *prov, faults: plan, stall: *stallWindow,
-		timingPath: *timing, tsample: *tsample, tnorm: *tnorm, workers: *workers,
-		arr: arr, selfstab: *selfstab,
-		record: *record, healthSpec: *healthSpc, dumpDir: *dumpDir,
-		scenario: *scenario, alpha: *alpha,
-		fing: map[string]string{
-			"scenario": *scenario,
-			"n":        strconv.Itoa(*n), "k": strconv.Itoa(*k),
-			"theta": strconv.Itoa(*theta), "alpha": strconv.Itoa(*alpha),
-			"l": strconv.Itoa(*l), "seed": strconv.FormatUint(*seed, 10),
-			"workers": strconv.Itoa(*workers),
-			"drop":    strconv.FormatFloat(*drop, 'g', -1, 64),
-			"burst":   *burst, "crash_heads": *crashHeads,
-			"selfstab": strconv.FormatBool(*selfstab),
-			"arrival":  strconv.FormatFloat(*arrival, 'g', -1, 64),
+		faults: plan, stall: *stallWindow, workers: *workers,
+		arr: arr, selfstab: *selfstab, statusz: *pprof != "",
+		sinks: recorder.SinkConfig{
+			MetricsPath: *metrics, TimingPath: *timing,
+			Recorder: recorder.Config{
+				Depth: *record, Rules: rules, DumpDir: *dumpDir, Prefix: *scenario,
+				Fingerprint: map[string]string{
+					"scenario": *scenario,
+					"n":        strconv.Itoa(*n), "k": strconv.Itoa(*k),
+					"theta": strconv.Itoa(*theta), "alpha": strconv.Itoa(*alpha),
+					"l": strconv.Itoa(*l), "seed": strconv.FormatUint(*seed, 10),
+					"workers": strconv.Itoa(*workers),
+					"drop":    strconv.FormatFloat(*drop, 'g', -1, 64),
+					"burst":   *burst, "crash_heads": *crashHeads,
+					"selfstab": strconv.FormatBool(*selfstab),
+					"arrival":  strconv.FormatFloat(*arrival, 'g', -1, 64),
+				},
+			},
+			Timing: obs.TimingConfig{Normalize: *tnorm, SampleEvery: *tsample},
 		},
+	}
+	if *prov != "" {
+		mi.sinks.ProvenancePath = filepath.Join(*prov, "provenance.jsonl")
 	}
 	if *failover > 0 {
 		mi.fo = &core.Failover{Window: *failover}
@@ -179,7 +190,7 @@ func main() {
 	// (metrics/provenance/timing/bundles stay valid, non-truncated), and
 	// the process exits 130. A second signal kills the process as usual.
 	var interrupted atomic.Bool
-	mi.stopFlag = &interrupted
+	mi.stop = func(int) bool { return interrupted.Load() }
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -291,22 +302,11 @@ func buildArrivals(rate float64, stop, on, off, hotspot, max int, seed uint64) (
 	return arr, nil
 }
 
-// instr wires the -metrics, -provenance and fault flags into a scenario
-// run: attach decorates the engine options with a JSONL collector, a
-// provenance tracer, the fault plan and the stall watchdog; close flushes
-// both streams.
+// instr wires the fault, traffic, engine and sink flags into a scenario
+// run: attach decorates the engine options with the fault plan, the
+// traffic process and the stall watchdog, and opens the run's sinks; close
+// flushes them and reports where each stream went.
 type instr struct {
-	path string
-	f    *os.File
-	col  *obs.Collector
-
-	provDir string
-	pf      *os.File
-	tracer  *provenance.Tracer
-	// budget arms the tracer's online pace checker; set by scenarios that
-	// run Algorithm 1 under a Theorem 1 schedule, before attach.
-	budget *provenance.Budget
-
 	faults *sim.Faults
 	stall  int
 	fo     *core.Failover
@@ -319,68 +319,41 @@ type instr struct {
 	// scenario's options and stretches short round budgets to cover the
 	// arrival window plus a drain allowance.
 	arr *sim.Arrivals
+	// workers is -workers; labelCtx carries the scenario= pprof label into
+	// the engine so its stage=/shard= labels nest under it.
+	workers  int
+	labelCtx context.Context
 
-	// -timing / -workers wiring: the engine self-instruments each round
-	// stage into tm's JSONL sink; labelCtx carries the scenario= pprof
-	// label into the engine so stage=/shard= labels nest under it.
-	timingPath string
-	tsample    int
-	tnorm      bool
-	workers    int
-	tf         *os.File
-	tm         *obs.Timing
-	labelCtx   context.Context
+	// sinks holds the -metrics, -provenance, -timing and flight-recorder
+	// flags; attach completes it with the scenario's sizes, its Theorem 1
+	// budget and the pace warning, and opens it into out.
+	sinks recorder.SinkConfig
+	out   recorder.Sinks
+	// statusz serves the flight recorder's /statusz and /healthz pages on
+	// the -pprof listener; a process registers them once.
+	statusz bool
 
-	// Flight recorder / online health wiring (-record, -health,
-	// -dump-dir): the recorder owns the metrics collector when enabled,
-	// so the ring, the health rules and the JSONL sink see one stream.
-	record     int
-	healthSpec string
-	dumpDir    string
-	scenario   string
-	alpha      int
-	fing       map[string]string
-	rec        *recorder.Recorder
-
-	// stopFlag is flipped by the SIGINT/SIGTERM handler; attach installs
-	// it as the engine's cooperative Stop hook so runs end at a round
-	// barrier and every stream flushes complete.
-	stopFlag *atomic.Bool
-}
-
-// recording reports whether any flight-recorder flag is set.
-func (in *instr) recording() bool {
-	return in.record > 0 || in.healthSpec != "" || in.dumpDir != ""
+	// stop reads the SIGINT/SIGTERM flag; it is the engine's cooperative
+	// Stop hook, so runs end at a round barrier and every stream flushes
+	// complete.
+	stop func(int) bool
 }
 
 // alg1 returns the scenario's Algorithm 1: the self-healing failover
 // variant when -failover is set, the paper's plain protocol otherwise.
-func (in *instr) alg1(T int) core.Alg1 {
-	if in != nil && in.fo != nil {
-		return core.Alg1{T: T, Failover: in.fo}
-	}
-	return core.Alg1{T: T}
-}
+func (in *instr) alg1(T int) core.Alg1 { return core.Alg1{T: T, Failover: in.fo} }
 
 // alg2 is the Algorithm 2 counterpart of alg1.
-func (in *instr) alg2() core.Alg2 {
-	if in != nil && in.fo != nil {
-		return core.Alg2{Failover: in.fo}
-	}
-	return core.Alg2{}
-}
+func (in *instr) alg2() core.Alg2 { return core.Alg2{Failover: in.fo} }
 
-// attach opens the JSONL sink (first call only) and hooks a collector into
-// opts, combining with any observer the scenario already set. It also
-// applies the command-line fault plan and stall window, so every scenario
-// picks them up through its one attach call.
-func (in *instr) attach(opts sim.Options, n, k, phaseLen int) (sim.Options, error) {
-	if in == nil {
-		return opts, nil
-	}
-	if in.faults != nil {
-		opts.Faults = in.faults
-	}
+// attach applies the command-line fault plan, stall window, -workers,
+// traffic and -selfstab to opts, then opens the run's sinks after any
+// observer the scenario already set. budget is the Theorem 1 schedule of
+// a scenario that runs Algorithm 1 under one, nil otherwise; it arms the
+// provenance pace checker and keeps the health pace rule.
+func (in *instr) attach(opts sim.Options, n, k, phaseLen int, budget *provenance.Budget) (sim.Options, error) {
+	opts.Faults, opts.StallWindow, opts.Workers = in.faults, in.stall, in.workers
+	opts.LabelCtx, opts.Stop = in.labelCtx, in.stop
 	if in.arr != nil {
 		a := *in.arr
 		opts.Arrivals = &a
@@ -389,9 +362,6 @@ func (in *instr) attach(opts sim.Options, n, k, phaseLen int) (sim.Options, erro
 				opts.MaxRounds = min
 			}
 		}
-	}
-	if in.stall > 0 {
-		opts.StallWindow = in.stall
 	}
 	if in.selfstab {
 		wd := phaseLen
@@ -409,98 +379,21 @@ func (in *instr) attach(opts sim.Options, n, k, phaseLen int) (sim.Options, erro
 		// reconverging after faults), so give the run a repair allowance.
 		opts.MaxRounds *= 4
 	}
-	if in.workers != 0 {
-		opts.Workers = in.workers
-	}
-	if in.timingPath != "" && in.tf == nil {
-		tf, err := os.Create(in.timingPath)
-		if err != nil {
-			return opts, err
+	cfg := in.sinks
+	cfg.Recorder.Obs = obs.Config{N: n, K: k, PhaseLen: phaseLen}
+	cfg.Provenance = provenance.Config{Budget: budget, OnPace: func(v provenance.PaceViolation) {
+		fmt.Fprintln(os.Stderr, "hinetsim: warning:", v)
+		if rec := in.out.Recorder; rec != nil {
+			rec.Trigger("pace", v.Round)
 		}
-		in.tf = tf
-		in.tm = obs.NewTiming(obs.TimingConfig{
-			Sink: tf, Normalize: in.tnorm, SampleEvery: in.tsample,
-		})
-	}
-	if in.tm != nil && opts.Timing == nil {
-		opts.Timing = in.tm
-		opts.LabelCtx = in.labelCtx
-	}
-	if in.stopFlag != nil {
-		stop := in.stopFlag
-		opts.Stop = func(int) bool { return stop.Load() }
-	}
-	if in.recording() && in.rec == nil {
-		rules, err := health.ParseRules(in.healthSpec)
-		if err != nil {
-			return opts, err
-		}
-		var sink io.Writer
-		if in.path != "" {
-			f, err := os.Create(in.path)
-			if err != nil {
-				return opts, err
-			}
-			in.f = f
-			sink = f
-		}
-		in.rec = recorder.New(recorder.Config{
-			Obs: obs.Config{
-				N: n, K: k, PhaseLen: phaseLen, Sink: sink,
-				Arrivals: in.arr != nil,
-			},
-			Depth:       in.record,
-			Rules:       rules,
-			Alpha:       in.alpha,
-			DumpDir:     in.dumpDir,
-			Prefix:      in.scenario,
-			Fingerprint: in.fing,
-			FaultPlan:   in.faults,
-		})
-		in.col = in.rec.Collector()
-		// Live inspection on the -pprof listener (DefaultServeMux).
-		in.rec.RegisterHTTP(nil)
-		opts.Observer = obs.Combine(opts.Observer, in.rec.Observer())
-		if in.tm != nil {
-			// Tee stage timings into the ring (and the stage-regression
-			// rule) on their way to the -timing sink.
-			opts.Timing = in.rec.TimingSink(in.tm)
-		}
-	}
-	if in.provDir != "" && in.pf == nil {
-		if err := os.MkdirAll(in.provDir, 0o755); err != nil {
-			return opts, err
-		}
-		pf, err := os.Create(filepath.Join(in.provDir, "provenance.jsonl"))
-		if err != nil {
-			return opts, err
-		}
-		in.pf = pf
-		in.tracer = provenance.New(provenance.Config{
-			Sink:   pf,
-			Budget: in.budget,
-			OnPace: func(v provenance.PaceViolation) {
-				fmt.Fprintln(os.Stderr, "hinetsim: warning:", v)
-				if in.rec != nil {
-					in.rec.Trigger("pace", v.Round)
-				}
-			},
-		})
-		opts.Tracer = in.tracer
-	}
-	if in.rec != nil || in.path == "" || in.f != nil {
-		return opts, nil
-	}
-	f, err := os.Create(in.path)
-	if err != nil {
+	}}
+	var err error
+	if in.out, err = recorder.Open(cfg, &opts); err != nil {
 		return opts, err
 	}
-	in.f = f
-	in.col = obs.NewCollector(obs.Config{
-		N: n, K: k, PhaseLen: phaseLen, Sink: f,
-		Arrivals: in.arr != nil,
-	})
-	opts.Observer = obs.Combine(opts.Observer, in.col.Observer())
+	if in.statusz && in.out.Recorder != nil {
+		in.out.Recorder.RegisterHTTP(nil)
+	}
 	return opts, nil
 }
 
@@ -508,56 +401,32 @@ func (in *instr) attach(opts sim.Options, n, k, phaseLen int) (sim.Options, erro
 // fails, and returns the first error; when all succeed it reports where
 // each stream went.
 func (in *instr) close() error {
-	if in == nil {
-		return nil
-	}
-	var err error
-	keep := func(e error) {
-		if err == nil {
-			err = e
-		}
-	}
-	if in.tracer != nil {
-		keep(in.tracer.Flush())
-	}
-	if in.tm != nil {
-		keep(in.tm.Flush())
-	}
-	if in.rec != nil {
-		keep(in.rec.Close())
-	} else if in.col != nil {
-		keep(in.col.Flush())
-	}
-	for _, f := range []*os.File{in.pf, in.tf, in.f} {
-		if f != nil {
-			keep(f.Close())
-		}
-	}
-	if err != nil {
+	out := &in.out
+	if err := out.Close(); err != nil {
 		return err
 	}
-	if in.pf != nil {
-		fmt.Printf("wrote provenance stream to %s\n", filepath.Join(in.provDir, "provenance.jsonl"))
-		if pv := in.tracer.PaceViolations(); pv > 0 {
+	if out.Tracer != nil {
+		fmt.Printf("wrote provenance stream to %s\n", in.sinks.ProvenancePath)
+		if pv := out.Tracer.PaceViolations(); pv > 0 {
 			fmt.Printf("pace checker: %d violation(s) — the run fell behind the Theorem 1 schedule\n", pv)
 		}
 	}
-	if in.tf != nil {
-		fmt.Printf("wrote timing series to %s\n", in.timingPath)
-		if r := in.tm.Rounds(); r > 0 {
-			tbl := obs.TimingTable("per-stage timing", in.tm.Breakdown(), r)
+	if out.Timing != nil {
+		fmt.Printf("wrote timing series to %s\n", in.sinks.TimingPath)
+		if r := out.Timing.Rounds(); r > 0 {
+			tbl := obs.TimingTable("per-stage timing", out.Timing.Breakdown(), r)
 			if err := tbl.WriteText(os.Stdout); err != nil {
 				return err
 			}
 		}
 	}
-	if in.f != nil {
-		fmt.Printf("wrote per-round metrics to %s\n", in.path)
+	if out.Collector != nil && in.sinks.MetricsPath != "" {
+		fmt.Printf("wrote per-round metrics to %s\n", in.sinks.MetricsPath)
 	}
-	if in.rec == nil {
+	if out.Recorder == nil {
 		return nil
 	}
-	if h := in.rec.Health(); h != nil {
+	if h := out.Recorder.Health(); h != nil {
 		if h.Healthy() {
 			fmt.Println("health: ok — all SLO rules held")
 		} else {
@@ -570,7 +439,7 @@ func (in *instr) close() error {
 			}
 		}
 	}
-	for _, b := range in.rec.Bundles() {
+	for _, b := range out.Recorder.Bundles() {
 		fmt.Printf("wrote postmortem bundle %s\n", b)
 	}
 	return nil
@@ -645,7 +514,7 @@ func runFig3(mi *instr) error {
 	}
 	opts, err := mi.attach(sim.Options{
 		MaxRounds: 8, StopWhenComplete: true, Observer: obs,
-	}, 5, 1, 8)
+	}, 5, 1, 8, nil)
 	if err != nil {
 		return err
 	}
@@ -678,10 +547,9 @@ func runHiNet(n, k, theta, alpha, l, reaffil, churn int, seed uint64, mi *instr)
 		return fmt.Errorf("generated network violates the model: %w", err)
 	}
 	assign := token.Spread(n, k, xrand.New(seed+1))
-	mi.budget = &provenance.Budget{PhaseLen: T, Phases: phases, Alpha: alpha, Theta: theta}
 	opts, err := mi.attach(sim.Options{
 		MaxRounds: phases * T, StopWhenComplete: true,
-	}, n, k, T)
+	}, n, k, T, &provenance.Budget{PhaseLen: T, Phases: phases, Alpha: alpha, Theta: theta})
 	if err != nil {
 		return err
 	}
@@ -710,7 +578,7 @@ func runOneL(n, k, theta, l, reaffil, churn int, seed uint64, mi *instr) error {
 	assign := token.Spread(n, k, xrand.New(seed+1))
 	opts, err := mi.attach(sim.Options{
 		MaxRounds: core.Theorem2Rounds(n), StopWhenComplete: true,
-	}, n, k, 1)
+	}, n, k, 1, nil)
 	if err != nil {
 		return err
 	}
@@ -734,7 +602,7 @@ func runMobility(n, k int, seed uint64, mi *instr) error {
 	assign := token.Spread(n, k, xrand.New(seed+1))
 	opts, err := mi.attach(sim.Options{
 		MaxRounds: 6 * n, StopWhenComplete: true,
-	}, n, k, 0)
+	}, n, k, 0, nil)
 	if err != nil {
 		return err
 	}

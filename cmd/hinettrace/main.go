@@ -300,62 +300,42 @@ func stats(args []string) (err error) {
 	default:
 		return fmt.Errorf("unknown protocol %q", *proto)
 	}
-	cfg := obs.Config{
-		N: tr.N(), K: *k, PhaseLen: phaseLen, Keep: true,
-	}
-	var mf *os.File
-	if *metrics != "" {
-		mf, err = os.Create(*metrics)
-		if err != nil {
-			return err
-		}
-		// Propagate the Close error into the subcommand's result: with a
-		// buffered sink a full disk can surface only at Close, and a
-		// dropped error would pass a truncated JSONL off as complete.
-		defer func() {
-			if cerr := mf.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		cfg.Sink = mf
-	}
-	col := obs.NewCollector(cfg)
 	aux := auxOut(*format)
-	pcfg := provenance.Config{
-		Keep: true,
-		OnPace: func(v provenance.PaceViolation) {
-			fmt.Fprintln(aux, "warning:", v)
-		},
-	}
-	var pf *os.File
-	if *prov != "" {
-		pf, err = os.Create(*prov)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := pf.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		pcfg.Sink = pf
-	}
-	tracer := provenance.New(pcfg)
-	assign := token.Spread(tr.N(), *k, xrand.New(*seed))
-	met := sim.MustRunProtocol(tr, p, assign, sim.Options{
+	opts := sim.Options{
 		MaxRounds:        tr.Len(),
 		StopWhenComplete: true,
-		Observer:         col.Observer(),
-		Tracer:           tracer,
 		SizeFn:           wire.Size,
-	})
-	if err := col.Flush(); err != nil {
+	}
+	sinks, err := recorder.Open(recorder.SinkConfig{
+		MetricsPath:    *metrics,
+		ProvenancePath: *prov,
+		Recorder: recorder.Config{
+			Obs: obs.Config{N: tr.N(), K: *k, PhaseLen: phaseLen, Keep: true},
+		},
+		Provenance: provenance.Config{
+			Keep: true,
+			OnPace: func(v provenance.PaceViolation) {
+				fmt.Fprintln(aux, "warning:", v)
+			},
+		},
+	}, &opts)
+	if err != nil {
 		return err
 	}
-	if err := tracer.Flush(); err != nil {
+	// Propagate the Close error into the subcommand's result: with a
+	// buffered sink a full disk can surface only at Close, and a dropped
+	// error would pass a truncated JSONL off as complete.
+	defer func() {
+		if cerr := sinks.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	assign := token.Spread(tr.N(), *k, xrand.New(*seed))
+	met := sim.MustRunProtocol(tr, p, assign, opts)
+	if err := sinks.Sync(); err != nil {
 		return err
 	}
-	events := col.Events()
+	events := sinks.Collector.Events()
 	tb := obs.PhaseTable(fmt.Sprintf("%s over %s (n=%d k=%d)", p.Name(), *in, tr.N(), *k), obs.Summarize(events))
 	if err := writeTable(tb, *format); err != nil {
 		return err
@@ -365,7 +345,7 @@ func stats(args []string) (err error) {
 		last := events[len(events)-1]
 		fmt.Fprintf(aux, "final progress: %d/%d (%.1f%%)\n", last.Delivered, last.Total, 100*last.ProgressRatio())
 	}
-	plog := tracer.Log()
+	plog := sinks.Tracer.Log()
 	if s := plog.Summary; s != nil {
 		fmt.Fprintf(aux, "deliveries: %d first, %d redundant messages (%d redundant token copies)\n",
 			s.First, s.Redundant, s.RedundantTokens)
@@ -373,15 +353,11 @@ func stats(args []string) (err error) {
 	if p50, p99, ok := depthQuantiles(plog); ok {
 		fmt.Fprintf(aux, "critical-path depth: p50=%.1f p99=%.1f hops\n", p50, p99)
 	}
-	if mf != nil {
+	if *metrics != "" {
 		fmt.Fprintf(aux, "wrote %d per-round events to %s\n", len(events), *metrics)
-		if err := mf.Sync(); err != nil {
-			return err
-		}
 	}
-	if pf != nil {
+	if *prov != "" {
 		fmt.Fprintf(aux, "wrote %d provenance edges to %s\n", len(plog.Edges), *prov)
-		return pf.Sync()
 	}
 	return nil
 }

@@ -34,15 +34,11 @@ type ArrivalConfig struct {
 	// (1-interval connected flooding on a flat network).
 	Proto string
 	// Arrivals is the traffic process. Stop must be positive — it is the
-	// measurement window; the run then gets DrainRounds of extra budget to
-	// empty the queue. The initial k-token batch rides along as usual.
+	// measurement window; the run then gets 4·n0 rounds more to empty the
+	// queue before it is declared backlogged, and the engine's stall
+	// watchdog ends a run whose queue stays wedged that long. The initial
+	// k-token batch rides along as usual.
 	Arrivals sim.Arrivals
-	// DrainRounds is the post-window budget before the run is declared
-	// backlogged (default 4·n0).
-	DrainRounds int
-	// StallWindow arms the engine's watchdog (default DrainRounds), so a
-	// wedged queue terminates the run instead of idling out the budget.
-	StallWindow int
 	// SLA, when positive, attaches the provenance per-token deadline
 	// monitor and reports the violation count (collected late or still
 	// outstanding at the end).
@@ -138,18 +134,16 @@ func ArrivalLoad(cfg ArrivalConfig) (ArrivalResult, error) {
 		return ArrivalResult{}, fmt.Errorf("experiment: arrival load needs a finite measurement window (Arrivals.Stop > 0)")
 	}
 	n, k, T := p.N0, p.K, p.T()
-	drain := cfg.DrainRounds
-	if drain <= 0 {
-		drain = 4 * n
-	}
-	stall := cfg.StallWindow
-	if stall <= 0 {
-		stall = drain
-	}
+	drain := 4 * n
 
 	rng := xrand.New(cfg.Seed)
 	var d ctvg.Dynamic
 	var proto sim.Protocol
+	// Health rules need phase structure: Algorithm 1's phases, one round
+	// otherwise. Theorem 1's schedule, and so the pace rule, governs
+	// Algorithm 1 only.
+	phaseLen := 1
+	var budget *provenance.Budget
 	name := cfg.Proto
 	switch cfg.Proto {
 	case "", "alg2":
@@ -163,6 +157,11 @@ func ArrivalLoad(cfg ArrivalConfig) (ArrivalResult, error) {
 			N: n, Theta: p.Theta, L: p.L, T: T, ChurnEdges: cfg.ChurnEdges,
 		}, rng)
 		proto = core.Alg1{T: T}
+		phaseLen = T
+		budget = &provenance.Budget{
+			PhaseLen: T, Phases: core.Theorem1Phases(p.Theta, p.Alpha),
+			Alpha: p.Alpha, Theta: p.Theta,
+		}
 	case "flood":
 		d = sim.NewFlat(adversary.NewOneInterval(n, 0, rng))
 		proto = baseline.Flood{}
@@ -170,77 +169,42 @@ func ArrivalLoad(cfg ArrivalConfig) (ArrivalResult, error) {
 		return ArrivalResult{}, fmt.Errorf("experiment: unknown arrival protocol %q (want alg2, alg1 or flood)", cfg.Proto)
 	}
 
-	reg := obs.NewRegistry()
-	ocfg := obs.Config{N: n, K: k, Registry: reg, Arrivals: true}
-	var col *obs.Collector
-	var rec *recorder.Recorder
-	if cfg.HealthRules != "" || cfg.DumpDir != "" {
-		rules, err := health.ParseRules(cfg.HealthRules)
-		if err != nil {
-			return ArrivalResult{}, fmt.Errorf("experiment: %w", err)
-		}
-		// Health rules need phase structure; arrival streams otherwise run
-		// without one. The Theorem-1 pace floor only governs Algorithm 1.
-		ocfg.PhaseLen = 1
-		if cfg.Proto == "alg1" {
-			ocfg.PhaseLen = T
-		} else {
-			kept := rules[:0:0]
-			for _, r := range rules {
-				if r.Kind != health.KindPace {
-					kept = append(kept, r)
-				}
-			}
-			rules = kept
-		}
-		rec = recorder.New(recorder.Config{
-			Obs:     ocfg,
-			Rules:   rules,
-			Alpha:   p.Alpha,
-			DumpDir: cfg.DumpDir,
-			Prefix:  "arrival_" + name,
-		})
-		col = rec.Collector()
-	} else {
-		col = obs.NewCollector(ocfg)
+	rules, err := health.ParseRules(cfg.HealthRules)
+	if err != nil {
+		return ArrivalResult{}, fmt.Errorf("experiment: %w", err)
 	}
+	reg := obs.NewRegistry()
 	arr := cfg.Arrivals
 	opts := sim.Options{
 		MaxRounds:        arr.Stop + drain,
 		StopWhenComplete: true,
-		StallWindow:      stall,
-		Observer:         col.Observer(),
+		StallWindow:      drain,
 		Workers:          cfg.Workers,
 		Arrivals:         &arr,
-	}
-	if rec != nil {
-		opts.Observer = rec.Observer()
 	}
 	if cfg.Stop != nil {
 		stop := cfg.Stop
 		opts.Stop = func(int) bool { return stop() }
 	}
-	var tracer *provenance.Tracer
-	if cfg.SLA > 0 {
-		tracer = provenance.New(provenance.Config{SLA: cfg.SLA, Registry: reg})
-		opts.Tracer = tracer
-	}
-	assign := token.Spread(n, k, xrand.New(cfg.Seed^0xabcdef))
-	met, err := sim.RunProtocol(d, proto, assign, opts)
+	sinks, err := recorder.Open(recorder.SinkConfig{
+		Recorder: recorder.Config{
+			Obs:     obs.Config{N: n, K: k, PhaseLen: phaseLen, Registry: reg},
+			Rules:   rules,
+			DumpDir: cfg.DumpDir,
+			Prefix:  "arrival_" + name,
+		},
+		Provenance: provenance.Config{Budget: budget, SLA: cfg.SLA, Registry: reg},
+	}, &opts)
 	if err != nil {
 		return ArrivalResult{}, err
 	}
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			return ArrivalResult{}, err
-		}
-	} else if err := col.Flush(); err != nil {
-		return ArrivalResult{}, err
+	assign := token.Spread(n, k, xrand.New(cfg.Seed^0xabcdef))
+	met, err := sim.RunProtocol(d, proto, assign, opts)
+	if cerr := sinks.Close(); err == nil {
+		err = cerr
 	}
-	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			return ArrivalResult{}, err
-		}
+	if err != nil {
+		return ArrivalResult{}, err
 	}
 
 	offered := arr.Rate
@@ -257,17 +221,17 @@ func ArrivalLoad(cfg ArrivalConfig) (ArrivalResult, error) {
 		PeakOutstanding:  met.PeakOutstanding,
 		FinalOutstanding: met.OutstandingTokens,
 		Throughput:       float64(met.TokensCollected) / float64(met.Rounds),
-		LatencyP50:       col.LatencyQuantile(0.50),
-		LatencyP99:       col.LatencyQuantile(0.99),
+		LatencyP50:       sinks.Collector.LatencyQuantile(0.50),
+		LatencyP99:       sinks.Collector.LatencyQuantile(0.99),
 		LatencyMax:       reg.Histogram("sim_token_latency_rounds", "", obs.LatencyBuckets).Max(),
 		PaceThroughput:   pace,
 		Saturation:       offered / pace,
 		Complete:         met.Complete,
 	}
-	if tracer != nil {
-		res.SLAViolations = tracer.SLAViolationCount()
+	if sinks.Tracer != nil {
+		res.SLAViolations = sinks.Tracer.SLAViolationCount()
 	}
-	if rec != nil {
+	if rec := sinks.Recorder; rec != nil {
 		if h := rec.Health(); h != nil {
 			res.HealthViolations = h.Violations()
 		}

@@ -20,8 +20,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"runtime/pprof"
 
@@ -78,11 +76,6 @@ type PointConfig struct {
 	// totals are summed into the row's StageWallNs / StageCPUNs. The
 	// directory is created if missing.
 	TimingDir string
-	// Faults, when non-nil, injects the same fault plan into every
-	// replication of every row, with the plan's seed mixed with the
-	// replication seed so fault randomness varies across seeds like
-	// everything else. Invalid plans fail the point before any row runs.
-	Faults *sim.Faults
 	// Arrivals, when non-nil, switches every replication of every row into
 	// steady-state mode (sim.Options.Arrivals): tokens keep arriving per
 	// the configured process on top of the initial batch and garbage
@@ -178,31 +171,24 @@ type RowResult struct {
 // measured runs a protocol/adversary pairing over seeds and aggregates.
 type runSpec struct {
 	model string
-	// slug names the row's per-seed metrics files; phaseLen feeds the
-	// event stream's phase column (1 for per-round protocols).
-	slug       string
-	phaseLen   int
-	metricsDir string
-	provDir    string
-	timingDir  string
-	// paceBudget arms the provenance tracer's pace checker (Algorithm 1
-	// rows only; nil leaves the checker off).
-	paceBudget *provenance.Budget
-	budget     int
-	build      func(seed uint64) (ctvg.Dynamic, sim.Protocol)
-	k          int
-	n          int
-	seeds      int
-	workers    int
-	faults     *sim.Faults
-	arrivals   *sim.Arrivals
-	selfstab   *sim.SelfStabilize
-	// healthRules/dumpDir arm the flight recorder; alpha feeds its
-	// Theorem-1 pace rule; stop is the graceful-shutdown poll.
-	healthRules []health.Rule
-	dumpDir     string
-	alpha       int
-	stop        func() bool
+	// slug names the row's per-seed files and bundles, <slug>_seed<NN>.
+	slug string
+	// sinks configures every replication's sinks: the event stream's
+	// phase length (1 for per-round protocols), the flight recorder's
+	// rules and dump directory, and the Theorem 1 budget that arms the
+	// pace checker (Algorithm 1 rows only). Its three paths name the
+	// directories that hold each replication's files.
+	sinks    recorder.SinkConfig
+	budget   int
+	build    func(seed uint64) (ctvg.Dynamic, sim.Protocol)
+	k        int
+	n        int
+	seeds    int
+	workers  int
+	arrivals *sim.Arrivals
+	selfstab *sim.SelfStabilize
+	// stop is the graceful-shutdown poll.
+	stop func() bool
 }
 
 // seedSample is one replication's raw measurements, produced by runSeed and
@@ -217,8 +203,7 @@ type seedSample struct {
 	redundant int64
 	pace      int
 	complete  bool
-	wall      []int64 // per-sim.Stage span totals (timing runs only)
-	cpu       []int64
+	stages    []obs.StageBreak // per-sim.Stage span totals (timing runs only)
 	rounds    int
 	health    int
 	bundles   int
@@ -233,15 +218,8 @@ func runSeed(spec runSpec, i int) seedSample {
 	d, p := spec.build(seed)
 	assign := token.Spread(spec.n, spec.k, xrand.New(seed^0xabcdef))
 	opts := sim.Options{MaxRounds: spec.budget, SizeFn: wire.Size}
-	if spec.faults != nil {
-		// Per-replication copy so each seed draws its own fault
-		// randomness; the schedule fields are shared read-only.
-		plan := *spec.faults
-		plan.Seed ^= seed
-		opts.Faults = &plan
-	}
 	if spec.arrivals != nil {
-		// Same idiom: each seed draws its own traffic.
+		// Per-replication copy so each seed draws its own traffic.
 		arr := *spec.arrivals
 		arr.Seed ^= seed
 		opts.Arrivals = &arr
@@ -254,14 +232,29 @@ func runSeed(spec runSpec, i int) seedSample {
 		stop := spec.stop
 		opts.Stop = func(int) bool { return stop() }
 	}
-	var sinks seedSinks
+	cfg := spec.sinks
+	name := func(dir, ext string) string {
+		if dir == "" {
+			return ""
+		}
+		return filepath.Join(dir, fmt.Sprintf("%s_seed%02d%s", spec.slug, i, ext))
+	}
+	cfg.MetricsPath = name(cfg.MetricsPath, ".jsonl")
+	cfg.ProvenancePath = name(cfg.ProvenancePath, ".prov.jsonl")
+	cfg.TimingPath = name(cfg.TimingPath, ".timing.jsonl")
+	if cfg.Recorder.DumpDir != "" {
+		cfg.Recorder.Prefix = fmt.Sprintf("%s_seed%02d", spec.slug, i)
+	}
+	if cfg.TimingPath != "" {
+		opts.LabelCtx = pprof.WithLabels(context.Background(), pprof.Labels("alg", spec.slug))
+	}
+	sinks, err := recorder.Open(cfg, &opts)
 	var met *sim.Metrics
-	err := sinks.open(spec, i, &opts)
 	if err == nil {
 		met, err = sim.RunProtocol(d, p, assign, opts)
-	}
-	if cerr := sinks.close(); err == nil {
-		err = cerr
+		if cerr := sinks.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
 		return seedSample{err: err}
@@ -280,139 +273,19 @@ func runSeed(spec runSpec, i int) seedSample {
 		redundant: met.RedundantDeliveries,
 		complete:  met.Complete,
 	}
-	if rec := sinks.rec; rec != nil {
+	if rec := sinks.Recorder; rec != nil {
 		if h := rec.Health(); h != nil {
 			s.health = h.Violations()
 		}
 		s.bundles = len(rec.Bundles())
 	}
-	if sinks.tracer != nil {
-		s.pace = sinks.tracer.PaceViolations()
+	if sinks.Tracer != nil {
+		s.pace = sinks.Tracer.PaceViolations()
 	}
-	if tm := sinks.tm; tm != nil {
-		s.wall = make([]int64, sim.NumStages)
-		s.cpu = make([]int64, sim.NumStages)
-		for st, br := range tm.Breakdown() {
-			s.wall[st] = br.WallNs
-			s.cpu[st] = br.CPUNs
-		}
-		s.rounds = tm.Rounds()
+	if tm := sinks.Timing; tm != nil {
+		s.stages, s.rounds = tm.Breakdown(), tm.Rounds()
 	}
 	return s
-}
-
-// seedSinks is what one replication opens: the metrics collector, or the
-// flight recorder that owns it, the provenance tracer, the timing sink,
-// and the file behind each.
-type seedSinks struct {
-	col        *obs.Collector
-	rec        *recorder.Recorder
-	tracer     *provenance.Tracer
-	tm         *obs.Timing
-	mf, pf, tf *os.File
-}
-
-// open creates replication i's files and sinks and attaches them to opts.
-// On error it keeps what it opened so far, for close.
-func (s *seedSinks) open(spec runSpec, i int, opts *sim.Options) error {
-	path := func(dir, ext string) string {
-		return filepath.Join(dir, fmt.Sprintf("%s_seed%02d%s", spec.slug, i, ext))
-	}
-	rules := spec.healthRules
-	if spec.paceBudget == nil {
-		// The Theorem-1 pace floor only governs Algorithm 1 rows; on
-		// the other rows the rule would flag perfectly healthy runs.
-		kept := rules[:0:0]
-		for _, r := range rules {
-			if r.Kind != health.KindPace {
-				kept = append(kept, r)
-			}
-		}
-		rules = kept
-	}
-	recording := len(spec.healthRules) > 0 || spec.dumpDir != ""
-	if spec.metricsDir != "" || recording {
-		var sink io.Writer
-		if spec.metricsDir != "" {
-			var err error
-			if s.mf, err = os.Create(path(spec.metricsDir, ".jsonl")); err != nil {
-				return err
-			}
-			sink = s.mf
-		}
-		ocfg := obs.Config{
-			N: spec.n, K: spec.k, PhaseLen: spec.phaseLen,
-			Sink:     sink,
-			Arrivals: spec.arrivals != nil,
-		}
-		if recording {
-			s.rec = recorder.New(recorder.Config{
-				Obs:       ocfg,
-				Rules:     rules,
-				Alpha:     spec.alpha,
-				DumpDir:   spec.dumpDir,
-				Prefix:    fmt.Sprintf("%s_seed%02d", spec.slug, i),
-				FaultPlan: opts.Faults,
-			})
-			s.col = s.rec.Collector()
-			opts.Observer = s.rec.Observer()
-		} else {
-			s.col = obs.NewCollector(ocfg)
-			opts.Observer = s.col.Observer()
-		}
-	}
-	if spec.provDir != "" {
-		var err error
-		if s.pf, err = os.Create(path(spec.provDir, ".prov.jsonl")); err != nil {
-			return err
-		}
-		s.tracer = provenance.New(provenance.Config{Sink: s.pf, Budget: spec.paceBudget})
-		opts.Tracer = s.tracer
-	}
-	if spec.timingDir != "" {
-		var err error
-		if s.tf, err = os.Create(path(spec.timingDir, ".timing.jsonl")); err != nil {
-			return err
-		}
-		s.tm = obs.NewTiming(obs.TimingConfig{Sink: s.tf})
-		opts.Timing = s.tm
-		opts.LabelCtx = pprof.WithLabels(context.Background(),
-			pprof.Labels("alg", spec.slug))
-		if s.rec != nil {
-			// Tee stage timings into the flight-recorder ring (and its
-			// stage-regression rule) on their way to the timing sink.
-			opts.Timing = s.rec.TimingSink(s.tm)
-		}
-	}
-	return nil
-}
-
-// close flushes every sink and closes every file, whichever of them
-// fails, and returns the first error.
-func (s *seedSinks) close() error {
-	var err error
-	keep := func(e error) {
-		if err == nil {
-			err = e
-		}
-	}
-	if s.rec != nil {
-		keep(s.rec.Close())
-	} else if s.col != nil {
-		keep(s.col.Flush())
-	}
-	if s.tracer != nil {
-		keep(s.tracer.Flush())
-	}
-	if s.tm != nil {
-		keep(s.tm.Flush())
-	}
-	for _, f := range []*os.File{s.mf, s.pf, s.tf} {
-		if f != nil {
-			keep(f.Close())
-		}
-	}
-	return err
 }
 
 func runRow(spec runSpec, analytic analysis.Cost) (RowResult, error) {
@@ -451,14 +324,14 @@ func aggregateRow(spec runSpec, analytic analysis.Cost, samples []seedSample) (R
 		if s.complete {
 			res.Completed++
 		}
-		if s.wall != nil {
+		if s.stages != nil {
 			if res.StageWallNs == nil {
 				res.StageWallNs = make([]int64, sim.NumStages)
 				res.StageCPUNs = make([]int64, sim.NumStages)
 			}
-			for st := range s.wall {
-				res.StageWallNs[st] += s.wall[st]
-				res.StageCPUNs[st] += s.cpu[st]
+			for st, br := range s.stages {
+				res.StageWallNs[st] += br.WallNs
+				res.StageCPUNs[st] += br.CPUNs
 			}
 			res.TimedRounds += s.rounds
 		}
@@ -494,8 +367,8 @@ type rowJob struct {
 	analytic analysis.Cost
 }
 
-// pointSpecs validates the operating point, creates its output directories
-// and returns the four Table 2 rows as schedulable jobs in paper order.
+// pointSpecs validates the operating point and returns the four Table 2
+// rows as schedulable jobs in paper order.
 func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 	p := cfg.P
 	p.NR = cfg.NRT
@@ -505,41 +378,14 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 	if cfg.Seeds <= 0 {
 		return nil, fmt.Errorf("experiment: Seeds must be positive")
 	}
-	if err := cfg.Faults.Validate(cfg.P.N0); err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
 	if cfg.Arrivals != nil {
 		if err := cfg.Arrivals.Validate(cfg.P.N0); err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
 	}
-	if cfg.MetricsDir != "" {
-		if err := os.MkdirAll(cfg.MetricsDir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.ProvenanceDir != "" {
-		if err := os.MkdirAll(cfg.ProvenanceDir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.TimingDir != "" {
-		if err := os.MkdirAll(cfg.TimingDir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	var rules []health.Rule
-	if cfg.HealthRules != "" {
-		var err error
-		rules, err = health.ParseRules(cfg.HealthRules)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-	}
-	if cfg.DumpDir != "" {
-		if err := os.MkdirAll(cfg.DumpDir, 0o755); err != nil {
-			return nil, err
-		}
+	rules, err := health.ParseRules(cfg.HealthRules)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	n, k, alpha, L, theta := p.N0, p.K, p.Alpha, p.L, p.Theta
 	T := p.T()
@@ -548,11 +394,16 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 	// phase length, budget and build function differ.
 	row := func(model, slug string, phaseLen, budget int, build func(seed uint64) (ctvg.Dynamic, sim.Protocol)) runSpec {
 		return runSpec{
-			model: model, slug: slug, phaseLen: phaseLen, budget: budget, build: build,
-			metricsDir: cfg.MetricsDir, provDir: cfg.ProvenanceDir, timingDir: cfg.TimingDir,
+			model: model, slug: slug, budget: budget, build: build,
+			sinks: recorder.SinkConfig{
+				MetricsPath: cfg.MetricsDir, ProvenancePath: cfg.ProvenanceDir, TimingPath: cfg.TimingDir,
+				Recorder: recorder.Config{
+					Obs:   obs.Config{N: n, K: k, PhaseLen: phaseLen},
+					Rules: rules, DumpDir: cfg.DumpDir,
+				},
+			},
 			k: k, n: n, seeds: cfg.Seeds, workers: cfg.Workers,
-			faults: cfg.Faults, arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize,
-			healthRules: rules, dumpDir: cfg.DumpDir, alpha: alpha, stop: cfg.Stop,
+			arrivals: cfg.Arrivals, selfstab: cfg.SelfStabilize, stop: cfg.Stop,
 		}
 	}
 
@@ -576,7 +427,7 @@ func pointSpecs(cfg PointConfig) ([]rowJob, error) {
 			}, xrand.New(seed))
 			return adv, core.Alg1{T: T}
 		}), analytic: func() analysis.Cost { pp := p; pp.NR = cfg.NRT; return analysis.HiNetTInterval(pp) }()}
-	jobAlg1.spec.paceBudget = &provenance.Budget{PhaseLen: T, Phases: alg1Phases, Alpha: alpha, Theta: theta}
+	jobAlg1.spec.sinks.Provenance.Budget = &provenance.Budget{PhaseLen: T, Phases: alg1Phases, Alpha: alpha, Theta: theta}
 
 	// Row 3: KLO 1-interval flooding.
 	jobFlood := rowJob{spec: row("1-interval connected [7]", "flood", 1, baseline.FloodRounds(n),

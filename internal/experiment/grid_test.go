@@ -9,11 +9,14 @@ import (
 
 // RunGrid must be a pure scheduling change: the same points run through the
 // shared cross-seed pool must aggregate to exactly the RowResults the
-// sequential RunPoint path produces, in the same order.
+// sequential RunPoint path produces, in the same order. The second point's
+// health rules are shared by every replication, and the rows that no
+// Theorem 1 budget governs drop their pace rule concurrently (make race).
 func TestRunGridMatchesRunPoint(t *testing.T) {
 	cfgs := []PointConfig{Table3Config(2), func() PointConfig {
 		c := Table3Config(2)
 		c.P.K = 4
+		c.HealthRules = "pace,stall>=50"
 		return c
 	}()}
 

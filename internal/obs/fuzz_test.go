@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // FuzzParseEvents feeds ParseEvents arbitrary bytes. It must never panic,
@@ -34,6 +36,26 @@ func FuzzParseEvents(f *testing.F) {
 		}
 		if twice := encode(again); !bytes.Equal(once, twice) {
 			t.Fatalf("re-encoding is not stable:\n%s\n%s", once, twice)
+		}
+	})
+}
+
+// FuzzParseTiming feeds ParseTiming arbitrary bytes. It must never panic,
+// and SummarizeTiming must give one breakdown row per stage for any series
+// it accepts.
+func FuzzParseTiming(f *testing.F) {
+	raw, _, _ := runTimed(f, testTrace(f, 16, 24, 6), 3, 6, 2, TimingConfig{SampleEvery: 8})
+	f.Add(raw)
+	f.Add([]byte(`{"round":3,"wall":{"collect":5},"res":null}`))
+	f.Add([]byte(`{"round":1}{"wall":{"deliver":-1}}`))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := ParseTiming(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if got := len(SummarizeTiming(rows)); got != int(sim.NumStages) {
+			t.Fatalf("%d breakdown rows, want %d", got, sim.NumStages)
 		}
 	})
 }

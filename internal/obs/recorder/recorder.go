@@ -19,6 +19,10 @@
 // fingerprint + health verdicts, written once per distinct reason to
 // Config.DumpDir as `<prefix>-r<round>-<reason>.dump`. `hinettrace
 // postmortem` renders a diagnosis from the bundle.
+//
+// Open is how a run attaches its sinks: the collector or the recorder that
+// owns it, the stage-timing sink and the provenance tracer, each with the
+// file behind it (see Sinks).
 package recorder
 
 import (

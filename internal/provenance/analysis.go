@@ -1,6 +1,8 @@
 package provenance
 
 import (
+	"slices"
+
 	"repro/internal/ctvg"
 	"repro/internal/sim"
 )
@@ -37,31 +39,33 @@ func (l *Log) initiallyHolds(node, token int) bool {
 // Lineage returns the first-delivery chain that brought token to node, in
 // chronological order (the hop out of an initial holder first). The chain
 // is empty when node held the token initially; the second result is false
-// when node never acquired it (or the log does not cover it). A chain
-// ends early at a NoTeacher hop: network-coded decodes with no single
-// attributable source have no further ancestry.
+// when node never acquired it (or the log does not cover it), and when the
+// walk back through teachers revisits a node: a log whose edges form a
+// cycle credits no initial holder. A chain ends early at a NoTeacher hop:
+// network-coded decodes with no single attributable source have no
+// further ancestry.
 func (l *Log) Lineage(node, token int) ([]Edge, bool) {
 	idx := l.edgeIndex()
 	var chain []Edge
-	cur := node
-	for {
-		if i, ok := idx[pairKey(cur, token)]; ok {
-			chain = append(chain, l.Edges[i])
-			t := l.Edges[i].Teacher
-			if t == NoTeacher {
-				break
-			}
-			cur = t
-			continue
-		}
-		if !l.initiallyHolds(cur, token) {
+	seen := map[int]bool{}
+	for cur := node; ; {
+		if seen[cur] {
 			return nil, false
 		}
-		break
+		seen[cur] = true
+		i, ok := idx[pairKey(cur, token)]
+		if !ok {
+			if !l.initiallyHolds(cur, token) {
+				return nil, false
+			}
+			break
+		}
+		chain = append(chain, l.Edges[i])
+		if cur = l.Edges[i].Teacher; cur == NoTeacher {
+			break
+		}
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
+	slices.Reverse(chain)
 	return chain, true
 }
 
@@ -133,11 +137,18 @@ func (l *Log) TokenCritical(token int) (Path, bool) {
 	return path(e.Learner, token, chain), true
 }
 
-// AllCritical returns one critical path per token that has at least one
-// edge, ascending by token ID.
+// AllCritical returns one critical path per token below Meta.K that has at
+// least one edge, ascending by token ID.
 func (l *Log) AllCritical() []Path {
+	var toks []int
+	for _, e := range l.Edges {
+		if e.Token >= 0 && e.Token < l.Meta.K {
+			toks = append(toks, e.Token)
+		}
+	}
+	slices.Sort(toks)
 	var out []Path
-	for tok := 0; tok < l.Meta.K; tok++ {
+	for _, tok := range slices.Compact(toks) {
 		if p, ok := l.TokenCritical(tok); ok {
 			out = append(out, p)
 		}

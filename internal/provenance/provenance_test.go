@@ -47,7 +47,7 @@ func testBudget() *Budget {
 
 // tracedRun executes one Alg1 run with a tracer attached and returns the
 // emitted stream, the tracer and the metrics.
-func tracedRun(t *testing.T, seed uint64, workers int, proto sim.Protocol, faults *sim.Faults, keep bool) ([]byte, *Tracer, *sim.Metrics) {
+func tracedRun(t testing.TB, seed uint64, workers int, proto sim.Protocol, faults *sim.Faults, keep bool) ([]byte, *Tracer, *sim.Metrics) {
 	t.Helper()
 	tr, assign := recordedNet(seed, 72)
 	var sink bytes.Buffer
